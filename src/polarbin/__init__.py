@@ -13,7 +13,6 @@ from .errors import (
 from .hamiltonian import (
     EffectiveHamiltonian,
     build_effective_hamiltonian,
-    build_multibin_hamiltonian,
     displaced_number_operator,
     fc_overlap,
 )
@@ -39,6 +38,7 @@ from .observables import (
     state_populations,
     vibrational_energy,
 )
+from .oracle import build_multibin_hamiltonian
 from .propagator import (
     Trajectory,
     bright_state,

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import configparser
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .errors import ConfigError
+from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import ModelSpec, bin_count_rule, time_to_au
 
 MODEL_KEYS = {
@@ -106,6 +108,25 @@ class RunConfig:
     vib_energy_times: tuple[float, ...] = ()
     sweep: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.n_vib < 2:
+            raise ConfigError(f"n_vib must be >= 2, got {self.n_vib}")
+        if not (math.isfinite(self.dt_record) and self.dt_record > 0):
+            raise ConfigError(
+                f"dt_record must be positive and finite, got {self.dt_record!r}"
+            )
+        if self.snapshot_stride < 0:
+            raise ConfigError(
+                f"snapshot_stride must be >= 0, got {self.snapshot_stride}"
+            )
+        if any(t > self.t_final for t in self.vib_energy_times):
+            raise ConfigError(
+                f"vib_energy_times must not exceed t_final = {self.t_final!r} au, "
+                f"got {max(self.vib_energy_times)!r} au"
+            )
+        for point in self.sweep_points():
+            replace(self.spec, **point)  # every grid point's ModelSpec checks itself
+
     def sweep_points(self) -> list[dict]:
         """Sorted cartesian product of the sweep lists; [{}] if no sweep."""
         if not self.sweep:
@@ -121,6 +142,8 @@ class RunConfig:
         n_bins = self.n_bins
         if n_bins is None:
             n_bins = bin_count_rule(spec.sigma, self.t_final)
+        # refuse before binning: the rule grows without bound with sigma
+        check_dimension(1 + 2 * n_bins * self.n_vib, DEFAULT_DIMENSION_CAP)
         n_steps = max(1, round(self.t_final / self.dt_record))
         dt_record = self.t_final / n_steps
         return ResolvedPoint(

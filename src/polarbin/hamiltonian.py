@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,6 +72,29 @@ class EffectiveHamiltonian:
         return float(np.abs(defect.data[mask]).max())
 
 
+
+
+def check_dimension(dimension: int, cap: int) -> None:
+    if dimension > cap:
+        raise DimensionCapError(f"dimension {dimension} exceeds cap {cap}")
+
+
+def vibronic_block(spec: ModelSpec, n_vib: int) -> np.ndarray:
+    """Real-symmetric vibronic block K of one molecule, exciton energy excluded.
+
+    Reactant levels first, then product levels: omega_nu*n(s1) and
+    omega_nu*n(s2) on the diagonal blocks, v12 times the identity between
+    them. Every bin of the effective Hamiltonian carries this block,
+    shifted on the diagonal by its frequency omega_i on the reactant
+    levels and by omega_i + delta2 on the product levels.
+    """
+    eye = np.eye(n_vib)
+    return np.block([
+        [spec.omega_nu * displaced_number_operator(spec.s1, n_vib), spec.v12 * eye],
+        [spec.v12 * eye, spec.omega_nu * displaced_number_operator(spec.s2, n_vib)],
+    ])
+
+
 def build_effective_hamiltonian(
     spec: ModelSpec,
     bins: BinSet,
@@ -81,165 +103,38 @@ def build_effective_hamiltonian(
 ) -> EffectiveHamiltonian:
     """Assemble the single-coordinate effective Hamiltonian.
 
-    Structure per bin i: a reactant vibrational block at the bin frequency,
-    a product block offset by delta2, the photon coupled to the reactant
-    n=0 component with strength coupling*sqrt(P_i), and a constant diabatic
-    coupling v12 acting as the identity in the shared vibrational index.
-    All structural entries are stored even when numerically zero, so the
-    sparsity pattern is independent of the parameter values.
+    Every bin i carries the vibronic block K of :func:`vibronic_block`
+    shifted by its frequency, and the photon couples to its reactant n=0
+    level with strength coupling*sqrt(P_i). The triplets are laid out by
+    index arithmetic and converted to CSR once. All structural entries
+    are stored even when numerically zero, so the sparsity pattern is
+    independent of the parameter values.
     """
     bins.validate()
     layout = BasisLayout(bins.n_bins, n_vib)
-    if layout.dimension > dimension_cap:
-        raise DimensionCapError(
-            f"dimension {layout.dimension} exceeds cap {dimension_cap}"
-        )
-
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    put(layout.PHOTON, layout.PHOTON, spec.omega_c - 0.5j * spec.kappa)
-
-    n1 = displaced_number_operator(spec.s1, n_vib)
-    n2 = displaced_number_operator(spec.s2, n_vib)
-    for i in range(bins.n_bins):
-        base1 = layout.e1(i, 0)
-        base2 = layout.e2(i, 0)
-        for n in range(n_vib):
-            put(base1 + n, base1 + n, bins.centers[i] + spec.omega_nu * n1[n, n])
-            put(base2 + n, base2 + n,
-                bins.centers[i] + spec.delta2 + spec.omega_nu * n2[n, n])
-            if n + 1 < n_vib:
-                put(base1 + n, base1 + n + 1, spec.omega_nu * n1[n, n + 1])
-                put(base1 + n + 1, base1 + n, spec.omega_nu * n1[n + 1, n])
-                put(base2 + n, base2 + n + 1, spec.omega_nu * n2[n, n + 1])
-                put(base2 + n + 1, base2 + n, spec.omega_nu * n2[n + 1, n])
-        fc_coupling = spec.coupling * math.sqrt(bins.weights[i])
-        put(layout.PHOTON, base1, fc_coupling)
-        put(base1, layout.PHOTON, fc_coupling)
-        for n in range(n_vib):
-            put(base1 + n, base2 + n, spec.v12)
-            put(base2 + n, base1 + n, spec.v12)
-
-    matrix = sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(layout.dimension, layout.dimension),
-    )
-    return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
-
-
-class MultibinLayout:
-    """Basis layout of the multi-coordinate reference Hamiltonian.
-
-    Every electronic block carries the full tensor product of one
-    vibrational coordinate per bin (dimension n_vib**n_bins); block order
-    mirrors BasisLayout: photon, reactant blocks, product blocks. The
-    photon block is one-dimensional: molecules in the electronic ground
-    state stay in the shared ground vibrational wavefunction, so the
-    one-photon component carries a single amplitude.
-    """
-
-    PHOTON = 0
-
-    def __init__(self, n_bins: int, n_vib: int):
-        self.n_bins = n_bins
-        self.n_vib = n_vib
-        self.vib_dim = n_vib**n_bins
-        self.dimension = 1 + 2 * n_bins * self.vib_dim
-
-    def e1_slice(self, bin_index: int) -> slice:
-        start = 1 + bin_index * self.vib_dim
-        return slice(start, start + self.vib_dim)
-
-    def e2_slice(self, bin_index: int) -> slice:
-        start = 1 + (self.n_bins + bin_index) * self.vib_dim
-        return slice(start, start + self.vib_dim)
-
-
-def _embed(op: sp.spmatrix, coordinate: int, n_coords: int, n_vib: int) -> sp.spmatrix:
-    """Kronecker-embed a single-coordinate operator at the given position."""
-    factors = [
-        op if k == coordinate else sp.identity(n_vib, format="csr")
-        for k in range(n_coords)
-    ]
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-
-
-def build_multibin_hamiltonian(
-    spec: ModelSpec,
-    bins: BinSet,
-    n_vib: int,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> EffectiveHamiltonian:
-    """Assemble the multi-coordinate form, one vibrational mode per bin.
-
-    Reference engine for cross-validation; its Hilbert space grows as
-    n_vib**n_bins, so it is capped at two bins. The active coordinate of
-    an excited block carries the displaced surface; spectator coordinates
-    carry the undisplaced ground-surface oscillator (inert for states
-    created through the ground vibrational level, which is how every
-    supported initial state enters). The photon, whose molecules all sit
-    in the shared ground vibrational state, couples each reactant block
-    through its all-ground vibrational configuration.
-    """
-    bins.validate()
-    if bins.n_bins > 2:
-        raise ConfigError("multibin form is capped at two bins")
-    layout = MultibinLayout(bins.n_bins, n_vib)
-    if layout.dimension > dimension_cap:
-        raise DimensionCapError(
-            f"dimension {layout.dimension} exceeds cap {dimension_cap}"
-        )
-
+    check_dimension(layout.dimension, dimension_cap)
     nb = bins.n_bins
-    number_op = sp.diags(np.arange(n_vib, dtype=float))
-    identity = sp.identity(layout.vib_dim, format="csr")
+    # structural entries of K: two tridiagonal surfaces and a diagonal coupling
+    eye = np.eye(n_vib)
+    band = eye + np.eye(n_vib, k=1) + np.eye(n_vib, k=-1)
+    local_rows, local_cols = np.nonzero(np.block([[band, eye], [eye, band]]))
+    values = np.tile(vibronic_block(spec, n_vib)[local_rows, local_cols], (nb, 1))
+    diagonal = local_rows == local_cols
+    # the bin shift and delta2 are summed first: (omega_i + delta2) + omega_nu*n
+    offsets = np.array([0.0, spec.delta2])[local_rows[diagonal] // n_vib]
+    shift = bins.centers[:, None] + offsets
+    values[:, diagonal] = shift + values[:, diagonal]
+    starts = 1 + n_vib * np.arange(nb)[:, None]  # reactant level 0 of each bin
 
-    n_blocks = 1 + 2 * nb
-    blocks = [[None] * n_blocks for _ in range(n_blocks)]
-    blocks[0][0] = sp.csr_matrix(
-        np.array([[spec.omega_c - 0.5j * spec.kappa]])
-    )
+    def place(local):
+        # a bin's product levels sit (nb - 1) * n_vib further down than in K
+        return (starts + local + (local // n_vib) * (nb - 1) * n_vib).ravel()
 
-    for i in range(nb):
-        for surface, s_disp, offset in ((1, spec.s1, 0.0), (2, spec.s2, spec.delta2)):
-            block = 1 + (surface - 1) * nb + i
-            vib = sum(
-                _embed(
-                    spec.omega_nu
-                    * sp.csr_matrix(
-                        displaced_number_operator(s_disp, n_vib)
-                        if k == i
-                        else number_op
-                    ),
-                    k,
-                    nb,
-                    n_vib,
-                )
-                for k in range(nb)
-            )
-            blocks[block][block] = (
-                (bins.centers[i] + offset) * identity + vib
-            )
-        e1_block = 1 + i
-        e2_block = 1 + nb + i
-        # the Franck-Condon projector confines the transition to the
-        # all-ground vibrational configuration (block-local index 0)
-        fc = sp.csr_matrix(
-            (
-                [spec.coupling * math.sqrt(bins.weights[i])],
-                ([0], [0]),
-            ),
-            shape=(1, layout.vib_dim),
-        )
-        blocks[0][e1_block] = fc
-        blocks[e1_block][0] = fc.conjugate().transpose()
-        blocks[e1_block][e2_block] = spec.v12 * identity
-        blocks[e2_block][e1_block] = spec.v12 * identity
-
-    matrix = sp.bmat(blocks, format="csr", dtype=complex)
+    photon = np.zeros(nb, dtype=int)
+    fc_coupling = spec.coupling * np.sqrt(bins.weights)
+    rows = np.concatenate(([layout.PHOTON], photon, starts.ravel(), place(local_rows)))
+    cols = np.concatenate(([layout.PHOTON], starts.ravel(), photon, place(local_cols)))
+    vals = np.concatenate(([spec.omega_c - 0.5j * spec.kappa], fc_coupling,
+                           fc_coupling, values.ravel()))
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dimension,) * 2)
     return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)

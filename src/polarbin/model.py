@@ -7,7 +7,7 @@ are accepted only at input boundaries through :func:`time_to_au`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -23,13 +23,12 @@ DOMAIN_HALF_WIDTH = 3.0
 
 def time_to_au(value: float, unit: str = "au") -> float:
     """Convert a time given in 'fs' or 'au' to atomic units."""
-    if value < 0:
-        raise ConfigError(f"time must be non-negative, got {value}")
-    if unit == "au":
-        return float(value)
-    if unit == "fs":
-        return float(value) * FS_TO_AU
-    raise ConfigError(f"unknown time unit {unit!r} (expected 'fs' or 'au')")
+    if unit not in ("au", "fs"):
+        raise ConfigError(f"unknown time unit {unit!r} (expected 'fs' or 'au')")
+    au = float(value) * (FS_TO_AU if unit == "fs" else 1.0)
+    if not (math.isfinite(au) and au >= 0):
+        raise ConfigError(f"time must be finite and non-negative, got {value} {unit}")
+    return au
 
 
 def bin_count_rule(sigma: float, t_final: float) -> int:
@@ -43,7 +42,10 @@ def bin_count_rule(sigma: float, t_final: float) -> int:
         raise ConfigError("sigma must be >= 0")
     if t_final <= 0:
         raise ConfigError("t_final must be > 0")
-    return max(1, math.ceil(2.0 * DOMAIN_HALF_WIDTH * sigma * t_final / (2.0 * math.pi)))
+    count = 2.0 * DOMAIN_HALF_WIDTH * sigma * t_final / (2.0 * math.pi)
+    if not math.isfinite(count):
+        raise ConfigError(f"sigma = {sigma!r} over t_final = {t_final!r} au overflows the bin count")
+    return max(1, math.ceil(count))
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,10 @@ class ModelSpec:
     delta2: float = 0.0  # rigid energy offset of the product surface
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
         if self.omega_nu <= 0:
             raise ConfigError("omega_nu must be > 0")
         if self.omega0 <= 0 or self.omega_c <= 0:
@@ -146,7 +152,13 @@ def discretize_disorder(spec: ModelSpec, n_bins: int) -> BinSet:
     weights = raw_weights / raw_weights.sum()
     binset = BinSet(weights=weights, centers=centers,
                     edges=spec.omega0 + spec.sigma * z_edges)
-    binset.validate()
+    try:
+        binset.validate()
+    except ValueError as exc:
+        raise DegenerateDistributionError(
+            f"sigma = {spec.sigma!r} around omega0 = {spec.omega0!r} cannot be split "
+            f"into {n_bins} distinct bins in double precision: {exc}"
+        ) from exc
     return binset
 
 
@@ -156,16 +168,21 @@ class BasisLayout:
     Index 0 is the photon state (which carries the shared ground
     vibrational wavefunction); then one reactant block per bin, then one
     product block per bin; inside a block, vibrational levels are
-    contiguous.
+    contiguous. photon_dim, vib_dim and block_bins (the bin of each
+    block) describe the same blocks to the layout-independent population
+    reduction.
     """
 
     PHOTON = 0
+    photon_dim = 1
 
     def __init__(self, n_bins: int, n_vib: int):
         if n_bins < 1 or n_vib < 2:
             raise ConfigError("need n_bins >= 1 and n_vib >= 2")
         self.n_bins = n_bins
         self.n_vib = n_vib
+        self.vib_dim = n_vib
+        self.block_bins = np.arange(n_bins)
         self.dimension = 1 + 2 * n_bins * n_vib
 
     def e1(self, bin_index: int, level: int) -> int:

@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     InitialStateError,
     NoSplittingError,
+    PropagationError,
     ZeroPopulationError,
 )
 from .hamiltonian import displaced_number_operator
@@ -21,6 +22,7 @@ from .model import BasisLayout, ModelSpec
 from .propagator import Trajectory
 
 OMEGA_GRID_STEP = 1e-4
+MAX_OMEGA_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,11 @@ def default_omega_grid(spec: ModelSpec) -> np.ndarray:
     """Frequency window covering both polariton branches plus disorder."""
     lo = spec.omega0 - 3.0 * spec.sigma - 3.0 * spec.coupling
     hi = spec.omega0 + spec.omega_nu + 3.0 * spec.sigma + 3.0 * spec.coupling
+    if not (hi - lo) / OMEGA_GRID_STEP < MAX_OMEGA_POINTS:
+        raise ConfigError(
+            f"absorption window [{lo!r}, {hi!r}] au needs more than "
+            f"{MAX_OMEGA_POINTS} frequency points"
+        )
     n = int(np.floor((hi - lo) / OMEGA_GRID_STEP + 1e-9)) + 1
     return lo + OMEGA_GRID_STEP * np.arange(n)
 
@@ -65,16 +72,28 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     for start in range(0, len(omega_grid), chunk):
         block = omega_grid[start : start + chunk]
         ct[start : start + len(block)] = np.exp(1j * np.outer(block, t)) @ weighted
-    values = kappa * ct.real - 0.5 * kappa**2 * np.abs(ct) ** 2
+    values = kappa * ct.real - 0.5 * (kappa * kappa) * np.abs(ct) ** 2
+    if not np.isfinite(values).all():
+        raise PropagationError(f"absorption overflows at kappa = {kappa!r}")
     return Spectrum(omega=omega_grid, values=values)
 
 
 def state_populations(psi: np.ndarray, layout: BasisLayout):
-    """Per-bin reactant/product populations and photon population of one state."""
-    nb, nv = layout.n_bins, layout.n_vib
-    blocks = np.abs(psi[1:].reshape(2 * nb, nv)) ** 2
-    per_level = blocks.sum(axis=1)
-    return per_level[:nb], per_level[nb:], float(np.abs(psi[0]) ** 2)
+    """Per-bin reactant/product populations and photon population of one state.
+
+    Works for every basis layout: a photon block of layout.photon_dim
+    states, then one reactant and then one product block per coordinate,
+    each of layout.vib_dim contiguous states. Block sums go to the bins
+    named by layout.block_bins: the identity for the binned layout, the
+    molecule-to-bin map for an explicit ensemble.
+    """
+    density = np.abs(psi) ** 2
+    per_block = density[layout.photon_dim:].reshape(2, -1, layout.vib_dim).sum(axis=2)
+    p_e1, p_e2 = (
+        np.bincount(layout.block_bins, weights, minlength=layout.n_bins)
+        for weights in per_block
+    )
+    return p_e1, p_e2, float(density[: layout.photon_dim].sum())
 
 
 @dataclass(frozen=True)

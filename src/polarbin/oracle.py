@@ -1,17 +1,18 @@
 """Brute-force validation engines.
 
-Two reference constructions, both deliberately expensive and kept small:
+Two tensor-product reference constructions, deliberately expensive and
+kept small, sharing one block assembly and one basis layout:
 
-* the explicit finite-ensemble Hamiltonian (every molecule with its own
-  vibrational coordinate, single-molecule coupling g = G/sqrt(N), no
-  Franck-Condon projector), used to demonstrate that the binned effective
-  model is the large-ensemble limit at fixed collective coupling;
-* the multi-coordinate two-bin form, used to confirm that collapsing all
-  bins onto one shared coordinate is exact for the supported initial
-  states.
+* the explicit finite ensemble (every molecule with its own vibrational
+  coordinate, single-molecule coupling g = G/sqrt(N), no Franck-Condon
+  projector): the binned model is its large-ensemble limit at fixed
+  collective coupling;
+* the multi-coordinate two-bin form: collapsing all bins onto one shared
+  coordinate is exact for the supported initial states.
 
-Both reuse :func:`polarbin.propagator.propagate` verbatim, so the engine
-under test differs only in Hamiltonian assembly.
+Both reuse :func:`polarbin.propagator.propagate` and
+:func:`polarbin.observables.populations` verbatim, so the engine under
+test differs only in Hamiltonian assembly.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DimensionCapError
+from .errors import ConfigError
 from .hamiltonian import (
+    DEFAULT_DIMENSION_CAP,
     EffectiveHamiltonian,
-    MultibinLayout,
     build_effective_hamiltonian,
-    build_multibin_hamiltonian,
+    check_dimension,
     displaced_number_operator,
 )
-from .model import BasisLayout, BinSet, ModelSpec
+from .model import BinSet, ModelSpec
+from .observables import populations
 from .propagator import DEFAULT_TOLERANCE, make_initial_state, propagate
 
 EXPLICIT_DIMENSION_CAP = 50_000
@@ -82,37 +84,79 @@ class ExplicitEnsemble:
 
 
 class ExplicitLayout:
-    """Basis of the first excitation manifold of the explicit ensemble.
+    """Basis of the tensor-product reference Hamiltonians.
 
-    Blocks: photon, then one reactant block per molecule, then one product
-    block per molecule; each block spans all n_vib**N vibrational
-    configurations in row-major order.
+    Blocks: photon, then one reactant and then one product block per
+    vibrational coordinate, each spanning all n_vib**n_coords vibrational
+    configurations in row-major order. The explicit ensemble has one
+    coordinate per molecule and a photon block as large as an excited
+    one; the multi-coordinate form has one coordinate per bin and a
+    one-state photon block (ground-state molecules stay in the shared
+    ground vibrational wavefunction). block_bins maps coordinates to bins.
     """
 
-    def __init__(self, n_molecules: int, n_vib: int):
-        self.n_molecules = n_molecules
+    PHOTON = 0
+
+    def __init__(self, block_bins, n_bins: int, n_vib: int, photon_dim: int):
+        self.block_bins = np.asarray(block_bins)
+        self.n_bins = n_bins
+        self.n_coords = len(self.block_bins)
         self.n_vib = n_vib
-        self.vib_dim = n_vib**n_molecules
-        self.dimension = (1 + 2 * n_molecules) * self.vib_dim
+        self.vib_dim = n_vib**self.n_coords
+        self.photon_dim = photon_dim
+        self.dimension = photon_dim + 2 * self.n_coords * self.vib_dim
 
     def photon_slice(self) -> slice:
-        return slice(0, self.vib_dim)
+        return slice(0, self.photon_dim)
 
-    def e1_slice(self, molecule: int) -> slice:
-        start = (1 + molecule) * self.vib_dim
+    def e1_slice(self, coordinate: int) -> slice:
+        start = self.photon_dim + coordinate * self.vib_dim
         return slice(start, start + self.vib_dim)
 
-    def e2_slice(self, molecule: int) -> slice:
-        start = (1 + self.n_molecules + molecule) * self.vib_dim
+    def e2_slice(self, coordinate: int) -> slice:
+        start = self.photon_dim + (self.n_coords + coordinate) * self.vib_dim
         return slice(start, start + self.vib_dim)
 
 
 def _embed(op, coordinate: int, n_coords: int, n_vib: int):
+    """Kronecker-embed a single-coordinate operator at the given position."""
     factors = [
         op if k == coordinate else sp.identity(n_vib, format="csr")
         for k in range(n_coords)
     ]
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
+
+
+def _tensor_hamiltonian(spec: ModelSpec, layout: ExplicitLayout, omegas,
+                        photon, links) -> EffectiveHamiltonian:
+    """Assemble photon block, excited tensor-product blocks and couplings.
+
+    Coordinate j's excited blocks sit at its exciton frequency omegas[j]
+    (plus delta2 on the product surface); its own coordinate carries the
+    displaced surface, every other coordinate the undisplaced ground-surface
+    oscillator. links[j] couples the photon block to coordinate j's
+    reactant block; v12 couples reactant and product as the identity.
+    """
+    n, n_vib = layout.n_coords, layout.n_vib
+    number_op = sp.diags(np.arange(n_vib, dtype=float))
+    identity = sp.identity(layout.vib_dim, format="csr")
+    blocks = [[None] * (1 + 2 * n) for _ in range(1 + 2 * n)]
+    blocks[0][0] = photon
+    for j in range(n):
+        e1, e2 = 1 + j, 1 + n + j
+        for block, s_disp, offset in ((e1, spec.s1, 0.0), (e2, spec.s2, spec.delta2)):
+            displaced = displaced_number_operator(s_disp, n_vib)
+            vib = sum(
+                _embed(spec.omega_nu * sp.csr_matrix(displaced if k == j else number_op),
+                       k, n, n_vib)
+                for k in range(n)
+            )
+            blocks[block][block] = (omegas[j] + offset) * identity + vib
+        blocks[0][e1] = links[j]
+        blocks[e1][0] = links[j].T
+        blocks[e1][e2] = blocks[e2][e1] = spec.v12 * identity
+    matrix = sp.bmat(blocks, format="csr", dtype=complex)
+    return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
 
 
 def build_explicit_hamiltonian(
@@ -128,105 +172,49 @@ def build_explicit_hamiltonian(
     (the Franck-Condon projection of the binned model is emergent, not
     imposed).
     """
-    n = ensemble.n_molecules
+    n, n_vib = ensemble.n_molecules, ensemble.n_vib
     if n > MAX_EXPLICIT_MOLECULES:
-        raise ConfigError(
-            f"explicit ensemble capped at {MAX_EXPLICIT_MOLECULES} molecules"
-        )
-    layout = ExplicitLayout(n, ensemble.n_vib)
-    if layout.dimension > dimension_cap:
-        raise DimensionCapError(
-            f"dimension {layout.dimension} exceeds cap {dimension_cap}"
-        )
-    n_vib = ensemble.n_vib
+        raise ConfigError(f"explicit ensemble capped at {MAX_EXPLICIT_MOLECULES} molecules")
+    layout = ExplicitLayout(ensemble.molecule_bins, ensemble.bins.n_bins,
+                            n_vib, n_vib**n)
+    check_dimension(layout.dimension, dimension_cap)
     number_op = sp.diags(np.arange(n_vib, dtype=float))
-    ground_vib = sum(
+    identity = sp.identity(layout.vib_dim, format="csr")
+    photon = (spec.omega_c - 0.5j * spec.kappa) * identity + sum(
         _embed(spec.omega_nu * number_op, k, n, n_vib) for k in range(n)
     )
-    identity = sp.identity(layout.vib_dim, format="csr")
-    g = ensemble.g_single
-
-    n_blocks = 1 + 2 * n
-    blocks = [[None] * n_blocks for _ in range(n_blocks)]
-    blocks[0][0] = (spec.omega_c - 0.5j * spec.kappa) * identity + ground_vib
-
-    for j in range(n):
-        omega0_j = ensemble.bins.centers[ensemble.molecule_bins[j]]
-        for surface, s_disp, offset in ((1, spec.s1, 0.0), (2, spec.s2, spec.delta2)):
-            block = 1 + (surface - 1) * n + j
-            vib = sum(
-                _embed(
-                    spec.omega_nu
-                    * sp.csr_matrix(
-                        displaced_number_operator(s_disp, n_vib)
-                        if k == j
-                        else number_op
-                    ),
-                    k,
-                    n,
-                    n_vib,
-                )
-                for k in range(n)
-            )
-            blocks[block][block] = (omega0_j + offset) * identity + vib
-        e1_block = 1 + j
-        e2_block = 1 + n + j
-        blocks[0][e1_block] = g * identity
-        blocks[e1_block][0] = g * identity
-        blocks[e1_block][e2_block] = spec.v12 * identity
-        blocks[e2_block][e1_block] = spec.v12 * identity
-
-    matrix = sp.bmat(blocks, format="csr", dtype=complex)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
+    omegas = ensemble.bins.centers[ensemble.molecule_bins]
+    return _tensor_hamiltonian(spec, layout, omegas, photon,
+                               [ensemble.g_single * identity] * n)
 
 
-def explicit_photonic_state(layout: ExplicitLayout) -> np.ndarray:
-    psi = np.zeros(layout.dimension, dtype=complex)
-    psi[0] = 1.0  # photon block, every coordinate in its ground level
-    return psi
+def build_multibin_hamiltonian(
+    spec: ModelSpec,
+    bins: BinSet,
+    n_vib: int,
+    dimension_cap: int = DEFAULT_DIMENSION_CAP,
+) -> EffectiveHamiltonian:
+    """Assemble the multi-coordinate form, one vibrational mode per bin.
 
-
-def explicit_populations(psi: np.ndarray, layout: ExplicitLayout,
-                         ensemble: ExplicitEnsemble):
-    """Photon population and per-bin reactant/product populations."""
-    n_bins = ensemble.bins.n_bins
-    photon = float(np.linalg.norm(psi[layout.photon_slice()]) ** 2)
-    p_e1 = np.zeros(n_bins)
-    p_e2 = np.zeros(n_bins)
-    for j in range(layout.n_molecules):
-        b = ensemble.molecule_bins[j]
-        p_e1[b] += np.linalg.norm(psi[layout.e1_slice(j)]) ** 2
-        p_e2[b] += np.linalg.norm(psi[layout.e2_slice(j)]) ** 2
-    return photon, p_e1, p_e2
-
-
-def multibin_initial_state(name: str, layout: MultibinLayout, bins: BinSet) -> np.ndarray:
-    """Photonic/bright/polariton states in the multi-coordinate basis."""
-    photon = np.zeros(layout.dimension, dtype=complex)
-    bright = np.zeros(layout.dimension, dtype=complex)
-    photon[layout.PHOTON] = 1.0
-    for i in range(bins.n_bins):
-        bright[layout.e1_slice(i).start] = math.sqrt(bins.weights[i])
-    if name == "photonic":
-        return photon
-    if name == "bright":
-        return bright
-    if name == "upper_polariton":
-        return (photon + bright) / math.sqrt(2.0)
-    if name == "lower_polariton":
-        return (photon - bright) / math.sqrt(2.0)
-    raise ConfigError(f"unknown initial state {name!r}")
-
-
-def multibin_populations(psi: np.ndarray, layout: MultibinLayout):
-    photon = float(np.abs(psi[layout.PHOTON]) ** 2)
-    p_e1 = np.array([
-        np.linalg.norm(psi[layout.e1_slice(i)]) ** 2 for i in range(layout.n_bins)
-    ])
-    p_e2 = np.array([
-        np.linalg.norm(psi[layout.e2_slice(i)]) ** 2 for i in range(layout.n_bins)
-    ])
-    return photon, p_e1, p_e2
+    Reference engine for cross-validation; its Hilbert space grows as
+    n_vib**n_bins, so it is capped at two bins. Spectator coordinates are
+    inert for states created through the ground vibrational level, which
+    is how every supported initial state enters. The photon couples each
+    reactant block through its all-ground vibrational configuration.
+    """
+    bins.validate()
+    if bins.n_bins > 2:
+        raise ConfigError("multibin form is capped at two bins")
+    layout = ExplicitLayout(np.arange(bins.n_bins), bins.n_bins, n_vib, 1)
+    check_dimension(layout.dimension, dimension_cap)
+    photon = sp.csr_matrix(np.array([[spec.omega_c - 0.5j * spec.kappa]]))
+    # the Franck-Condon projector: block-local index 0 is the all-ground configuration
+    links = [
+        sp.csr_matrix(([spec.coupling * math.sqrt(w)], ([0], [0])),
+                      shape=(1, layout.vib_dim))
+        for w in bins.weights
+    ]
+    return _tensor_hamiltonian(spec, layout, bins.centers, photon, links)
 
 
 @dataclass(frozen=True)
@@ -246,42 +234,35 @@ class DeviationReport:
     autocorr_final: float
 
 
-def _deviations(label, times, ref, eff) -> DeviationReport:
-    (ph_r, e1_r, e2_r, c_r) = ref
-    (ph_e, e1_e, e2_e, c_e) = eff
-    d_e1 = np.abs(e1_r - e1_e)
-    d_e2 = np.abs(e2_r - e2_e)
-    d_ph = np.abs(ph_r - ph_e)
-    d_c = np.abs(c_r - c_e)
-    d_tot = np.abs(e1_r.sum(axis=1) - e1_e.sum(axis=1))
+def _compare(label, reference, spec, bins, n_vib, dt_record, t_final, tolerance,
+             initial_state) -> DeviationReport:
+    """Propagate a reference engine and the binned one from the same named state."""
+    records = []
+    for ham in (reference, build_effective_hamiltonian(spec, bins, n_vib)):
+        traj = propagate(
+            ham, make_initial_state(initial_state, ham.layout, bins),
+            dt_record, t_final, tolerance, snapshot_stride=1,
+            initial_state_label=initial_state,
+        )
+        records.append((populations(traj, ham.layout), traj.autocorr))
+    (ref, c_ref), (eff, c_eff) = records
+    d_e1 = np.abs(ref.p_e1 - eff.p_e1)
+    d_e2 = np.abs(ref.p_e2 - eff.p_e2)
+    d_ph = np.abs(ref.photon - eff.photon)
+    d_c = np.abs(c_ref - c_eff)
     return DeviationReport(
         label=label,
-        times=times,
+        times=ref.times,
         photon_max=float(d_ph.max()),
         photon_final=float(d_ph[-1]),
         p_e1_max=float(d_e1.max()),
         p_e1_final=float(d_e1[-1].max()),
         p_e2_max=float(d_e2.max()),
         p_e2_final=float(d_e2[-1].max()),
-        p_e1_total_max=float(d_tot.max()),
+        p_e1_total_max=float(np.abs(ref.p_e1_total - eff.p_e1_total).max()),
         autocorr_max=float(d_c.max()),
         autocorr_final=float(d_c[-1]),
     )
-
-
-def _population_series(traj, extractor):
-    photon = np.empty(len(traj.snapshots))
-    e1 = None
-    e2 = None
-    for k, psi in enumerate(traj.snapshots):
-        ph, p1, p2 = extractor(psi)
-        if e1 is None:
-            e1 = np.empty((len(traj.snapshots), len(p1)))
-            e2 = np.empty_like(e1)
-        photon[k] = ph
-        e1[k] = p1
-        e2[k] = p2
-    return photon, e1, e2
 
 
 def compare_to_cute(
@@ -300,39 +281,8 @@ def compare_to_cute(
     populations, and the autocorrelation on the common grid.
     """
     ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, n_vib, spec.coupling)
-    explicit = build_explicit_hamiltonian(spec, ensemble)
-    effective = build_effective_hamiltonian(spec, bins, n_vib)
-
-    ref_traj = propagate(
-        explicit, explicit_photonic_state(explicit.layout), dt_record, t_final,
-        tolerance, snapshot_stride=1, initial_state_label="photonic",
-    )
-    eff_traj = propagate(
-        effective, make_initial_state("photonic", effective.layout, bins),
-        dt_record, t_final, tolerance, snapshot_stride=1,
-        initial_state_label="photonic",
-    )
-
-    ph_r, e1_r, e2_r = _population_series(
-        ref_traj, lambda psi: explicit_populations(psi, explicit.layout, ensemble)
-    )
-    ph_e, e1_e, e2_e = _population_series(
-        eff_traj,
-        lambda psi: _effective_extract(psi, effective.layout),
-    )
-    return _deviations(
-        f"explicit N={n_molecules}",
-        ref_traj.times,
-        (ph_r, e1_r, e2_r, ref_traj.autocorr),
-        (ph_e, e1_e, e2_e, eff_traj.autocorr),
-    )
-
-
-def _effective_extract(psi, layout: BasisLayout):
-    nb, nv = layout.n_bins, layout.n_vib
-    blocks = np.abs(psi[1:].reshape(2 * nb, nv)) ** 2
-    per = blocks.sum(axis=1)
-    return float(np.abs(psi[0]) ** 2), per[:nb], per[nb:]
+    return _compare(f"explicit N={n_molecules}", build_explicit_hamiltonian(spec, ensemble),
+                    spec, bins, n_vib, dt_record, t_final, tolerance, "photonic")
 
 
 def compare_multibin_to_effective(
@@ -350,28 +300,5 @@ def compare_multibin_to_effective(
     equivalent for states entering through the ground vibrational level,
     so deviations should sit at integrator tolerance.
     """
-    multibin = build_multibin_hamiltonian(spec, bins, n_vib)
-    effective = build_effective_hamiltonian(spec, bins, n_vib)
-
-    ref_traj = propagate(
-        multibin, multibin_initial_state(initial_state, multibin.layout, bins),
-        dt_record, t_final, tolerance, snapshot_stride=1,
-        initial_state_label=initial_state,
-    )
-    eff_traj = propagate(
-        effective, make_initial_state(initial_state, effective.layout, bins),
-        dt_record, t_final, tolerance, snapshot_stride=1,
-        initial_state_label=initial_state,
-    )
-    ph_r, e1_r, e2_r = _population_series(
-        ref_traj, lambda psi: multibin_populations(psi, multibin.layout)
-    )
-    ph_e, e1_e, e2_e = _population_series(
-        eff_traj, lambda psi: _effective_extract(psi, effective.layout)
-    )
-    return _deviations(
-        "multibin",
-        ref_traj.times,
-        (ph_r, e1_r, e2_r, ref_traj.autocorr),
-        (ph_e, e1_e, e2_e, eff_traj.autocorr),
-    )
+    return _compare("multibin", build_multibin_hamiltonian(spec, bins, n_vib),
+                    spec, bins, n_vib, dt_record, t_final, tolerance, initial_state)

@@ -69,7 +69,7 @@ def bright_state(layout: BasisLayout, bins: BinSet) -> np.ndarray:
     """In-phase superposition sqrt(P_i)|e1,i> at the ground vibrational level."""
     psi = np.zeros(layout.dimension, dtype=complex)
     for i in range(bins.n_bins):
-        psi[layout.e1(i, 0)] = math.sqrt(bins.weights[i])
+        psi[layout.e1_slice(i).start] = math.sqrt(bins.weights[i])
     return psi
 
 
@@ -78,25 +78,6 @@ def polariton_state(layout: BasisLayout, bins: BinSet, sign: int) -> np.ndarray:
     if sign not in (+1, -1):
         raise ConfigError("sign must be +1 or -1")
     psi = (photonic_state(layout) + sign * bright_state(layout, bins)) / math.sqrt(2.0)
-    return psi
-
-
-def custom_state(
-    layout: BasisLayout,
-    photon_amplitude: complex,
-    e1_amplitudes,
-) -> np.ndarray:
-    """State from explicit amplitudes on the photon and per-bin e1 level 0."""
-    amps = np.asarray(e1_amplitudes, dtype=complex)
-    if len(amps) != layout.n_bins:
-        raise ConfigError("need one e1 amplitude per bin")
-    psi = np.zeros(layout.dimension, dtype=complex)
-    psi[layout.PHOTON] = photon_amplitude
-    for i in range(layout.n_bins):
-        psi[layout.e1(i, 0)] = amps[i]
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
-        raise ConfigError(f"custom state must have unit norm, got {norm!r}")
     return psi
 
 
@@ -176,6 +157,10 @@ class _KrylovStepper:
                     H[k, j] += c
                     w -= c * V[k]
             h = np.linalg.norm(w)
+            if not math.isfinite(h):
+                raise PropagationError(
+                    "Krylov vector overflowed: |H|*dt is too large to represent"
+                )
             H[j + 1, j] = h
             m = j + 1
             if h <= 1e-14 * max(1.0, np.abs(H[: m + 1, :m]).max()):

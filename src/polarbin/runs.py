@@ -9,6 +9,7 @@ configurations give identical files.
 
 from __future__ import annotations
 
+import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, ResolvedPoint, SWEEP_KEYS
-from .errors import ConfigError, ZeroPopulationError
+from .errors import ConfigError, PolarbinError, ZeroPopulationError
 from .hamiltonian import build_effective_hamiltonian
 from .model import bin_count_rule, discretize_disorder
 from .observables import (
@@ -37,12 +38,16 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """One header row, '\\n' line endings, pre-formatted cells."""
+    """One header row, '\\n' line endings, pre-formatted cells.
+
+    Cells holding a comma, quote or line break (a sweep row's error
+    message) are quoted; numeric cells never are.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_manifest(cfg: RunConfig, out_dir) -> str:
@@ -96,8 +101,8 @@ def run_spectrum(cfg: RunConfig, out_dir) -> list[str]:
     written = []
     for point, directory in _point_dirs(cfg, out_dir):
         resolved = cfg.resolve_point(point)
-        _, _, traj = _propagate_point(resolved, snapshot_stride=0)
         grid = default_omega_grid(resolved.spec)
+        _, _, traj = _propagate_point(resolved, snapshot_stride=0)
         spectrum = absorption(traj, resolved.spec.kappa, grid)
         write_csv(
             os.path.join(directory, "spectrum.csv"),
@@ -191,6 +196,8 @@ def _sweep_worker(cfg: RunConfig, point: dict):
         _, ham, traj = _propagate_point(resolved, snapshot_stride=0)
         _, p_e2, _ = state_populations(traj.final_state, ham.layout)
         norm2 = float(np.vdot(traj.final_state, traj.final_state).real)
+        if norm2 == 0.0:
+            raise ZeroPopulationError("the state leaked completely; no yield to normalize")
         total = float(p_e2.sum())
         return {
             "n_bins": resolved.n_bins,
@@ -199,8 +206,8 @@ def _sweep_worker(cfg: RunConfig, point: dict):
             "gamma_final": 1.0 - norm2,
             "status": "ok",
         }
-    except Exception as exc:  # recorded per row; the sweep continues
-        return {"status": f"error: {type(exc).__name__}"}
+    except PolarbinError as exc:  # recorded per row; the sweep continues
+        return {"status": f"error: {type(exc).__name__}: {exc}"}
 
 
 def _parallel_map(fn, items, threads):
@@ -263,8 +270,7 @@ def _converge_worker(cfg: RunConfig, n_bins: int):
     _, ham, traj = _propagate_point(point, snapshot_stride=0,
                                     initial_state="photonic")
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
-    _, p_e2, _ = state_populations(traj.final_state, ham.layout)
-    p_e1 = state_populations(traj.final_state, ham.layout)[0]
+    p_e1, p_e2, _ = state_populations(traj.final_state, ham.layout)
     return {
         "n_bins": n_bins,
         "spectrum": spectrum.values,
@@ -291,6 +297,10 @@ def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceS
     write_manifest(cfg, out_dir)
     counts = converge_bin_counts(cfg.spec.sigma, cfg.t_final)
     results = _parallel_map(partial(_converge_worker, cfg), counts, threads)
+    if any(r["p_e1_final"] == 0.0 for r in results):
+        raise ZeroPopulationError(
+            "no reactant population at t_final; the product/reactant ratio is undefined"
+        )
 
     write_csv(
         os.path.join(out_dir, "converge_runs.csv"),

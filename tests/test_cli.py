@@ -403,3 +403,169 @@ class TestFig3aPreset:
             splittings.append(pb.rabi_splitting(Spectrum(omega, values)))
         assert all(s > splittings[0] for s in splittings[1:])
         assert splittings[0] < splittings[1] < splittings[2]
+
+
+MODEL_FIELDS = ("omega0", "omega_nu", "s1", "s2", "v12", "omega_c", "kappa",
+                "coupling", "sigma", "delta2")
+
+
+class TestLoadTimeRejection:
+    """Inputs that used to crash, run silently or coerce now exit 1 at load."""
+
+    def _figs4(self, tmp_path, *overrides):
+        out = tmp_path / "figS4"
+        args = ["dynamics", "--preset", "figS4", "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        return main(args), out
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    def test_dt_record_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        code, out = self._figs4(tmp_path, f"run.dt_record={value}")
+        assert code == 1
+        assert "dt_record must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_snapshot_stride(self, tmp_path, capsys):
+        code, out = self._figs4(tmp_path, "run.snapshot_stride=-1")
+        assert code == 1
+        assert "snapshot_stride must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vib_energy_time_after_t_final(self, tmp_path, capsys):
+        code, out = self._figs4(tmp_path, "run.vib_energy_times=2 fs, 6 fs")
+        assert code == 1
+        assert "must not exceed t_final" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", MODEL_FIELDS)
+    def test_non_finite_model_value(self, tmp_path, capsys, key, value):
+        code, out = self._figs4(tmp_path, f"model.{key}={value}")
+        assert code == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_kappa_exits_before_propagation(self, tmp_path, monkeypatch):
+        import polarbin.runs as runs_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(runs_mod, "propagate", never)
+        code, _ = self._figs4(tmp_path, "model.kappa=inf")
+        assert code == 1
+
+    def test_collapsed_bin_edges(self, tmp_path, capsys):
+        code, _ = self._figs4(tmp_path, "model.sigma=1e-300", "run.n_bins=3")
+        assert code == 1
+        assert "cannot be split into 3 distinct bins" in capsys.readouterr().err
+
+
+class TestSweepRowCause:
+    def test_row_keeps_error_message(self, tmp_path):
+        text = (
+            MINIMAL.replace("n_bins = auto", "n_bins = 2")
+            + "\n[sweep]\nsigma = 0, 0.01\n"
+        )
+        rows = read_csv(run_sweep(load_config(text), str(tmp_path / "pf")))
+        assert rows[1][-1] == (
+            "error: DegenerateDistributionError: "
+            "sigma = 0 admits a single bin only; use n_bins = 1"
+        )
+        assert rows[2][-1] == "ok"
+
+    def test_message_with_comma_stays_one_cell(self, tmp_path, monkeypatch):
+        import polarbin.runs as runs_mod
+
+        def refuse(*args, **kwargs):
+            raise pb.PropagationError("diverged, twice")
+
+        monkeypatch.setattr(runs_mod, "propagate", refuse)
+        path = run_sweep(load_config(MINIMAL + "\n[sweep]\nsigma = 0\n"),
+                         str(tmp_path / "cm"))
+        rows = read_csv(path)
+        assert len(rows[1]) == len(rows[0])
+        assert rows[1][-1] == "error: PropagationError: diverged, twice"
+
+    def test_programming_error_is_not_recorded(self, tmp_path, monkeypatch):
+        import polarbin.runs as runs_mod
+
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(runs_mod, "propagate", broken)
+        with pytest.raises(KeyError):
+            run_sweep(load_config(MINIMAL + "\n[sweep]\nsigma = 0\n"),
+                      str(tmp_path / "pe"))
+
+
+class TestExtremeValues:
+    """Finite but extreme inputs end with exit 1 or 2, never a traceback."""
+
+    def _figs4(self, tmp_path, command, *overrides):
+        args = [command, "--preset", "figS4", "--out", str(tmp_path / "x")]
+        for item in overrides:
+            args += ["--override", item]
+        return main(args)
+
+    def test_n_vib_below_two_rejected_at_load(self, tmp_path, capsys):
+        # the explicit-ensemble builder used to crash inside scipy
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("n_vib = 6", "n_vib = -3")
+                       .replace("sigma = 0.0", "sigma = 0.01"))
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "n_vib must be >= 2" in capsys.readouterr().err
+
+    def test_time_overflowing_in_conversion(self, tmp_path, capsys):
+        assert self._figs4(tmp_path, "dynamics", "run.t_final=1e308 fs") == 1
+        assert "time must be finite" in capsys.readouterr().err
+
+    def test_absorption_window_too_wide(self, tmp_path, monkeypatch, capsys):
+        import polarbin.runs as runs_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(runs_mod, "propagate", never)
+        assert self._figs4(tmp_path, "spectrum", "model.coupling=1e300") == 1
+        assert "frequency points" in capsys.readouterr().err
+
+    def test_overflowing_hamiltonian_is_a_numerical_failure(self, tmp_path, capsys):
+        # used to pass the invariant-subspace test on an infinite norm and
+        # write finite but meaningless populations with exit 0
+        assert self._figs4(tmp_path, "dynamics", "model.sigma=1e300",
+                           "run.n_bins=2") == 2
+        assert "overflowed" in capsys.readouterr().err
+
+    def test_overflowing_absorption_is_a_numerical_failure(self, tmp_path, capsys):
+        assert self._figs4(tmp_path, "spectrum", "model.kappa=1e308",
+                           "run.n_bins=1", "run.n_vib=4") == 2
+        assert "absorption overflows" in capsys.readouterr().err
+
+    def test_fully_leaked_sweep_row(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\nkappa = 1e308\n"
+        rows = read_csv(run_sweep(load_config(text), str(tmp_path / "lk")))
+        assert rows[1][-1].startswith("error: ZeroPopulationError:")
+
+    def test_rule_bin_count_beyond_cap_refused_before_binning(self, tmp_path, capsys):
+        assert self._figs4(tmp_path, "dynamics", "model.sigma=1e300") == 1
+        assert "exceeds cap" in capsys.readouterr().err
+        assert self._figs4(tmp_path, "dynamics", "model.sigma=1e308") == 1
+        assert "overflows the bin count" in capsys.readouterr().err
+
+    def test_converge_without_reactant_population(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+                       .replace("coupling = 0.03", "coupling = 0.0")
+                       .replace("t_final = 60 au", "t_final = 400 au"))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "cv")]) == 2
+        assert "ratio is undefined" in capsys.readouterr().err
+
+    def test_bad_sweep_value_rejected_before_any_point_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL + "\n[sweep]\nkappa = 0.006, inf\n")
+        out = tmp_path / "sw"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "kappa must be finite" in capsys.readouterr().err
+        assert not out.exists()

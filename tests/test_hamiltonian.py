@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import polarbin as pb
 from polarbin.errors import ConfigError
-from polarbin.hamiltonian import MultibinLayout, build_multibin_hamiltonian
+from polarbin.hamiltonian import vibronic_block
+from polarbin.oracle import ExplicitLayout, build_multibin_hamiltonian
 
 from conftest import fig3_spec
 
@@ -175,7 +177,7 @@ class TestMultibinHamiltonian:
         bins = pb.discretize_disorder(spec, 2)
         multi = build_multibin_hamiltonian(spec, bins, 5)
         layout = multi.layout
-        assert isinstance(layout, MultibinLayout)
+        assert isinstance(layout, ExplicitLayout)
         dense = multi.matrix.toarray()
         # photon state touches nothing else
         assert np.all(dense[layout.PHOTON, 1:] == 0)
@@ -193,3 +195,73 @@ class TestMultibinHamiltonian:
         bins = pb.discretize_disorder(spec, 3)
         with pytest.raises(ConfigError):
             build_multibin_hamiltonian(spec, bins, 4)
+
+
+def entrywise_reference(spec, bins, n_vib):
+    """Entry-by-entry assembly that the index arithmetic replaced."""
+    layout = pb.BasisLayout(bins.n_bins, n_vib)
+    entries = {(0, 0): spec.omega_c - 0.5j * spec.kappa}
+    n1 = pb.displaced_number_operator(spec.s1, n_vib)
+    n2 = pb.displaced_number_operator(spec.s2, n_vib)
+    for i in range(bins.n_bins):
+        for at, op, shift in ((layout.e1, n1, bins.centers[i]),
+                              (layout.e2, n2, bins.centers[i] + spec.delta2)):
+            for n in range(n_vib):
+                entries[at(i, n), at(i, n)] = shift + spec.omega_nu * op[n, n]
+                if n + 1 < n_vib:
+                    entries[at(i, n), at(i, n + 1)] = spec.omega_nu * op[n, n + 1]
+                    entries[at(i, n + 1), at(i, n)] = spec.omega_nu * op[n + 1, n]
+        for n in range(n_vib):
+            entries[layout.e1(i, n), layout.e2(i, n)] = spec.v12
+            entries[layout.e2(i, n), layout.e1(i, n)] = spec.v12
+        fc = spec.coupling * math.sqrt(bins.weights[i])
+        entries[0, layout.e1(i, 0)] = entries[layout.e1(i, 0), 0] = fc
+    rows, cols = zip(*entries)
+    return sp.csr_matrix((np.array(list(entries.values()), dtype=complex),
+                          (rows, cols)), shape=(layout.dimension,) * 2)
+
+
+class TestVibronicBlockAssembly:
+    N_VIB = 7
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sigma=0.02, delta2=0.02),
+        dict(sigma=0.03, s1=0.0, s2=0.0, v12=0.0, coupling=0.0, kappa=0.0),
+        dict(sigma=0.0),
+    ])
+    def test_bitwise_equal_to_entrywise_assembly(self, overrides):
+        spec = fig3_spec(**overrides)
+        bins = pb.discretize_disorder(spec, 1 if spec.sigma == 0 else 4)
+        have = pb.build_effective_hamiltonian(spec, bins, self.N_VIB).matrix
+        want = entrywise_reference(spec, bins, self.N_VIB)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_pattern_independent_of_parameter_values(self):
+        # vanishing couplings keep their stored zeros; summing sparse
+        # matrices would drop them and change indptr/indices
+        values = fig3_spec(sigma=0.02, delta2=0.02)
+        zeros = fig3_spec(sigma=0.02, s1=0.0, s2=0.0, v12=0.0, coupling=0.0,
+                          kappa=0.0, delta2=0.0)
+        a = pb.build_effective_hamiltonian(
+            values, pb.discretize_disorder(values, 3), self.N_VIB).matrix
+        b = pb.build_effective_hamiltonian(
+            zeros, pb.discretize_disorder(zeros, 3), self.N_VIB).matrix
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert np.count_nonzero(b.data) < b.nnz
+
+    def test_bin_blocks_are_the_shifted_vibronic_block(self):
+        spec = fig3_spec(sigma=0.02, delta2=0.02)
+        bins = pb.discretize_disorder(spec, 3)
+        ham = pb.build_effective_hamiltonian(spec, bins, self.N_VIB)
+        dense = ham.matrix.toarray()
+        block = vibronic_block(spec, self.N_VIB)
+        assert np.array_equal(block, block.T)
+        for i in range(3):
+            index = np.r_[ham.layout.e1_slice(i), ham.layout.e2_slice(i)]
+            shift = np.repeat([bins.centers[i], bins.centers[i] + spec.delta2],
+                              self.N_VIB)
+            np.testing.assert_array_equal(
+                dense[np.ix_(index, index)], block + np.diag(shift)
+            )

@@ -12,8 +12,6 @@ from polarbin.oracle import (
     build_explicit_hamiltonian,
     compare_multibin_to_effective,
     compare_to_cute,
-    explicit_photonic_state,
-    explicit_populations,
 )
 
 from conftest import fig3_spec
@@ -78,7 +76,7 @@ class TestExplicitHamiltonian:
     def test_dimension_and_caps(self):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 2)
-        layout = ExplicitLayout(4, 5)
+        layout = ExplicitLayout([0, 0, 1, 1], 2, 5, 5**4)
         assert layout.dimension == (1 + 8) * 5**4
         with pytest.raises(ConfigError):
             build_explicit_hamiltonian(
@@ -113,12 +111,11 @@ class TestCompareToCute:
         for ensemble in (base, permuted):
             ham = build_explicit_hamiltonian(spec, ensemble)
             traj = pb.propagate(
-                ham, explicit_photonic_state(ham.layout), 1.0, 40.0, 1e-10,
+                ham, pb.photonic_state(ham.layout), 1.0, 40.0, 1e-10,
                 snapshot_stride=0, initial_state_label="photonic",
             )
-            results.append(
-                explicit_populations(traj.final_state, ham.layout, ensemble)
-            )
+            e1, e2, ph = pb.state_populations(traj.final_state, ham.layout)
+            results.append((ph, e1, e2))
         (ph_a, e1_a, e2_a), (ph_b, e1_b, e2_b) = results
         assert ph_a == pytest.approx(ph_b, abs=1e-12)
         np.testing.assert_allclose(e1_a, e1_b, atol=1e-12)
