@@ -14,7 +14,12 @@ Two independent engines:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,15 @@ TOLERANCE_RANGE = (1e-12, 1e-6)
 MAX_KRYLOV = 30
 
 INITIAL_STATE_NAMES = ("photonic", "bright", "upper_polariton", "lower_polariton")
+
+# (package, library file pattern inside <package>.libs, getter, setter) of
+# the OpenBLAS copies that numpy and scipy bundle
+_OPENBLAS_THREAD_CONTROLS = (
+    (np, "libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 @dataclass
@@ -117,21 +131,27 @@ def _check_tolerance(tolerance: float) -> None:
 class _KrylovStepper:
     """exp(-i*H*dt) applied repeatedly, with an a-posteriori error estimate.
 
-    Arnoldi with modified Gram-Schmidt (two passes). The per-step error is
-    estimated from the (m+1, 1) entry of the exponential of the augmented
-    Hessenberg matrix, which equals the first neglected term
-    h_{m+1,m} * int_0^1 [exp((1-s) H_m)]_{m,1} ds; for this dissipative
-    generator the propagator is a contraction, so the estimate is reliable.
-    If the largest allowed subspace cannot meet the step budget the step
-    is split recursively; a result is never accepted above its budget.
-    When Arnoldi reaches an invariant subspace the result is exact up to
-    rounding and is accepted as is. The budget must be positive and
-    finite; any other value raises PropagationError before any work.
+    Arnoldi with block classical Gram-Schmidt and one reorthogonalization
+    pass: each new column is projected out against the whole basis at
+    once, twice. The per-step error is estimated from the (m+1, 1) entry
+    of the exponential of the augmented Hessenberg matrix, which equals
+    the first neglected term h_{m+1,m} * int_0^1 [exp((1-s) H_m)]_{m,1} ds;
+    for this dissipative generator the propagator is a contraction, so
+    the estimate is reliable. H and dt are fixed within a run, so the
+    subspace size a step needs hardly changes: the estimate is evaluated
+    only from one below the previous accepted size onward (and at the
+    largest allowed size). If that size cannot meet the step budget the
+    step is split recursively; a result is never accepted above its
+    budget. When Arnoldi reaches an invariant subspace the result is
+    exact up to rounding and is accepted as is. The budget must be
+    positive and finite; any other value raises PropagationError before
+    any work.
     """
 
     def __init__(self, matrix, m_max: int = MAX_KRYLOV):
         self.matrix = matrix
         self.m_max = m_max
+        self.m_previous = 0
 
     def step(self, psi: np.ndarray, dt: float, budget: float, depth: int = 0) -> np.ndarray:
         if not (math.isfinite(budget) and budget > 0.0):
@@ -145,17 +165,18 @@ class _KrylovStepper:
             return psi.copy()
         dim = len(psi)
         m_cap = min(self.m_max, dim)
+        m_first = max(2, self.m_previous - 1)
         V = np.empty((m_cap + 1, dim), dtype=complex)
         H = np.zeros((m_cap + 1, m_cap), dtype=complex)
         V[0] = psi / beta
         scale = -1j * dt
         for j in range(m_cap):
             w = scale * self.matrix.dot(V[j])
-            for _ in range(2):  # second orthogonalization pass for safety
-                for k in range(j + 1):
-                    c = np.vdot(V[k], w)
-                    H[k, j] += c
-                    w -= c * V[k]
+            basis = V[: j + 1]
+            for _ in range(2):  # second pass restores orthogonality lost to rounding
+                c = (basis @ w.conj()).conj()
+                H[: j + 1, j] += c
+                w -= basis.T @ c
             h = np.linalg.norm(w)
             if not math.isfinite(h):
                 raise PropagationError(
@@ -168,7 +189,7 @@ class _KrylovStepper:
                 phi = scipy.linalg.expm(H[:m, :m])[:, 0]
                 return beta * (V[:m].T @ phi)
             V[j + 1] = w / h
-            if m >= 2 or m == m_cap:
+            if m >= m_first or m == m_cap:
                 aug = np.zeros((m + 1, m + 1), dtype=complex)
                 aug[:m, :m] = H[:m, :m]
                 aug[m, m - 1] = h
@@ -176,9 +197,53 @@ class _KrylovStepper:
                 # safety factor 2 against cancellation inside the estimate
                 err = 2.0 * beta * abs(expa[m, 0])
                 if err <= budget:
+                    self.m_previous = m
                     return beta * (V[:m].T @ expa[:m, 0])
         half = self.step(psi, dt / 2.0, budget / 2.0, depth + 1)
         return self.step(half, dt / 2.0, budget / 2.0, depth + 1)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(getter, setter) pairs of the bundled OpenBLAS copies that export them.
+
+    Empty when numpy and scipy link another BLAS. Looked up on first use,
+    not at import.
+    """
+    controls = []
+    for package, pattern, get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
+        libs_dir = os.path.join(
+            os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs"
+        )
+        for path in sorted(glob.glob(os.path.join(libs_dir, pattern))):
+            library = ctypes.CDLL(path)
+            getter = getattr(library, get_name, None)
+            setter = getattr(library, set_name, None)
+            if getter is None or setter is None:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            controls.append((getter, setter))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore.
+
+    A Krylov step makes dozens of BLAS calls on vectors of a few thousand
+    entries and matrices of a few dozen; handing each to a thread pool
+    costs more than the arithmetic. The thread count is process-wide.
+    """
+    controls = _openblas_thread_controls()
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), threads in zip(controls, saved):
+            setter(threads)
 
 
 def _record(traj_arrays, k, psi, psi0):
@@ -225,15 +290,16 @@ def propagate(
     snap_at = {k: pos for pos, k in enumerate(keep)}
     if snapshots is not None and 0 in snap_at:
         snapshots[snap_at[0]] = psi
-    for k in range(1, n_steps + 1):
-        psi = stepper.step(psi, dt_record, budget)
-        if not np.isfinite(psi).all():
-            raise PropagationError(
-                f"non-finite amplitudes at step {k} (t = {k * dt_record})"
-            )
-        _record((autocorr, norms2, photon_amp), k, psi, psi0)
-        if snapshots is not None and k in snap_at:
-            snapshots[snap_at[k]] = psi
+    with _one_blas_thread():
+        for k in range(1, n_steps + 1):
+            psi = stepper.step(psi, dt_record, budget)
+            if not np.isfinite(psi).all():
+                raise PropagationError(
+                    f"non-finite amplitudes at step {k} (t = {k * dt_record})"
+                )
+            _record((autocorr, norms2, photon_amp), k, psi, psi0)
+            if snapshots is not None and k in snap_at:
+                snapshots[snap_at[k]] = psi
 
     return Trajectory(
         times=times,

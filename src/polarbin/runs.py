@@ -128,12 +128,13 @@ def run_spectrum(cfg: RunConfig, out_dir) -> list[str]:
 
 def run_dynamics(cfg: RunConfig, out_dir) -> list[str]:
     """Population dynamics per grid point, plus optional vibrational energies."""
+    if cfg.snapshot_stride == 0:
+        raise ConfigError("dynamics runs need snapshot_stride >= 1")
     write_manifest(cfg, out_dir)
     written = []
     for point, directory in _point_dirs(cfg, out_dir):
         resolved = cfg.resolve_point(point)
-        stride = max(1, resolved.snapshot_stride)
-        bins, ham, traj = _propagate_point(resolved, snapshot_stride=stride)
+        bins, ham, traj = _propagate_point(resolved)
         record = populations(traj, ham.layout)
         nb = bins.n_bins
         header = (
@@ -350,6 +351,8 @@ def run_oracle(cfg: RunConfig, out_dir) -> str:
     """Deviation table of the explicit finite ensemble against the binned model."""
     if cfg.sweep:
         raise ConfigError("oracle run takes a single-point config")
+    if cfg.initial_state != "photonic":
+        raise ConfigError("oracle runs require initial_state = photonic")
     resolved = cfg.resolve_point()
     bins = discretize_disorder(resolved.spec, resolved.n_bins)
     write_manifest(cfg, out_dir)

@@ -343,6 +343,23 @@ class TestCliEntry:
         assert code == 0
         assert (out / "oracle.csv").exists()
 
+    @pytest.mark.parametrize("state", ["bright", "upper_polariton", "lower_polariton"])
+    def test_oracle_refuses_non_photonic_start(self, tmp_path, capsys, state):
+        # the oracle always propagates the photonic state; it used to run
+        # anyway and record the requested state in manifest.cfg
+        cfg = self._write(
+            tmp_path,
+            MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+            .replace("n_vib = 6", "n_vib = 3")
+            .replace("n_bins = auto", "n_bins = 2"),
+        )
+        out = tmp_path / "orc"
+        code = main(["oracle", "--config", cfg, "--out", str(out),
+                     "--override", f"run.initial_state={state}"])
+        assert code == 1
+        assert "initial_state = photonic" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dynamics_sweep_points(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL + "\n[sweep]\ncoupling = 0, 0.03\n")
         out = tmp_path / "dsw"
@@ -430,6 +447,14 @@ class TestLoadTimeRejection:
         code, out = self._figs4(tmp_path, "run.snapshot_stride=-1")
         assert code == 1
         assert "snapshot_stride must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_snapshot_stride_refused_by_dynamics(self, tmp_path, capsys):
+        # dynamics needs every recorded step; it used to record them all
+        # while manifest.cfg kept snapshot_stride = 0
+        code, out = self._figs4(tmp_path, "run.snapshot_stride=0")
+        assert code == 1
+        assert "snapshot_stride >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vib_energy_time_after_t_final(self, tmp_path, capsys):

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +40,63 @@ class CountingMatrix:
         self.calls += 1
         if self.limit is not None and self.calls > self.limit:
             raise AssertionError(f"more than {self.limit} mat-vecs")
+        return self.matrix.dot(vec)
+
+
+# numpy's and scipy's bundled OpenBLAS: (package, file pattern, getter, setter)
+OPENBLAS = (
+    (np, "libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@pytest.fixture
+def openblas_getters():
+    """Thread-count getters of both bundled OpenBLAS copies, each set to 2
+    threads for the test (so a limit of 1 shows) and restored afterwards."""
+    controls = []
+    for package, pattern, get_name, set_name in OPENBLAS:
+        libs_dir = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                                f"{package.__name__}.libs")
+        paths = sorted(glob.glob(os.path.join(libs_dir, pattern)))
+        if not paths:
+            pytest.skip(f"{package.__name__} bundles no OpenBLAS to read threads from")
+        library = ctypes.CDLL(paths[0])
+        getter, setter = getattr(library, get_name), getattr(library, set_name)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        controls.append((getter, setter))
+    saved = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(2)
+    try:
+        getters = [getter for getter, _ in controls]
+        assert [getter() for getter in getters] == [2, 2]
+        yield getters
+    finally:
+        for (_, setter), threads in zip(controls, saved):
+            setter(threads)
+
+
+class ThreadProbeMatrix:
+    """Sparse-matrix stand-in that reads the BLAS thread counts at every
+    mat-vec; with `fail_at` set, that mat-vec raises PropagationError."""
+
+    def __init__(self, matrix, getters, fail_at=None):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.getters = getters
+        self.fail_at = fail_at
+        self.calls = 0
+        self.seen = set()
+
+    def dot(self, vec):
+        self.calls += 1
+        self.seen.add(tuple(getter() for getter in self.getters))
+        if self.calls == self.fail_at:
+            raise pb.PropagationError("mat-vec failed")
         return self.matrix.dot(vec)
 
 
@@ -190,6 +250,68 @@ class TestPropagate:
             assert matrix.calls == ham.dimension
         exact = scipy.linalg.expm(-1j * dt * ham.matrix.toarray()) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
+
+    # budgets from 1e-12 to 1e-6 on the lossy fig3 system, D = 49 > MAX_KRYLOV
+    @pytest.mark.parametrize("budget", [1e-12, 1e-10, 1e-8, 1e-6])
+    @pytest.mark.parametrize("dt", [0.5, 2.0, 8.0, 30.0])
+    def test_steps_within_budget_of_dense_expm(self, dt, budget):
+        from polarbin.propagator import MAX_KRYLOV, _KrylovStepper
+
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        assert ham.dimension == 49 > MAX_KRYLOV
+        exact_step = scipy.linalg.expm(-1j * dt * ham.matrix.toarray())
+        stepper = _KrylovStepper(ham.matrix)
+        psi = pb.polariton_state(ham.layout, bins, +1)
+        for _ in range(4):  # later steps start the estimate from the previous m
+            exact = exact_step @ psi
+            psi = stepper.step(psi, dt, budget)
+            assert np.linalg.norm(psi - exact) <= budget
+
+    def test_subdivided_step_within_budget(self):
+        from polarbin.propagator import _KrylovStepper
+
+        # four basis vectors cannot carry a 30 au step: it must be split
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        matrix = CountingMatrix(ham.matrix)
+        psi0 = pb.photonic_state(ham.layout)
+        psi = _KrylovStepper(matrix, m_max=4).step(psi0, 30.0, 1e-10)
+        assert matrix.calls > 4
+        exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
+        assert np.linalg.norm(psi - exact) <= 1e-10
+
+    def test_invariant_subspace_step_within_budget(self):
+        from polarbin.propagator import _KrylovStepper
+
+        # an empty lossy cavity: the photonic state is an eigenvector, so
+        # Arnoldi stops after one mat-vec
+        bins, ham = small_system(fig3_spec(sigma=0.02, coupling=0.0), 4, 6)
+        matrix = CountingMatrix(ham.matrix)
+        psi0 = pb.photonic_state(ham.layout)
+        psi = _KrylovStepper(matrix).step(psi0, 30.0, 1e-12)
+        assert matrix.calls == 1
+        exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
+        assert np.linalg.norm(psi - exact) <= 1e-12
+
+
+class TestBlasThreadScope:
+    def test_one_thread_inside_propagate_restored_after(self, openblas_getters):
+        bins, ham = small_system(fig3_spec(sigma=0.02), 3, 4)
+        probe = ThreadProbeMatrix(ham.matrix, openblas_getters)
+        pb.propagate(replace(ham, matrix=probe), pb.photonic_state(ham.layout),
+                     1.0, 20.0, 1e-9)
+        assert probe.calls > 0
+        assert probe.seen == {(1, 1)}
+        assert [getter() for getter in openblas_getters] == [2, 2]
+
+    def test_restored_after_propagation_error(self, openblas_getters):
+        bins, ham = small_system(fig3_spec(sigma=0.02), 3, 4)
+        probe = ThreadProbeMatrix(ham.matrix, openblas_getters, fail_at=10)
+        with pytest.raises(pb.PropagationError, match="mat-vec failed"):
+            pb.propagate(replace(ham, matrix=probe), pb.photonic_state(ham.layout),
+                         1.0, 20.0, 1e-9)
+        assert probe.calls == 10
+        assert probe.seen == {(1, 1)}
+        assert [getter() for getter in openblas_getters] == [2, 2]
 
 
 class TestPropagateEom:
