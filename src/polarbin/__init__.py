@@ -38,7 +38,7 @@ from .observables import (
     state_populations,
     vibrational_energy,
 )
-from .oracle import build_multibin_hamiltonian
+from .oracle import build_multibin_hamiltonian, propagate_eom
 from .propagator import (
     Trajectory,
     bright_state,
@@ -46,7 +46,6 @@ from .propagator import (
     photonic_state,
     polariton_state,
     propagate,
-    propagate_eom,
 )
 
 __version__ = "0.1.0"

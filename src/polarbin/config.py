@@ -17,6 +17,7 @@ from importlib import resources
 from .errors import ConfigError
 from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import ModelSpec, bin_count_rule, time_to_au
+from .propagator import INITIAL_STATE_NAMES, check_tolerance
 
 MODEL_KEYS = {
     "omega0": None,
@@ -38,7 +39,6 @@ RUN_KEYS = {
     "dt_record": "1.0",
     "tolerance": "1e-9",
     "initial_state": "photonic",
-    "snapshot_stride": "1",
     "vib_energy_times": "",
 }
 
@@ -89,7 +89,6 @@ class ResolvedPoint:
     n_steps: int
     tolerance: float
     initial_state: str
-    snapshot_stride: int
     vib_energy_times: tuple[float, ...]
 
 
@@ -104,7 +103,6 @@ class RunConfig:
     dt_record: float
     tolerance: float
     initial_state: str
-    snapshot_stride: int
     vib_energy_times: tuple[float, ...] = ()
     sweep: dict = field(default_factory=dict)
 
@@ -115,10 +113,7 @@ class RunConfig:
             raise ConfigError(
                 f"dt_record must be positive and finite, got {self.dt_record!r}"
             )
-        if self.snapshot_stride < 0:
-            raise ConfigError(
-                f"snapshot_stride must be >= 0, got {self.snapshot_stride}"
-            )
+        check_tolerance(self.tolerance)
         if any(t > self.t_final for t in self.vib_energy_times):
             raise ConfigError(
                 f"vib_energy_times must not exceed t_final = {self.t_final!r} au, "
@@ -155,7 +150,6 @@ class RunConfig:
             n_steps=n_steps,
             tolerance=self.tolerance,
             initial_state=self.initial_state,
-            snapshot_stride=self.snapshot_stride,
             vib_energy_times=self.vib_energy_times,
         )
 
@@ -175,7 +169,6 @@ class RunConfig:
             f"dt_record = {self.resolve_point().dt_record!r}",
             f"tolerance = {self.tolerance!r}",
             f"initial_state = {self.initial_state}",
-            f"snapshot_stride = {self.snapshot_stride}",
             f"vib_energy_times = {', '.join(f'{t!r} au' for t in self.vib_energy_times)}",
         ]
         if self.sweep:
@@ -276,8 +269,7 @@ def load_config(
     if n_bins is not None and n_bins < 1:
         raise ConfigError("n_bins must be >= 1 or 'auto'")
     initial_state = run["initial_state"].strip()
-    if initial_state not in ("photonic", "bright", "upper_polariton",
-                             "lower_polariton"):
+    if initial_state not in INITIAL_STATE_NAMES:
         raise ConfigError(f"unknown initial_state {initial_state!r}")
     vib_times = tuple(
         parse_time(tok.strip())
@@ -299,7 +291,6 @@ def load_config(
         dt_record=_parse_float("run", "dt_record", run["dt_record"]),
         tolerance=_parse_float("run", "tolerance", run["tolerance"]),
         initial_state=initial_state,
-        snapshot_stride=_parse_int("run", "snapshot_stride", run["snapshot_stride"]),
         vib_energy_times=vib_times,
         sweep=sweep,
     )

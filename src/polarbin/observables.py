@@ -1,12 +1,15 @@
 """Derived quantities: absorption spectra, populations, yields, energies.
 
 All functions are pure maps from recorded trajectories (or single
-snapshots) to numbers and arrays; nothing here mutates its inputs.
+states) to numbers and arrays; nothing here mutates its inputs. The
+per-step populations are reduced by :func:`state_populations` while the
+state is propagated; :func:`populations` only packages them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,7 +22,9 @@ from .errors import (
 )
 from .hamiltonian import displaced_number_operator
 from .model import BasisLayout, ModelSpec
-from .propagator import Trajectory
+
+if TYPE_CHECKING:  # the propagator records through state_populations
+    from .propagator import Trajectory
 
 OMEGA_GRID_STEP = 1e-4
 MAX_OMEGA_POINTS = 1_000_000
@@ -98,7 +103,7 @@ def state_populations(psi: np.ndarray, layout: BasisLayout):
 
 @dataclass(frozen=True)
 class PopulationRecord:
-    """Populations on the snapshot time grid of one trajectory.
+    """Populations on the time grid of one trajectory.
 
     gamma is the leaked probability 1 - <psi|psi>; the normalized arrays
     divide by the surviving norm, removing the cavity-leakage envelope.
@@ -133,28 +138,15 @@ class PopulationRecord:
         return float(np.abs(total - 1.0).max())
 
 
-def populations(traj: Trajectory, layout: BasisLayout) -> PopulationRecord:
-    """Populations at every stored snapshot of a trajectory."""
-    if traj.snapshots is None or len(traj.snapshots) == 0:
-        raise ConfigError("trajectory carries no snapshots")
-    n_t = len(traj.snapshots)
-    p_e1 = np.empty((n_t, layout.n_bins))
-    p_e2 = np.empty((n_t, layout.n_bins))
-    photon = np.empty(n_t)
-    norms2 = np.empty(n_t)
-    for k, psi in enumerate(traj.snapshots):
-        e1, e2, ph = state_populations(psi, layout)
-        p_e1[k] = e1
-        p_e2[k] = e2
-        photon[k] = ph
-        norms2[k] = np.vdot(psi, psi).real
+def populations(traj: Trajectory) -> PopulationRecord:
+    """Populations recorded at every grid time of a trajectory."""
     return PopulationRecord(
-        times=traj.snapshot_times.copy(),
-        p_e1=p_e1,
-        p_e2=p_e2,
-        photon=photon,
-        norms2=norms2,
-        gamma=1.0 - norms2,
+        times=traj.times,
+        p_e1=traj.p_e1,
+        p_e2=traj.p_e2,
+        photon=traj.photon,
+        norms2=traj.norms2,
+        gamma=1.0 - traj.norms2,
     )
 
 

@@ -1,15 +1,13 @@
 """Time evolution of a state vector under a sparse, lossy Hamiltonian.
 
-Two independent engines:
-
-* :func:`propagate` steps the assembled sparse matrix with an adaptive
-  Arnoldi (Krylov) approximation of the matrix exponential, carrying a
-  per-step error estimate so the total 2-norm error stays within the
-  requested tolerance.
-* :func:`propagate_eom` integrates the amplitude equations of motion in
-  the displaced vibrational eigenbasis with an adaptive explicit
-  Runge-Kutta method. Both engines represent the identical truncated
-  model, so any disagreement beyond integrator tolerances is a bug.
+:func:`propagate` steps the assembled sparse matrix with an adaptive
+Arnoldi (Krylov) approximation of the matrix exponential, carrying a
+per-step error estimate so the total 2-norm error stays within the
+requested tolerance. Observables (autocorrelation, norm, photon amplitude
+and per-bin populations) are recorded at every grid step while the state
+is propagated; full states are kept only at the times a caller asks for
+and at the end. The independent cross-validation engine,
+:func:`polarbin.oracle.propagate_eom`, fills the same recorder.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, PropagationError
-from .hamiltonian import EffectiveHamiltonian, displaced_number_operator
-from .model import BasisLayout, BinSet, ModelSpec
+from .hamiltonian import EffectiveHamiltonian
+from .model import BasisLayout, BinSet
+from .observables import state_populations
 
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_RANGE = (1e-12, 1e-6)
@@ -48,20 +46,24 @@ _OPENBLAS_THREAD_CONTROLS = (
 
 @dataclass
 class Trajectory:
-    """Recorded dynamics on a uniform time grid.
+    """Observables recorded on a uniform time grid.
 
     autocorr holds <psi(0)|psi(t_k)>, norms2 the squared norm (decaying
-    when the cavity is lossy), photon_amp the bare photon amplitude.
-    Full snapshots are kept at a configurable stride; the first and final
-    states are always included.
+    when the cavity is lossy), photon_amp the bare photon amplitude;
+    p_e1/p_e2 (n_times, n_bins) and photon are the populations of
+    state_populations at every grid time. states holds one full state per
+    requested time, taken at the grid time state_times nearest to it.
     """
 
     times: np.ndarray
     autocorr: np.ndarray
     norms2: np.ndarray
     photon_amp: np.ndarray
-    snapshot_times: np.ndarray
-    snapshots: np.ndarray | None
+    p_e1: np.ndarray
+    p_e2: np.ndarray
+    photon: np.ndarray
+    state_times: np.ndarray
+    states: np.ndarray
     final_state: np.ndarray
     initial_state: np.ndarray
     initial_state_label: str
@@ -122,10 +124,63 @@ def _resolve_grid(dt_record: float, t_final: float) -> int:
     return n_steps
 
 
-def _check_tolerance(tolerance: float) -> None:
+def check_tolerance(tolerance: float) -> None:
     lo, hi = TOLERANCE_RANGE
     if not lo <= tolerance <= hi:
-        raise ConfigError(f"tolerance must lie in [{lo}, {hi}]")
+        raise ConfigError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
+
+
+class _Recorder:
+    """Observables of every grid step, full states only where asked.
+
+    A requested time keeps the state of the nearest grid step (the first
+    on a tie).
+    """
+
+    def __init__(self, psi0, layout, dt_record: float, t_final: float, state_times=()):
+        self.n_steps = _resolve_grid(dt_record, t_final)
+        self.times = np.arange(self.n_steps + 1) * dt_record
+        self.dt_record = dt_record
+        self.psi0 = psi0
+        self.layout = layout
+        n_t = self.n_steps + 1
+        self.autocorr = np.empty(n_t, dtype=complex)
+        self.norms2 = np.empty(n_t)
+        self.photon_amp = np.empty(n_t, dtype=complex)
+        self.p_e1 = np.empty((n_t, layout.n_bins))
+        self.p_e2 = np.empty((n_t, layout.n_bins))
+        self.photon = np.empty(n_t)
+        state_times = np.asarray(state_times, dtype=float)
+        if not np.isfinite(state_times).all():
+            raise ConfigError("state_times must be finite")
+        self.state_steps = np.array(
+            [int(np.argmin(np.abs(self.times - t))) for t in state_times], dtype=int
+        )
+        self.states = np.empty((len(self.state_steps), layout.dimension), dtype=complex)
+
+    def record(self, k: int, psi: np.ndarray) -> None:
+        self.autocorr[k] = np.vdot(self.psi0, psi)
+        self.norms2[k] = np.vdot(psi, psi).real
+        self.photon_amp[k] = psi[0]
+        self.p_e1[k], self.p_e2[k], self.photon[k] = state_populations(psi, self.layout)
+        self.states[self.state_steps == k] = psi
+
+    def trajectory(self, final_state: np.ndarray, initial_state_label: str) -> Trajectory:
+        return Trajectory(
+            times=self.times,
+            autocorr=self.autocorr,
+            norms2=self.norms2,
+            photon_amp=self.photon_amp,
+            p_e1=self.p_e1,
+            p_e2=self.p_e2,
+            photon=self.photon,
+            state_times=self.times[self.state_steps],
+            states=self.states,
+            final_state=final_state,
+            initial_state=self.psi0,
+            initial_state_label=initial_state_label,
+            dt_record=self.dt_record,
+        )
 
 
 class _KrylovStepper:
@@ -246,215 +301,37 @@ def _one_blas_thread():
             setter(threads)
 
 
-def _record(traj_arrays, k, psi, psi0):
-    autocorr, norms2, photon_amp = traj_arrays
-    autocorr[k] = np.vdot(psi0, psi)
-    norms2[k] = np.vdot(psi, psi).real
-    photon_amp[k] = psi[0]
-
-
 def propagate(
     ham: EffectiveHamiltonian,
     psi0: np.ndarray,
     dt_record: float,
     t_final: float,
     tolerance: float = DEFAULT_TOLERANCE,
-    snapshot_stride: int = 1,
+    state_times=(),
     initial_state_label: str = "custom",
 ) -> Trajectory:
     """Evolve psi0 under the assembled Hamiltonian, recording every dt_record.
 
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the steps).
-    snapshot_stride = 0 disables interior snapshots; the initial and final
-    states are always retained.
+    Full states are kept at the grid times nearest to `state_times` and at
+    the end.
     """
-    _check_tolerance(tolerance)
+    check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (ham.dimension,):
         raise ConfigError("initial state dimension does not match Hamiltonian")
-    n_steps = _resolve_grid(dt_record, t_final)
-
-    times = np.arange(n_steps + 1) * dt_record
-    autocorr = np.empty(n_steps + 1, dtype=complex)
-    norms2 = np.empty(n_steps + 1)
-    photon_amp = np.empty(n_steps + 1, dtype=complex)
-
-    keep = _snapshot_indices(n_steps, snapshot_stride)
-    snapshots = np.empty((len(keep), ham.dimension), dtype=complex) if keep else None
-
+    recorder = _Recorder(psi0, ham.layout, dt_record, t_final, state_times)
     stepper = _KrylovStepper(ham.matrix)
-    budget = tolerance / max(1, n_steps)
+    budget = tolerance / max(1, recorder.n_steps)
     psi = psi0.copy()
-    _record((autocorr, norms2, photon_amp), 0, psi, psi0)
-    snap_at = {k: pos for pos, k in enumerate(keep)}
-    if snapshots is not None and 0 in snap_at:
-        snapshots[snap_at[0]] = psi
+    recorder.record(0, psi)
     with _one_blas_thread():
-        for k in range(1, n_steps + 1):
+        for k in range(1, recorder.n_steps + 1):
             psi = stepper.step(psi, dt_record, budget)
             if not np.isfinite(psi).all():
                 raise PropagationError(
                     f"non-finite amplitudes at step {k} (t = {k * dt_record})"
                 )
-            _record((autocorr, norms2, photon_amp), k, psi, psi0)
-            if snapshots is not None and k in snap_at:
-                snapshots[snap_at[k]] = psi
-
-    return Trajectory(
-        times=times,
-        autocorr=autocorr,
-        norms2=norms2,
-        photon_amp=photon_amp,
-        snapshot_times=times[keep] if keep else times[:0],
-        snapshots=snapshots,
-        final_state=psi,
-        initial_state=psi0,
-        initial_state_label=initial_state_label,
-        dt_record=dt_record,
-    )
-
-
-def _snapshot_indices(n_steps: int, stride: int) -> list[int]:
-    if stride < 0:
-        raise ConfigError("snapshot_stride must be >= 0")
-    if stride == 0:
-        return [0, n_steps] if n_steps else [0]
-    keep = list(range(0, n_steps + 1, stride))
-    if keep[-1] != n_steps:
-        keep.append(n_steps)
-    return keep
-
-
-class _EigenbasisModel:
-    """Per-surface eigendecomposition of the truncated vibrational operators.
-
-    Diagonalizing the truncated displaced number operators keeps this
-    engine unitarily equivalent, block by block, to the sparse matrix of
-    build_effective_hamiltonian: the photon coupling picks up the ground
-    row of the reactant eigenvectors (the truncated Franck-Condon
-    amplitudes) and the diabatic coupling becomes the overlap matrix
-    between the two eigenbases.
-    """
-
-    def __init__(self, spec: ModelSpec, bins: BinSet, n_vib: int):
-        self.spec = spec
-        self.bins = bins
-        self.layout = BasisLayout(bins.n_bins, n_vib)
-        lam1, u1 = np.linalg.eigh(displaced_number_operator(spec.s1, n_vib))
-        lam2, u2 = np.linalg.eigh(displaced_number_operator(spec.s2, n_vib))
-        self.lam1, self.u1 = lam1, u1
-        self.lam2, self.u2 = lam2, u2
-        self.fc_row = u1[0, :].copy()
-        self.overlap = u1.T @ u2
-        self.sqrt_w = np.sqrt(bins.weights)
-        self.e1_freq = bins.centers[:, None] + spec.omega_nu * lam1[None, :]
-        self.e2_freq = bins.centers[:, None] + spec.delta2 + spec.omega_nu * lam2[None, :]
-
-    def to_eigen(self, psi: np.ndarray):
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        a0 = psi[0]
-        blocks = psi[1:].reshape(2 * nb, nv)
-        a1 = blocks[:nb] @ self.u1
-        a2 = blocks[nb:] @ self.u2
-        return a0, a1, a2
-
-    def to_fock(self, a0, a1, a2) -> np.ndarray:
-        psi = np.empty(self.layout.dimension, dtype=complex)
-        psi[0] = a0
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        psi[1 : 1 + nb * nv] = (a1 @ self.u1.T).ravel()
-        psi[1 + nb * nv :] = (a2 @ self.u2.T).ravel()
-        return psi
-
-    def rhs(self, _t, y):
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        a0 = y[0]
-        a1 = y[1 : 1 + nb * nv].reshape(nb, nv)
-        a2 = y[1 + nb * nv :].reshape(nb, nv)
-        g = self.spec.coupling
-        d0 = (self.spec.omega_c - 0.5j * self.spec.kappa) * a0 + g * (
-            self.sqrt_w @ (a1 @ self.fc_row)
-        )
-        d1 = (
-            self.e1_freq * a1
-            + (g * a0) * np.outer(self.sqrt_w, self.fc_row)
-            + self.spec.v12 * (a2 @ self.overlap.T)
-        )
-        d2 = self.e2_freq * a2 + self.spec.v12 * (a1 @ self.overlap)
-        return -1j * np.concatenate(([d0], d1.ravel(), d2.ravel()))
-
-
-def propagate_eom(
-    spec: ModelSpec,
-    bins: BinSet,
-    n_vib: int,
-    psi0: np.ndarray,
-    dt_record: float,
-    t_final: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    snapshot_stride: int = 1,
-    initial_state_label: str = "custom",
-) -> Trajectory:
-    """Evolve psi0 by integrating the amplitude equations of motion.
-
-    Independent cross-validation path for :func:`propagate`: same
-    truncated model, but expressed in the displaced eigenbasis and
-    integrated with an adaptive high-order Runge-Kutta scheme.
-    """
-    _check_tolerance(tolerance)
-    model = _EigenbasisModel(spec, bins, n_vib)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (model.layout.dimension,):
-        raise ConfigError("initial state dimension does not match model")
-    n_steps = _resolve_grid(dt_record, t_final)
-    times = np.arange(n_steps + 1) * dt_record
-
-    a0, a1, a2 = model.to_eigen(psi0)
-    y0 = np.concatenate(([a0], a1.ravel(), a2.ravel()))
-    if n_steps == 0:
-        ys = y0[:, None]
-    else:
-        rtol = max(1e-13, 0.01 * tolerance)
-        sol = solve_ivp(
-            model.rhs,
-            (0.0, t_final),
-            y0,
-            method="DOP853",
-            t_eval=times,
-            rtol=rtol,
-            atol=rtol,
-        )
-        if not sol.success:
-            raise PropagationError(f"EoM integration failed: {sol.message}")
-        ys = sol.y
-    if not np.isfinite(ys).all():
-        raise PropagationError("non-finite amplitudes in EoM integration")
-
-    y0c = y0.conj()
-    autocorr = y0c @ ys
-    norms2 = np.einsum("ik,ik->k", ys.conj(), ys).real
-    photon_amp = ys[0].copy()
-
-    keep = _snapshot_indices(n_steps, snapshot_stride)
-    nb, nv = model.layout.n_bins, model.layout.n_vib
-
-    def unpack(col):
-        return model.to_fock(
-            col[0], col[1 : 1 + nb * nv].reshape(nb, nv), col[1 + nb * nv :].reshape(nb, nv)
-        )
-
-    snapshots = np.array([unpack(ys[:, k]) for k in keep]) if keep else None
-
-    return Trajectory(
-        times=times,
-        autocorr=autocorr,
-        norms2=norms2,
-        photon_amp=photon_amp,
-        snapshot_times=times[keep] if keep else times[:0],
-        snapshots=snapshots,
-        final_state=unpack(ys[:, -1]),
-        initial_state=psi0,
-        initial_state_label=initial_state_label,
-        dt_record=dt_record,
-    )
+            recorder.record(k, psi)
+    return recorder.trajectory(psi, initial_state_label)

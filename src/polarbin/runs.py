@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -58,16 +58,13 @@ def write_manifest(cfg: RunConfig, out_dir) -> str:
     return path
 
 
-def _propagate_point(point: ResolvedPoint, snapshot_stride=None,
-                     initial_state=None):
+def _propagate_point(point: ResolvedPoint):
     bins = discretize_disorder(point.spec, point.n_bins)
     ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
-    label = initial_state if initial_state is not None else point.initial_state
-    psi0 = make_initial_state(label, ham.layout, bins)
-    stride = point.snapshot_stride if snapshot_stride is None else snapshot_stride
+    psi0 = make_initial_state(point.initial_state, ham.layout, bins)
     traj = propagate(
         ham, psi0, point.dt_record, point.t_final, point.tolerance,
-        snapshot_stride=stride, initial_state_label=label,
+        state_times=point.vib_energy_times, initial_state_label=point.initial_state,
     )
     return bins, ham, traj
 
@@ -102,7 +99,7 @@ def run_spectrum(cfg: RunConfig, out_dir) -> list[str]:
     for point, directory in _point_dirs(cfg, out_dir):
         resolved = cfg.resolve_point(point)
         grid = default_omega_grid(resolved.spec)
-        _, _, traj = _propagate_point(resolved, snapshot_stride=0)
+        _, _, traj = _propagate_point(resolved)
         spectrum = absorption(traj, resolved.spec.kappa, grid)
         write_csv(
             os.path.join(directory, "spectrum.csv"),
@@ -128,14 +125,12 @@ def run_spectrum(cfg: RunConfig, out_dir) -> list[str]:
 
 def run_dynamics(cfg: RunConfig, out_dir) -> list[str]:
     """Population dynamics per grid point, plus optional vibrational energies."""
-    if cfg.snapshot_stride == 0:
-        raise ConfigError("dynamics runs need snapshot_stride >= 1")
     write_manifest(cfg, out_dir)
     written = []
     for point, directory in _point_dirs(cfg, out_dir):
         resolved = cfg.resolve_point(point)
         bins, ham, traj = _propagate_point(resolved)
-        record = populations(traj, ham.layout)
+        record = populations(traj)
         nb = bins.n_bins
         header = (
             ["t_au", "photon", "norm2", "gamma", "p_e1_total", "p_e2_total",
@@ -164,10 +159,7 @@ def run_dynamics(cfg: RunConfig, out_dir) -> list[str]:
 
 def _write_vib_energy(resolved, bins, ham, traj, directory) -> None:
     rows = []
-    for t_want in resolved.vib_energy_times:
-        k = int(np.argmin(np.abs(traj.snapshot_times - t_want)))
-        psi = traj.snapshots[k]
-        t_have = traj.snapshot_times[k]
+    for t_have, psi in zip(traj.state_times, traj.states):
         for i in range(bins.n_bins):
             p_e1_i = float(
                 np.linalg.norm(psi[ham.layout.e1_slice(i)]) ** 2
@@ -194,7 +186,7 @@ def _sweep_worker(cfg: RunConfig, point: dict):
     """One sweep row; failures are captured and reported, not raised."""
     try:
         resolved = cfg.resolve_point(point)
-        _, ham, traj = _propagate_point(resolved, snapshot_stride=0)
+        _, ham, traj = _propagate_point(resolved)
         _, p_e2, _ = state_populations(traj.final_state, ham.layout)
         norm2 = float(np.vdot(traj.final_state, traj.final_state).real)
         if norm2 == 0.0:
@@ -260,16 +252,9 @@ class ConvergenceStep:
 
 
 def _converge_worker(cfg: RunConfig, n_bins: int):
-    resolved = cfg.resolve_point()
-    point = ResolvedPoint(
-        spec=resolved.spec, n_bins=n_bins, n_vib=resolved.n_vib,
-        t_final=resolved.t_final, dt_record=resolved.dt_record,
-        n_steps=resolved.n_steps, tolerance=resolved.tolerance,
-        initial_state="photonic", snapshot_stride=0,
-        vib_energy_times=(),
-    )
-    _, ham, traj = _propagate_point(point, snapshot_stride=0,
-                                    initial_state="photonic")
+    point = replace(cfg.resolve_point(), n_bins=n_bins, initial_state="photonic",
+                    vib_energy_times=())
+    _, ham, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
     p_e1, p_e2, _ = state_populations(traj.final_state, ham.layout)
     return {

@@ -66,7 +66,7 @@ def test_criterion_01_jaynes_cummings_exactness():
     bins = pb.discretize_disorder(spec, 1)
     ham = pb.build_effective_hamiltonian(spec, bins, 2)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9, snapshot_stride=0,
+                        1e-9,
                         initial_state_label="photonic")
     pop_err = np.abs(
         np.abs(traj.photon_amp) ** 2 - np.cos(0.03 * traj.times) ** 2
@@ -76,7 +76,7 @@ def test_criterion_01_jaynes_cummings_exactness():
     lossy = replace(spec, kappa=0.006)
     ham_l = pb.build_effective_hamiltonian(lossy, bins, 2)
     traj_l = pb.propagate(ham_l, pb.photonic_state(ham_l.layout), dt, t_final,
-                          1e-9, snapshot_stride=0,
+                          1e-9,
                           initial_state_label="photonic")
     spectrum = pb.absorption(traj_l, lossy.kappa, pb.default_omega_grid(lossy))
     lo, hi = top_two_peak_positions(spectrum)
@@ -96,7 +96,7 @@ def test_criterion_02_empty_cavity_null():
     bins = pb.discretize_disorder(spec, 1)
     ham = pb.build_effective_hamiltonian(spec, bins, 2)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9, snapshot_stride=0,
+                        1e-9,
                         initial_state_label="photonic")
     spectrum = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
     worst = np.abs(spectrum.values).max()
@@ -117,7 +117,7 @@ def test_criterion_03_dual_path_equivalence():
                      initial_state_label="photonic")
     b = pb.propagate_eom(spec, bins, 20, psi0, dt, t_final, 1e-9,
                          initial_state_label="photonic")
-    ra, rb = populations(a, ham.layout), populations(b, ham.layout)
+    ra, rb = populations(a), populations(b)
     dev = max(np.abs(ra.p_e1 - rb.p_e1).max(), np.abs(ra.p_e2 - rb.p_e2).max())
     elapsed = time.time() - start
     report(3, "matrix vs equations-of-motion engines",
@@ -166,7 +166,7 @@ def test_criterion_06_bin_count_rule():
         bins = pb.discretize_disorder(spec, n_bins)
         ham = pb.build_effective_hamiltonian(spec, bins, 60)
         traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                            1e-9, snapshot_stride=0,
+                            1e-9,
                             initial_state_label="photonic")
         e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
         ratios[n_bins] = e2.sum() / e1.sum()
@@ -186,7 +186,7 @@ def _production_spectrum(sigma):
     bins = pb.discretize_disorder(spec, pb.bin_count_rule(sigma, t_final))
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9, snapshot_stride=0,
+                        1e-9,
                         initial_state_label="photonic")
     return pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
 
@@ -222,7 +222,7 @@ def _bright_yield(sigma, coupling):
     )
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), dt, t_final,
-                        1e-9, snapshot_stride=0, initial_state_label="bright")
+                        1e-9, initial_state_label="bright")
     _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
     return e2.sum()
 
@@ -250,7 +250,7 @@ def test_criterion_09_narrowband_asymmetry():
     yields = {}
     for name in ("upper_polariton", "lower_polariton"):
         psi0 = pb.make_initial_state(name, ham.layout, bins)
-        traj = pb.propagate(ham, psi0, dt, t_final, 1e-9, snapshot_stride=0,
+        traj = pb.propagate(ham, psi0, dt, t_final, 1e-9,
                             initial_state_label=name)
         e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
         yields[name] = (e1, e2)
@@ -276,7 +276,7 @@ def test_criterion_10_vibrational_energy_gradient():
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     dt, t_final = grid(5, 207)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9, snapshot_stride=0,
+                        1e-9,
                         initial_state_label="photonic")
     energies = np.array([
         pb.vibrational_energy(traj.final_state, ham.layout, spec, i)
@@ -311,7 +311,7 @@ def _case_invariants(rng):
         ham.layout, bins,
     )
     traj = pb.propagate(ham, psi0, 0.25, 25.0, tol)
-    record = populations(traj, ham.layout)
+    record = populations(traj)
     assert record.completeness_defect() < 1e-8
     dndt = np.gradient(traj.norms2, traj.times)
     law = -spec.kappa * np.abs(traj.photon_amp) ** 2
@@ -336,10 +336,9 @@ def _case_invariants(rng):
     lossless = pb.build_effective_hamiltonian(
         replace(spec, kappa=0.0), bins, n_vib
     )
-    forward = pb.propagate(lossless, psi0, 1.0, 100.0, tol, snapshot_stride=0)
+    forward = pb.propagate(lossless, psi0, 1.0, 100.0, tol)
     backward = pb.propagate(replace(lossless, matrix=-lossless.matrix),
-                            forward.final_state, 1.0, 100.0, tol,
-                            snapshot_stride=0)
+                            forward.final_state, 1.0, 100.0, tol)
     assert np.linalg.norm(backward.final_state - psi0) < 100 * tol
 
 

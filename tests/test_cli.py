@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +252,15 @@ class TestRunCommands:
 
 
 class TestCliEntry:
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # only the reference engine uses solve_ivp; every CLI start paid for it
+        code = ("import sys, polarbin.cli; "
+                "sys.exit('scipy.integrate' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
     def _write(self, tmp_path, text):
         path = tmp_path / "run.cfg"
         path.write_text(text)
@@ -443,18 +454,27 @@ class TestLoadTimeRejection:
         assert "dt_record must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_snapshot_stride(self, tmp_path, capsys):
-        code, out = self._figs4(tmp_path, "run.snapshot_stride=-1")
+    def test_snapshot_stride_is_an_unknown_key(self, tmp_path, capsys):
+        # manifests written while full states were stored carry this key
+        code, out = self._figs4(tmp_path, "run.snapshot_stride=1")
         assert code == 1
-        assert "snapshot_stride must be >= 0" in capsys.readouterr().err
+        assert "unknown key" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_snapshot_stride_refused_by_dynamics(self, tmp_path, capsys):
-        # dynamics needs every recorded step; it used to record them all
-        # while manifest.cfg kept snapshot_stride = 0
-        code, out = self._figs4(tmp_path, "run.snapshot_stride=0")
+    @pytest.mark.parametrize("value", ["1", "1e-20", "nan"])
+    def test_tolerance_out_of_range(self, tmp_path, capsys, value):
+        code, out = self._figs4(tmp_path, f"run.tolerance={value}")
         assert code == 1
-        assert "snapshot_stride >= 1" in capsys.readouterr().err
+        assert "tolerance must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tolerance_out_of_range_refused_by_sweep(self, tmp_path, capsys):
+        # it used to exit 0 with every sweep row reading the error
+        out = tmp_path / "fig3c"
+        code = main(["sweep", "--preset", "fig3c", "--out", str(out),
+                     "--override", "run.tolerance=1"])
+        assert code == 1
+        assert "tolerance must lie in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vib_energy_time_after_t_final(self, tmp_path, capsys):

@@ -56,8 +56,6 @@ RUN = {
     "tolerance": (_floats(1e-12, 1e-6), ANYTHING),
     "initial_state": (st.sampled_from(("photonic", "bright", "upper_polariton",
                                        "lower_polariton")), GARBAGE),
-    "snapshot_stride": (st.integers(0, 10**12).map(str),
-                        st.one_of(st.integers(-3, -1).map(str), GARBAGE)),
     "vib_energy_times": (
         st.lists(st.sampled_from(("0", "0.5 au", "0.01 fs")), max_size=2).map(", ".join),
         st.lists(st.one_of(INVALID_TIME, GARBAGE), min_size=1, max_size=2).map(", ".join),

@@ -15,12 +15,12 @@ from polarbin.observables import Spectrum
 from conftest import fig3_spec
 
 
-def photonic_run(spec, n_bins, n_vib, t_final, dt=1.0, stride=1):
+def photonic_run(spec, n_bins, n_vib, t_final, dt=1.0):
     bins = pb.discretize_disorder(spec, n_bins)
     ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
     traj = pb.propagate(
         ham, pb.photonic_state(ham.layout), dt, t_final, 1e-9,
-        snapshot_stride=stride, initial_state_label="photonic",
+        initial_state_label="photonic",
     )
     return bins, ham, traj
 
@@ -41,13 +41,13 @@ class TestAbsorption:
         spec = fig3_spec(coupling=0.0, kappa=0.01, omega_c=0.105)
         t_final = 35 / spec.kappa
         n = 4 * round(t_final)
-        _, _, traj = photonic_run(spec, 1, 2, t_final, dt=t_final / n, stride=0)
+        _, _, traj = photonic_run(spec, 1, 2, t_final, dt=t_final / n)
         spectrum = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
         assert np.abs(spectrum.values).max() < 1e-6
 
     def test_jaynes_cummings_doublet(self):
         spec = fig3_spec(s1=0.0, s2=0.0, v12=0.0, omega_c=0.10)
-        _, _, traj = photonic_run(spec, 1, 2, 1240.0, stride=0)
+        _, _, traj = photonic_run(spec, 1, 2, 1240.0)
         spectrum = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
         a, w = spectrum.values, spectrum.omega
         interior = np.arange(1, len(a) - 1)
@@ -60,7 +60,7 @@ class TestAbsorption:
 
     def test_values_are_real_and_deterministic(self):
         spec = fig3_spec(sigma=0.0)
-        _, _, traj = photonic_run(spec, 1, 10, 200.0, stride=0)
+        _, _, traj = photonic_run(spec, 1, 10, 200.0)
         grid = pb.default_omega_grid(spec)
         s1 = pb.absorption(traj, spec.kappa, grid)
         s2 = pb.absorption(traj, spec.kappa, grid)
@@ -69,7 +69,7 @@ class TestAbsorption:
 
     def test_rejects_unsorted_grid(self):
         spec = fig3_spec(sigma=0.0)
-        _, _, traj = photonic_run(spec, 1, 4, 10.0, stride=0)
+        _, _, traj = photonic_run(spec, 1, 4, 10.0)
         with pytest.raises(ConfigError):
             pb.absorption(traj, spec.kappa, np.array([0.2, 0.1]))
 
@@ -87,7 +87,7 @@ class TestPopulations:
     def test_photonic_at_time_zero(self):
         spec = fig3_spec(sigma=0.01)
         bins, ham, traj = photonic_run(spec, 3, 5, 10.0)
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         assert record.photon[0] == pytest.approx(1.0)
         assert record.p_e1[0] == pytest.approx(np.zeros(3), abs=1e-15)
         assert record.p_e2[0] == pytest.approx(np.zeros(3), abs=1e-15)
@@ -98,29 +98,22 @@ class TestPopulations:
         ham = pb.build_effective_hamiltonian(spec, bins, 5)
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 5.0,
                             1e-9, initial_state_label="bright")
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         np.testing.assert_allclose(record.p_e1[0], bins.weights, atol=1e-14)
 
     def test_completeness_without_loss(self):
         spec = fig3_spec(sigma=0.01, kappa=0.0)
         bins, ham, traj = photonic_run(spec, 2, 8, 300.0)
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         assert record.completeness_defect() < 1e-8
         assert np.abs(record.gamma).max() < 1e-8
 
     def test_completeness_with_loss(self):
         spec = fig3_spec(sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 8, 300.0)
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         assert record.completeness_defect() < 1e-8
         assert record.gamma[-1] > 0.1  # substantial leakage by 300 au
-
-    def test_missing_snapshots(self):
-        spec = fig3_spec(sigma=0.0)
-        bins, ham, traj = photonic_run(spec, 1, 4, 10.0)
-        object.__setattr__(traj, "snapshots", None)
-        with pytest.raises(ConfigError):
-            pb.populations(traj, ham.layout)
 
 
 class TestVibrationalEnergy:
@@ -193,7 +186,7 @@ class TestReactionYield:
     def test_no_coupling_photonic_never_reacts(self):
         spec = fig3_spec(coupling=0.0, sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 8, 200.0)
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         result = pb.reaction_yield(record)
         assert result.total == pytest.approx(0.0, abs=1e-12)
 
@@ -203,7 +196,7 @@ class TestReactionYield:
         ham = pb.build_effective_hamiltonian(spec, bins, 8)
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 200.0,
                             1e-9, initial_state_label="bright")
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         result = pb.reaction_yield(record)
         assert result.total == pytest.approx(0.0, abs=1e-12)
         assert result.per_bin == pytest.approx(np.zeros(2), abs=1e-12)
@@ -211,7 +204,7 @@ class TestReactionYield:
     def test_normalized_variant_divides_by_norm(self):
         spec = fig3_spec(sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 10, 300.0)
-        record = pb.populations(traj, ham.layout)
+        record = pb.populations(traj)
         result = pb.reaction_yield(record)
         assert result.total_normalized == pytest.approx(
             result.total / record.norms2[-1]
@@ -242,7 +235,7 @@ class TestProductionDiagnostics:
             traj = pb.propagate(
                 ham, pb.bright_state(ham.layout, bins),
                 t_final / 1240, t_final, 1e-9,
-                snapshot_stride=0, initial_state_label="bright",
+                initial_state_label="bright",
             )
             _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
             norm2 = np.vdot(traj.final_state, traj.final_state).real
@@ -262,8 +255,7 @@ class TestProductionDiagnostics:
         def peaks(t_final_fs):
             t_final = t_final_fs * pb.FS_TO_AU
             n = round(t_final)
-            _, _, traj = photonic_run(spec, 1, 2, t_final, dt=t_final / n,
-                                      stride=0)
+            _, _, traj = photonic_run(spec, 1, 2, t_final, dt=t_final / n)
             s = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
             a = s.values
             interior = np.arange(1, len(a) - 1)

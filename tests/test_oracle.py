@@ -112,7 +112,7 @@ class TestCompareToCute:
             ham = build_explicit_hamiltonian(spec, ensemble)
             traj = pb.propagate(
                 ham, pb.photonic_state(ham.layout), 1.0, 40.0, 1e-10,
-                snapshot_stride=0, initial_state_label="photonic",
+                initial_state_label="photonic",
             )
             e1, e2, ph = pb.state_populations(traj.final_state, ham.layout)
             results.append((ph, e1, e2))

@@ -11,6 +11,7 @@ import scipy.linalg
 import polarbin as pb
 from polarbin.errors import ConfigError
 from polarbin.observables import populations
+from polarbin.oracle import ExplicitEnsemble, ExplicitLayout, build_explicit_hamiltonian
 
 from conftest import fig3_spec, random_small_spec
 
@@ -194,14 +195,27 @@ class TestPropagate:
         assert traj.autocorr[0] == pytest.approx(1.0)
         assert traj.norms2[0] == pytest.approx(1.0)
 
-    def test_snapshot_stride(self):
+    def test_state_times(self):
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
         psi0 = pb.photonic_state(ham.layout)
-        traj = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9, snapshot_stride=4)
-        np.testing.assert_array_equal(traj.snapshot_times, [0.0, 4.0, 8.0, 10.0])
-        assert traj.snapshots.shape == (4, ham.dimension)
-        none = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9, snapshot_stride=0)
-        assert len(none.snapshot_times) == 2  # first and final only
+        every = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9,
+                             state_times=np.arange(11) * 1.0)
+        # the nearest grid step, the earlier one on a tie, in request order
+        traj = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9,
+                            state_times=[3.4, 0.0, 7.5, 12.0, 3.6, -1.0])
+        np.testing.assert_array_equal(traj.state_times, [3.0, 0.0, 7.0, 10.0, 4.0, 0.0])
+        np.testing.assert_array_equal(traj.states, every.states[[3, 0, 7, 10, 4, 0]])
+        np.testing.assert_array_equal(traj.final_state, every.states[-1])
+        none = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9)
+        assert none.states.shape == (0, ham.dimension)
+        assert len(none.state_times) == 0
+        np.testing.assert_array_equal(none.final_state, every.final_state)
+
+    def test_non_finite_state_time_rejected(self):
+        bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
+        with pytest.raises(ConfigError, match="state_times"):
+            pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 10.0, 1e-9,
+                         state_times=[float("nan")])
 
     def test_grid_validation(self):
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
@@ -314,6 +328,46 @@ class TestBlasThreadScope:
         assert [getter() for getter in openblas_getters] == [2, 2]
 
 
+class TestRecorder:
+    """Observables recorded while propagating equal those of the kept states."""
+
+    @pytest.mark.parametrize("engine", ["binned", "explicit", "eom"])
+    def test_recorded_rows_equal_kept_states(self, engine):
+        spec = fig3_spec(sigma=0.02)
+        bins = pb.discretize_disorder(spec, 4)
+        dt, t_final = 2.0, 40.0
+        every_step = np.arange(21) * dt
+        if engine == "explicit":
+            ensemble = ExplicitEnsemble.from_bins(bins, 2, 3, spec.coupling)
+            ham = build_explicit_hamiltonian(spec, ensemble)
+            assert isinstance(ham.layout, ExplicitLayout)
+        else:
+            ham = pb.build_effective_hamiltonian(spec, bins, 6)
+            assert ham.dimension == 49
+        psi0 = pb.photonic_state(ham.layout)
+        if engine == "eom":
+            traj = pb.propagate_eom(spec, bins, 6, psi0, dt, t_final, 1e-9,
+                                    state_times=every_step)
+        else:
+            traj = pb.propagate(ham, psi0, dt, t_final, 1e-9,
+                                state_times=every_step)
+        np.testing.assert_array_equal(traj.state_times, traj.times)
+        np.testing.assert_array_equal(traj.states[-1], traj.final_state)
+        assert traj.p_e1.shape == traj.p_e2.shape == (21, bins.n_bins)
+        for k, psi in enumerate(traj.states):
+            e1, e2, photon = pb.state_populations(psi, ham.layout)
+            assert np.array_equal(traj.p_e1[k], e1)
+            assert np.array_equal(traj.p_e2[k], e2)
+            assert traj.photon[k] == photon
+            assert traj.norms2[k] == np.vdot(psi, psi).real
+            assert traj.autocorr[k] == np.vdot(psi0, psi)
+            assert traj.photon_amp[k] == psi[0]
+        record = populations(traj)
+        np.testing.assert_array_equal(record.times, traj.times)
+        np.testing.assert_array_equal(record.gamma, 1.0 - traj.norms2)
+        assert record.photon[-1] > 0.0 and record.p_e2[-1].sum() > 0.0
+
+
 class TestPropagateEom:
     def test_decoupled_pure_phases(self):
         spec = fig3_spec(s1=0.0, s2=0.0, coupling=0.0, v12=0.0, kappa=0.0,
@@ -352,7 +406,7 @@ class TestPropagateEom:
                          initial_state_label="photonic")
         b = pb.propagate_eom(spec, bins, n_vib, psi0, 1.0, 300.0, tol,
                              initial_state_label="photonic")
-        ra, rb = populations(a, ham.layout), populations(b, ham.layout)
+        ra, rb = populations(a), populations(b)
         assert np.abs(ra.p_e1 - rb.p_e1).max() < 10 * tol
         assert np.abs(ra.p_e2 - rb.p_e2).max() < 10 * tol
         assert np.abs(a.autocorr - b.autocorr).max() < 10 * tol
