@@ -1,4 +1,25 @@
-"""Ultrafast dynamics of disordered molecular polaritons via disorder binning."""
+"""Ultrafast dynamics of disordered molecular polaritons via disorder binning.
+
+Importing polarbin before numpy loads the OpenBLAS copies bundled with
+numpy and scipy at one thread each, unless the caller has set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: the binned
+problems are small and sparse, and a BLAS thread pool costs them more than
+it saves. The environment is left as it was found.
+"""
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    # OpenBLAS reads its thread count from the environment once, when it loads
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import scipy.linalg as _scipy_linalg  # noqa: F401  loads numpy's and scipy's OpenBLAS
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import (
     ConfigError,

@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", default="polarbin_out", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for grid runs")
+                         help="worker processes for grid runs, at most one per point")
         cmd.add_argument(
             "--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
             help="override one configuration value (repeatable)",
@@ -58,7 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         if args.config is not None:
             cfg = load_config_file(args.config, args.override)

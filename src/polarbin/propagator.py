@@ -31,6 +31,7 @@ from .observables import state_populations
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_RANGE = (1e-12, 1e-6)
 MAX_KRYLOV = 30
+_EPS = float(np.finfo(float).eps)
 
 INITIAL_STATE_NAMES = ("photonic", "bright", "upper_polariton", "lower_polariton")
 
@@ -289,6 +290,9 @@ def _one_blas_thread():
     A Krylov step makes dozens of BLAS calls on vectors of a few thousand
     entries and matrices of a few dozen; handing each to a thread pool
     costs more than the arithmetic. The thread count is process-wide.
+    A process that imported polarbin before numpy already runs at one
+    thread (see the package docstring); this scope serves callers that
+    loaded numpy first.
     """
     controls = _openblas_thread_controls()
     saved = [getter() for getter, _ in controls]
@@ -315,7 +319,8 @@ def propagate(
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the steps).
     Full states are kept at the grid times nearest to `state_times` and at
-    the end.
+    the end. A state whose norm grows beyond that tolerance and rounding,
+    which the lossy generator cannot do, raises PropagationError.
     """
     check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -326,6 +331,7 @@ def propagate(
     budget = tolerance / max(1, recorder.n_steps)
     psi = psi0.copy()
     recorder.record(0, psi)
+    norm0 = math.sqrt(recorder.norms2[0])
     with _one_blas_thread():
         for k in range(1, recorder.n_steps + 1):
             psi = stepper.step(psi, dt_record, budget)
@@ -334,4 +340,12 @@ def propagate(
                     f"non-finite amplitudes at step {k} (t = {k * dt_record})"
                 )
             recorder.record(k, psi)
+            # the generator is dissipative, so the exact norm never grows:
+            # allow the error budget and 64 ulps of rounding per step
+            norm = math.sqrt(recorder.norms2[k])
+            if not norm <= norm0 * (1.0 + 64 * _EPS * k) + tolerance:
+                raise PropagationError(
+                    f"state norm {norm:.6g} at step {k} (t = {k * dt_record}) exceeds "
+                    f"its initial {norm0:.6g}; the model is out of numerical range"
+                )
     return recorder.trajectory(psi, initial_state_label)

@@ -206,7 +206,8 @@ def _sweep_worker(cfg: RunConfig, point: dict):
 def _parallel_map(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # the pool starts all its workers at once: never more than there is work for
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

@@ -588,6 +588,55 @@ class TestExtremeValues:
                            "run.n_bins=1", "run.n_vib=4") == 2
         assert "absorption overflows" in capsys.readouterr().err
 
+    def test_growing_norm_is_a_numerical_failure(self, tmp_path, capsys):
+        # expm overflows inside the step, yet its amplitudes stay finite and
+        # square to inf: the run used to exit 0 with norm2 = nan
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("s1 = -1", "s1 = 4.36e10")
+                       .replace("kappa = 0.006", "kappa = 0")
+                       .replace("t_final = 60 au", "t_final = 0.5 au\ndt_record = 0.5")
+                       .replace("n_vib = 6", "n_vib = 2")
+                       .replace("n_bins = auto", "n_bins = 1\ninitial_state = bright"))
+        out = tmp_path / "big"
+        assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "at step 1 (t = 0.5) exceeds its initial 1" in capsys.readouterr().err
+        assert not (out / "populations.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, threads):
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig3c", "--threads", threads, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_never_larger_than_the_grid(self, tmp_path, monkeypatch):
+        # the pool forks all its workers at once: 64 for 2 points is waste
+        import polarbin.runs as runs_mod
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runs_mod, "ProcessPoolExecutor", SerialPool)
+        text = (MINIMAL.replace("t_final = 60 au", "t_final = 4 au")
+                + "\n[sweep]\nkappa = 0.006, 0.01\n")
+        rows = read_csv(run_sweep(load_config(text), str(tmp_path / "sw"), threads=64))
+        assert pools == [2]
+        assert [row[-1] for row in rows[1:]] == ["ok", "ok"]
+
     def test_fully_leaked_sweep_row(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nkappa = 1e308\n"
         rows = read_csv(run_sweep(load_config(text), str(tmp_path / "lk")))

@@ -1,7 +1,10 @@
 import ctypes
 import glob
+import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +15,7 @@ import polarbin as pb
 from polarbin.errors import ConfigError
 from polarbin.observables import populations
 from polarbin.oracle import ExplicitEnsemble, ExplicitLayout, build_explicit_hamiltonian
+from polarbin.propagator import _openblas_thread_controls
 
 from conftest import fig3_spec, random_small_spec
 
@@ -328,6 +332,55 @@ class TestBlasThreadScope:
         assert [getter() for getter in openblas_getters] == [2, 2]
 
 
+class TestStartupBlasThreads:
+    """A process that imports polarbin before numpy loads both bundled
+    OpenBLAS copies at one thread, unless the caller chose a count."""
+
+    READ = (
+        "import json, os, sys\n"
+        "if sys.argv[1] == 'numpy-first':\n"
+        "    import numpy, scipy.linalg\n"
+        "import polarbin\n"
+        "from polarbin.propagator import _openblas_thread_controls\n"
+        "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()],\n"
+        "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+
+    @pytest.fixture(autouse=True)
+    def _needs_two_bundled_copies_and_cores(self):
+        if len(_openblas_thread_controls()) != 2:
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS")
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count())
+        if (cores or 1) < 2:
+            pytest.skip("one core: the default thread count is already 1")
+
+    def _start(self, order, **variables):
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(variables, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", self.READ, order], env=env,
+                                capture_output=True, text=True, check=True)
+        return json.loads(result.stdout)
+
+    def test_plain_import_starts_at_one_thread(self):
+        threads, variable = self._start("polarbin-first")
+        assert threads == [1, 1]
+        assert variable is None
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_caller_setting_wins(self, name):
+        threads, variable = self._start("polarbin-first", **{name: "2"})
+        assert threads == [2, 2]
+        assert variable == ("2" if name == "OPENBLAS_NUM_THREADS" else None)
+
+    def test_numpy_imported_first_keeps_its_default(self):
+        threads, variable = self._start("numpy-first")
+        assert threads[0] > 1 and threads[1] > 1
+        assert variable is None
+
+
 class TestRecorder:
     """Observables recorded while propagating equal those of the kept states."""
 
@@ -438,6 +491,13 @@ class TestPropagationInvariants:
         forward = pb.propagate(ham, psi0, 1.0, 100.0, tol)
         back = pb.propagate(negated(ham), forward.final_state, 1.0, 100.0, tol)
         assert np.linalg.norm(back.final_state - psi0) < 100 * tol
+
+    def test_norm_growth_rejected(self):
+        # time-reversed loss is gain, which no dissipative model allows
+        _, ham = small_system(fig3_spec(sigma=0.02), 2, 4)
+        with pytest.raises(pb.PropagationError,
+                           match=r"at step 1 \(t = 1.0\) exceeds its initial 1"):
+            pb.propagate(negated(ham), pb.photonic_state(ham.layout), 1.0, 20.0, 1e-9)
 
     def test_norm_decay_law(self):
         # d<psi|psi>/dt = -kappa * photon population
