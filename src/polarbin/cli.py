@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", default="polarbin_out", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker processes for grid runs, at most one per point")
+                         help="worker processes over the sweep grid or the bin-count "
+                              "ladder, at most one per point; oracle runs serially")
         cmd.add_argument(
             "--override", action="append", default=[], metavar="SECTION.KEY=VALUE",
             help="override one configuration value (repeatable)",
@@ -68,9 +69,9 @@ def main(argv=None) -> int:
         else:
             cfg = load_preset(args.preset, args.override)
         if args.command == "spectrum":
-            run_spectrum(cfg, args.out)
+            run_spectrum(cfg, args.out, threads=args.threads)
         elif args.command == "dynamics":
-            run_dynamics(cfg, args.out)
+            run_dynamics(cfg, args.out, threads=args.threads)
         elif args.command == "sweep":
             run_sweep(cfg, args.out, threads=args.threads)
         elif args.command == "converge":

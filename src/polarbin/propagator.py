@@ -1,9 +1,14 @@
 """Time evolution of a state vector under a sparse, lossy Hamiltonian.
 
-:func:`propagate` steps the assembled sparse matrix with an adaptive
-Arnoldi (Krylov) approximation of the matrix exponential, carrying a
-per-step error estimate so the total 2-norm error stays within the
-requested tolerance. Observables (autocorrelation, norm, photon amplitude
+:func:`propagate` steps the assembled sparse matrix H = A - i*Gamma on
+the recording grid with one of two steppers, chosen once per run. A
+Chebyshev series, cut where a rigorous bound over an enclosure of H's
+numerical range meets the step's share of the tolerance, costs only
+mat-vecs and vector updates; it serves whenever that plan is finite,
+short and well-conditioned. Otherwise an adaptive Arnoldi (Krylov)
+approximation steps the run, carrying a per-step error estimate. Either
+way the total 2-norm error stays within the requested tolerance.
+Observables (autocorrelation, norm, photon amplitude
 and per-bin populations) are recorded at every grid step while the state
 is propagated; full states are kept only at the times a caller asks for
 and at the end. The independent cross-validation engine,
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import ConfigError, PropagationError
 from .hamiltonian import EffectiveHamiltonian
@@ -31,7 +37,23 @@ from .observables import state_populations
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_RANGE = (1e-12, 1e-6)
 MAX_KRYLOV = 30
+# A Chebyshev step needs more than e*|H|*dt/2 terms and cannot split
+# itself; past this many, Arnoldi (at most MAX_KRYLOV vectors, splitting
+# the step when they do not suffice) is the stepper to use
+MAX_CHEBYSHEV = 64
+# Rounding in the three-term recurrence grows like rho**K, the largest
+# Chebyshev polynomial on the numerical range; capping it keeps the lost
+# digits (about GROWTH * eps = 2e-13 of the norm per step) below the
+# smallest tolerance, 1e-12
+MAX_CHEBYSHEV_GROWTH = 1e3
+# Share of the step budget a Chebyshev plan spends. The bound exceeds the
+# error it bounds about tenfold, so a plan on the whole budget would err by
+# about a tenth of the tolerance, more than a Krylov run usually does; one
+# more term per step cuts that error about thirtyfold
+CHEBYSHEV_BUDGET_SHARE = 0.1
 _EPS = float(np.finfo(float).eps)
+# Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
+_CROUZEIX = 1.0 + math.sqrt(2.0)
 
 INITIAL_STATE_NAMES = ("photonic", "bright", "upper_polariton", "lower_polariton")
 
@@ -184,6 +206,112 @@ class _Recorder:
         )
 
 
+def _check_budget(budget: float) -> None:
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise PropagationError(
+            f"step budget {budget!r} cannot meet a tolerance; it must be positive and finite"
+        )
+
+
+def _gershgorin(part) -> tuple[float, float]:
+    """[lo, hi] holding every eigenvalue of a sparse Hermitian matrix."""
+    coo = part.tocoo()
+    off = coo.row != coo.col
+    radius = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=coo.shape[0])
+    centre = part.diagonal().real
+    return float((centre - radius).min()), float((centre + radius).max())
+
+
+class _ChebyshevStepper:
+    """exp(-i*H*dt) as a truncated Chebyshev series with an a-priori bound.
+
+    With c and R the centre and half-width of an enclosure of the numerical
+    range W(H), exp(-i*H*dt) = exp(-i*c*dt) * sum_k a_k T_k((H - c)/R),
+    a_k = (2 - delta_k0) (-i)^k J_k(R*dt) (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)). The enclosure is the rectangle of the
+    Gershgorin intervals of the Hermitian part (H + H^H)/2 and of the skew
+    part (H - H^H)/2i. On it |T_k| <= rho^k, where rho is the largest
+    Bernstein-ellipse parameter of its corners, and by Crouzeix and
+    Palencia (SIAM J. Matrix Anal. Appl. 38, 649 (2017)) |T_k(...)| <=
+    (1 + sqrt 2) rho^k in the 2-norm. With |J_k(x)| <= (x/2)^k / k!, the
+    series cut after K terms errs by at most
+    (1 + sqrt 2) * sum_{k>K} 2 (x rho/2)^k / k! times the state's norm:
+    a rigorous bound, not an estimate. A step is K mat-vecs and vector
+    updates, with no basis and no dense exponential.
+    """
+
+    def __init__(self, matrix, center: float, radius: float, coefficients: np.ndarray):
+        self.matrix = matrix
+        self.center = center
+        self.radius = radius
+        self.coefficients = coefficients
+
+    @classmethod
+    def plan(cls, matrix, dt: float, budget: float, norm: float):
+        """The stepper whose steps of psi, |psi| <= norm, err by at most
+        CHEBYSHEV_BUDGET_SHARE * budget.
+
+        None when Krylov is the safer stepper: the plan is not finite,
+        needs MAX_CHEBYSHEV terms or more than the dimension (Arnoldi never
+        needs more than that), or its rounding could grow past
+        MAX_CHEBYSHEV_GROWTH. A budget that is not positive and finite, or
+        a matrix entry that is not finite, raises PropagationError.
+        """
+        _check_budget(budget)
+        h = matrix.tocsr()
+        if not np.isfinite(h.data).all():
+            raise PropagationError("the Hamiltonian has entries that are not finite")
+        adjoint = h.conj().T
+        lo, hi = _gershgorin((h + adjoint) * 0.5)
+        slo, shi = _gershgorin((h - adjoint) * -0.5j)
+        radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
+        x = radius * dt
+        if not (math.isfinite(x) and math.isfinite(norm)):
+            return None
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) / radius
+        corners = np.array([complex(re, im / radius) for re in (-half, half) for im in (slo, shi)])
+        root = np.sqrt(corners * corners - 1.0)
+        rho = float(np.maximum(np.abs(corners + root), np.abs(corners - root)).max())
+        y = 0.5 * x * rho
+        if not (0.0 < y < math.inf):
+            return None
+        log_limit = (math.log(CHEBYSHEV_BUDGET_SHARE * budget)
+                     - math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else math.inf)
+        # sum_{k>K} y^k/k! <= y^(K+1)/(K+1)! / (1 - y/(K+2)) once K + 2 > y
+        for n_terms in range(1, min(MAX_CHEBYSHEV, h.shape[0] - 1) + 1):
+            if n_terms + 2 <= y:
+                continue
+            log_tail = ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
+                        - math.log1p(-y / (n_terms + 2)))
+            if log_tail <= log_limit:
+                break
+        else:
+            return None
+        if n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
+            return None
+        k = np.arange(n_terms + 1)
+        coefficients = 2.0 * (-1j) ** k * scipy.special.jv(k, x) * np.exp(-1j * center * dt)
+        coefficients[0] *= 0.5
+        return cls(matrix, center, radius, coefficients)
+
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        """The three-term recurrence T_{k+1} = 2 z T_k - T_{k-1} on (H - c)/R."""
+        a = self.coefficients
+        scale = 1.0 / self.radius
+        shift = self.center * scale
+        previous = psi
+        current = scale * self.matrix.dot(psi) - shift * psi
+        result = a[0] * psi + a[1] * current
+        for a_k in a[2:]:
+            following = (2.0 * scale) * self.matrix.dot(current)
+            following -= (2.0 * shift) * current
+            following -= previous
+            result += a_k * following
+            previous, current = current, following
+        return result
+
+
 class _KrylovStepper:
     """exp(-i*H*dt) applied repeatedly, with an a-posteriori error estimate.
 
@@ -210,10 +338,7 @@ class _KrylovStepper:
         self.m_previous = 0
 
     def step(self, psi: np.ndarray, dt: float, budget: float, depth: int = 0) -> np.ndarray:
-        if not (math.isfinite(budget) and budget > 0.0):
-            raise PropagationError(
-                f"step budget {budget!r} cannot meet a tolerance; it must be positive and finite"
-            )
+        _check_budget(budget)
         if depth > 30:
             raise PropagationError("step subdivision failed to meet tolerance")
         beta = np.linalg.norm(psi)
@@ -318,34 +443,51 @@ def propagate(
 
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the steps).
-    Full states are kept at the grid times nearest to `state_times` and at
-    the end. A state whose norm grows beyond that tolerance and rounding,
-    which the lossy generator cannot do, raises PropagationError.
+    The steps are Chebyshev steps planned once from the matrix, dt_record
+    and the step budget, with Krylov steps where that plan is refused
+    (see _ChebyshevStepper.plan). Full states are kept at the grid times
+    nearest to `state_times` and at the end. Each step's norm is checked
+    before its observables are recorded: a norm that is not finite, or
+    grows beyond the tolerance and rounding, which the lossy generator
+    cannot do, raises PropagationError. So does a matrix entry that is not
+    finite.
     """
     check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (ham.dimension,):
         raise ConfigError("initial state dimension does not match Hamiltonian")
     recorder = _Recorder(psi0, ham.layout, dt_record, t_final, state_times)
-    stepper = _KrylovStepper(ham.matrix)
-    budget = tolerance / max(1, recorder.n_steps)
     psi = psi0.copy()
     recorder.record(0, psi)
+    if recorder.n_steps == 0:
+        return recorder.trajectory(psi, initial_state_label)
+    budget = tolerance / recorder.n_steps
     norm0 = math.sqrt(recorder.norms2[0])
+    # norms never grow, so a plan for norm0 bounds every step
+    chebyshev = _ChebyshevStepper.plan(ham.matrix, dt_record, budget, norm0)
+    if chebyshev is not None:
+        step = chebyshev.step
+    else:
+        step = functools.partial(_KrylovStepper(ham.matrix).step, dt=dt_record, budget=budget)
     with _one_blas_thread():
         for k in range(1, recorder.n_steps + 1):
-            psi = stepper.step(psi, dt_record, budget)
-            if not np.isfinite(psi).all():
-                raise PropagationError(
-                    f"non-finite amplitudes at step {k} (t = {k * dt_record})"
-                )
-            recorder.record(k, psi)
+            psi = step(psi)
+            t = k * dt_record
+            norm2 = np.vdot(psi, psi).real
+            if not math.isfinite(norm2):
+                if np.isfinite(psi).all():
+                    raise PropagationError(
+                        f"state norm at step {k} (t = {t}) exceeds its initial {norm0:.6g} "
+                        "and is not finite; the model is out of numerical range"
+                    )
+                raise PropagationError(f"state at step {k} (t = {t}) is not finite")
             # the generator is dissipative, so the exact norm never grows:
             # allow the error budget and 64 ulps of rounding per step
-            norm = math.sqrt(recorder.norms2[k])
+            norm = math.sqrt(norm2)
             if not norm <= norm0 * (1.0 + 64 * _EPS * k) + tolerance:
                 raise PropagationError(
-                    f"state norm {norm:.6g} at step {k} (t = {k * dt_record}) exceeds "
+                    f"state norm {norm:.6g} at step {k} (t = {t}) exceeds "
                     f"its initial {norm0:.6g}; the model is out of numerical range"
                 )
+            recorder.record(k, psi)
     return recorder.trajectory(psi, initial_state_label)

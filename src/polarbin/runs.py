@@ -90,71 +90,75 @@ def _point_dirs(cfg: RunConfig, out_dir):
     return pairs
 
 
-def run_spectrum(cfg: RunConfig, out_dir) -> list[str]:
+def run_spectrum(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
     """Absorption spectrum (plus autocorrelation and norm) per grid point."""
     if cfg.initial_state != "photonic":
         raise ConfigError("spectrum runs require initial_state = photonic")
     write_manifest(cfg, out_dir)
-    written = []
-    for point, directory in _point_dirs(cfg, out_dir):
-        resolved = cfg.resolve_point(point)
-        grid = default_omega_grid(resolved.spec)
-        _, _, traj = _propagate_point(resolved)
-        spectrum = absorption(traj, resolved.spec.kappa, grid)
-        write_csv(
-            os.path.join(directory, "spectrum.csv"),
-            ["omega_au", "absorption"],
-            ([_fmt(w), _fmt(a)] for w, a in zip(spectrum.omega, spectrum.values)),
-        )
-        write_csv(
-            os.path.join(directory, "autocorr.csv"),
-            ["t_au", "re_c", "im_c"],
-            (
-                [_fmt(t), _fmt(c.real), _fmt(c.imag)]
-                for t, c in zip(traj.times, traj.autocorr)
-            ),
-        )
-        write_csv(
-            os.path.join(directory, "norms.csv"),
-            ["t_au", "norm2"],
-            ([_fmt(t), _fmt(n)] for t, n in zip(traj.times, traj.norms2)),
-        )
-        written.append(directory)
-    return written
+    return _parallel_map(partial(_spectrum_point, cfg), _point_dirs(cfg, out_dir), threads)
 
 
-def run_dynamics(cfg: RunConfig, out_dir) -> list[str]:
+def _spectrum_point(cfg: RunConfig, pair) -> str:
+    point, directory = pair
+    resolved = cfg.resolve_point(point)
+    grid = default_omega_grid(resolved.spec)
+    _, _, traj = _propagate_point(resolved)
+    spectrum = absorption(traj, resolved.spec.kappa, grid)
+    write_csv(
+        os.path.join(directory, "spectrum.csv"),
+        ["omega_au", "absorption"],
+        ([_fmt(w), _fmt(a)] for w, a in zip(spectrum.omega, spectrum.values)),
+    )
+    write_csv(
+        os.path.join(directory, "autocorr.csv"),
+        ["t_au", "re_c", "im_c"],
+        (
+            [_fmt(t), _fmt(c.real), _fmt(c.imag)]
+            for t, c in zip(traj.times, traj.autocorr)
+        ),
+    )
+    write_csv(
+        os.path.join(directory, "norms.csv"),
+        ["t_au", "norm2"],
+        ([_fmt(t), _fmt(n)] for t, n in zip(traj.times, traj.norms2)),
+    )
+    return directory
+
+
+def run_dynamics(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
     """Population dynamics per grid point, plus optional vibrational energies."""
     write_manifest(cfg, out_dir)
-    written = []
-    for point, directory in _point_dirs(cfg, out_dir):
-        resolved = cfg.resolve_point(point)
-        bins, ham, traj = _propagate_point(resolved)
-        record = populations(traj)
-        nb = bins.n_bins
-        header = (
-            ["t_au", "photon", "norm2", "gamma", "p_e1_total", "p_e2_total",
-             "p_e1_total_normalized", "p_e2_total_normalized"]
-            + [f"p_e1_bin{i:02d}" for i in range(nb)]
-            + [f"p_e2_bin{i:02d}" for i in range(nb)]
-        )
-        rows = []
-        e1_tot, e2_tot = record.p_e1_total, record.p_e2_total
-        for k, t in enumerate(record.times):
-            row = [
-                _fmt(t), _fmt(record.photon[k]), _fmt(record.norms2[k]),
-                _fmt(record.gamma[k]), _fmt(e1_tot[k]), _fmt(e2_tot[k]),
-                _fmt(e1_tot[k] / record.norms2[k]),
-                _fmt(e2_tot[k] / record.norms2[k]),
-            ]
-            row += [_fmt(v) for v in record.p_e1[k]]
-            row += [_fmt(v) for v in record.p_e2[k]]
-            rows.append(row)
-        write_csv(os.path.join(directory, "populations.csv"), header, rows)
-        if resolved.vib_energy_times:
-            _write_vib_energy(resolved, bins, ham, traj, directory)
-        written.append(directory)
-    return written
+    return _parallel_map(partial(_dynamics_point, cfg), _point_dirs(cfg, out_dir), threads)
+
+
+def _dynamics_point(cfg: RunConfig, pair) -> str:
+    point, directory = pair
+    resolved = cfg.resolve_point(point)
+    bins, ham, traj = _propagate_point(resolved)
+    record = populations(traj)
+    nb = bins.n_bins
+    header = (
+        ["t_au", "photon", "norm2", "gamma", "p_e1_total", "p_e2_total",
+         "p_e1_total_normalized", "p_e2_total_normalized"]
+        + [f"p_e1_bin{i:02d}" for i in range(nb)]
+        + [f"p_e2_bin{i:02d}" for i in range(nb)]
+    )
+    rows = []
+    e1_tot, e2_tot = record.p_e1_total, record.p_e2_total
+    for k, t in enumerate(record.times):
+        row = [
+            _fmt(t), _fmt(record.photon[k]), _fmt(record.norms2[k]),
+            _fmt(record.gamma[k]), _fmt(e1_tot[k]), _fmt(e2_tot[k]),
+            _fmt(e1_tot[k] / record.norms2[k]),
+            _fmt(e2_tot[k] / record.norms2[k]),
+        ]
+        row += [_fmt(v) for v in record.p_e1[k]]
+        row += [_fmt(v) for v in record.p_e2[k]]
+        rows.append(row)
+    write_csv(os.path.join(directory, "populations.csv"), header, rows)
+    if resolved.vib_energy_times:
+        _write_vib_energy(resolved, bins, ham, traj, directory)
+    return directory
 
 
 def _write_vib_energy(resolved, bins, ham, traj, directory) -> None:

@@ -292,7 +292,7 @@ class TestCliEntry:
     def test_numerical_failure_exit_two(self, tmp_path, monkeypatch, capsys):
         import polarbin.cli as cli_mod
 
-        def boom(cfg, out):
+        def boom(cfg, out, threads=1):
             raise pb.PropagationError("diverged")
 
         monkeypatch.setattr(cli_mod, "run_spectrum", boom)
@@ -588,9 +588,12 @@ class TestExtremeValues:
                            "run.n_bins=1", "run.n_vib=4") == 2
         assert "absorption overflows" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_growing_norm_is_a_numerical_failure(self, tmp_path, capsys):
         # expm overflows inside the step, yet its amplitudes stay finite and
-        # square to inf: the run used to exit 0 with norm2 = nan
+        # square to inf: the run used to exit 0 with norm2 = nan. The norm is
+        # checked before the populations square the amplitudes, so numpy
+        # warns of no overflow either
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL.replace("s1 = -1", "s1 = 4.36e10")
                        .replace("kappa = 0.006", "kappa = 0")
@@ -599,7 +602,9 @@ class TestExtremeValues:
                        .replace("n_bins = auto", "n_bins = 1\ninitial_state = bright"))
         out = tmp_path / "big"
         assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "at step 1 (t = 0.5) exceeds its initial 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at step 1 (t = 0.5) exceeds its initial 1" in err
+        assert "is not finite" in err and "RuntimeWarning" not in err
         assert not (out / "populations.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -636,6 +641,50 @@ class TestExtremeValues:
         rows = read_csv(run_sweep(load_config(text), str(tmp_path / "sw"), threads=64))
         assert pools == [2]
         assert [row[-1] for row in rows[1:]] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_grid_commands_use_the_pool(self, tmp_path, monkeypatch, command):
+        import polarbin.runs as runs_mod
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(runs_mod, "ProcessPoolExecutor", SerialPool)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("t_final = 60 au", "t_final = 4 au")
+                       + "\n[sweep]\nkappa = 0.006, 0.01\n")
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--threads", "64", "--out", str(out)]) == 0
+        assert pools == [2]
+        assert (out / "point_001").is_dir()
+
+    def test_two_workers_write_what_one_writes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL.replace("t_final = 60 au", "t_final = 4 au")
+                       + "\n[sweep]\nkappa = 0.006, 0.01\n")
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["spectrum", "--config", str(cfg), "--threads", threads,
+                         "--out", str(out)]) == 0
+            trees.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            })
+        assert len(trees[0]) == 2 + 2 * 3  # manifest, index, three CSVs per point
+        assert trees[0] == trees[1]
 
     def test_fully_leaked_sweep_row(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nkappa = 1e308\n"

@@ -34,6 +34,7 @@ class CountingMatrix:
     """Sparse-matrix stand-in that counts the mat-vecs made through it.
 
     With `limit` set, the mat-vec past the limit fails the test at once.
+    Other attribute reads go to the wrapped matrix.
     """
 
     def __init__(self, matrix, limit=None):
@@ -46,6 +47,9 @@ class CountingMatrix:
         if self.limit is not None and self.calls > self.limit:
             raise AssertionError(f"more than {self.limit} mat-vecs")
         return self.matrix.dot(vec)
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
 
 
 # numpy's and scipy's bundled OpenBLAS: (package, file pattern, getter, setter)
@@ -87,7 +91,8 @@ def openblas_getters():
 
 class ThreadProbeMatrix:
     """Sparse-matrix stand-in that reads the BLAS thread counts at every
-    mat-vec; with `fail_at` set, that mat-vec raises PropagationError."""
+    mat-vec; with `fail_at` set, that mat-vec raises PropagationError.
+    Other attribute reads go to the wrapped matrix."""
 
     def __init__(self, matrix, getters, fail_at=None):
         self.matrix = matrix
@@ -103,6 +108,9 @@ class ThreadProbeMatrix:
         if self.calls == self.fail_at:
             raise pb.PropagationError("mat-vec failed")
         return self.matrix.dot(vec)
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
 
 
 class TestInitialStates:
@@ -309,6 +317,98 @@ class TestPropagate:
         assert matrix.calls == 1
         exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
+
+
+class TestChebyshevStep:
+    # budgets from 1e-12 to 1e-6 on the lossy fig3 system, D = 49
+    @pytest.mark.parametrize("budget", [1e-12, 1e-10, 1e-8, 1e-6])
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 8.0])
+    @pytest.mark.parametrize("norm", [1.0, 0.3, 7.0])
+    def test_steps_within_budget_of_dense_expm(self, dt, budget, norm):
+        from polarbin.propagator import _ChebyshevStepper
+
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        assert ham.dimension == 49
+        exact_step = scipy.linalg.expm(-1j * dt * ham.matrix.toarray())
+        rng = np.random.default_rng(round(1e3 * dt))
+        psi = rng.normal(size=49) + 1j * rng.normal(size=49)
+        psi *= norm / np.linalg.norm(psi)
+        matrix = CountingMatrix(ham.matrix)
+        stepper = _ChebyshevStepper.plan(matrix, dt, budget, norm)
+        assert stepper is not None and matrix.calls == 0
+        n_terms = len(stepper.coefficients) - 1
+        for k in range(1, 4):
+            exact = exact_step @ psi
+            psi = stepper.step(psi)
+            assert matrix.calls == k * n_terms
+            assert np.linalg.norm(psi - exact) <= budget
+
+    @pytest.mark.parametrize("budget", [0.0, -1e-12, math.nan, math.inf])
+    def test_invalid_budget_raises_before_any_matvec(self, budget):
+        from polarbin.propagator import _ChebyshevStepper
+
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        matrix = CountingMatrix(ham.matrix, limit=0)
+        with pytest.raises(pb.PropagationError, match="tolerance"):
+            _ChebyshevStepper.plan(matrix, 1.0, budget, 1.0)
+        assert matrix.calls == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_raises_before_any_matvec(self, value):
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        broken = ham.matrix.copy()
+        broken.data[7] = value
+        matrix = CountingMatrix(broken, limit=0)
+        with pytest.raises(pb.PropagationError, match="not finite"):
+            pb.propagate(replace(ham, matrix=matrix), pb.photonic_state(ham.layout),
+                         1.0, 10.0, 1e-9)
+        assert matrix.calls == 0
+
+    @pytest.mark.parametrize("case", ["criterion 2", "kappa 0.5", "s1 4.36e10"])
+    def test_krylov_where_chebyshev_cannot_serve(self, case):
+        from polarbin.propagator import _ChebyshevStepper
+
+        budget = 1e-9
+        if case == "criterion 2":  # D = 5 is less than the 7 terms needed
+            spec, n_bins, n_vib = fig3_spec(coupling=0.0, omega_c=0.105), 1, 2
+            dt, budget = 200 * pb.FS_TO_AU / 8268, 1e-9 / 8268
+        elif case == "kappa 0.5":  # rounding would grow like 3**K
+            spec, n_bins, n_vib, dt = fig3_spec(sigma=0.02, kappa=0.5), 4, 6, 1.0
+        else:  # |H|*dt of about 1e11
+            spec, n_bins, n_vib, dt = fig3_spec(s1=4.36e10, kappa=0.0), 1, 2, 0.5
+        _, ham = small_system(spec, n_bins, n_vib)
+        matrix = CountingMatrix(ham.matrix, limit=0)
+        assert _ChebyshevStepper.plan(matrix, dt, budget, 1.0) is None
+
+    def test_fig6_shape_takes_chebyshev(self):
+        from polarbin.propagator import _ChebyshevStepper
+
+        bins, ham = small_system(fig3_spec(sigma=0.02), 24, 60)
+        assert ham.dimension == 2881
+        psi0 = pb.polariton_state(ham.layout, bins, +1)
+        matrix = CountingMatrix(ham.matrix, limit=0)
+        stepper = _ChebyshevStepper.plan(matrix, 1.0, 1e-9 / 1240, np.linalg.norm(psi0))
+        assert stepper is not None
+        assert len(stepper.coefficients) - 1 == 12
+
+    def test_every_preset_point_takes_chebyshev(self):
+        # a silent fall-back to Krylov would undo the step's speed-up
+        from polarbin.config import PRESET_NAMES, load_preset
+        from polarbin.propagator import _ChebyshevStepper, _resolve_grid
+
+        for name in PRESET_NAMES:
+            cfg = load_preset(name)
+            for point in cfg.sweep_points():
+                resolved = cfg.resolve_point(point)
+                bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
+                psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
+                n_steps = _resolve_grid(resolved.dt_record, resolved.t_final)
+                matrix = CountingMatrix(ham.matrix, limit=0)
+                stepper = _ChebyshevStepper.plan(
+                    matrix, resolved.dt_record, resolved.tolerance / n_steps,
+                    np.linalg.norm(psi0),
+                )
+                assert stepper is not None, (name, point)
 
 
 class TestBlasThreadScope:
