@@ -4,7 +4,9 @@ Importing polarbin before numpy loads the OpenBLAS copies bundled with
 numpy and scipy at one thread each, unless the caller has set
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: the binned
 problems are small and sparse, and a BLAS thread pool costs them more than
-it saves. The environment is left as it was found.
+it saves. The environment is left as it was found. Import loads numpy and
+scipy.sparse only; scipy.linalg (the Krylov stepper), scipy.integrate (the
+equations-of-motion engine) and the process pool load on first use.
 """
 
 import os as _os
@@ -17,7 +19,9 @@ if "numpy" not in _sys.modules and not any(
     # OpenBLAS reads its thread count from the environment once, when it loads
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import scipy.linalg as _scipy_linalg  # noqa: F401  loads numpy's and scipy's OpenBLAS
+        from .propagator import _openblas_thread_controls
+
+        _openblas_thread_controls()  # loads numpy's and scipy's OpenBLAS
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 

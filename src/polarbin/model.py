@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, DegenerateDistributionError
 
@@ -115,7 +114,8 @@ class BinSet:
 
 
 def _standard_normal_cdf(z):
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    erf = np.array([math.erf(value / math.sqrt(2.0)) for value in z])
+    return 0.5 * (1.0 + erf)
 
 
 def _standard_normal_pdf(z):

@@ -26,8 +26,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
+import scipy
 
 from .errors import ConfigError, PropagationError
 from .hamiltonian import EffectiveHamiltonian
@@ -52,6 +51,10 @@ MAX_CHEBYSHEV_GROWTH = 1e3
 # more term per step cuts that error about thirtyfold
 CHEBYSHEV_BUDGET_SHARE = 0.1
 _EPS = float(np.finfo(float).eps)
+# Below this argument the Bessel power series converges in a few terms;
+# above it Miller's recurrence runs, rescaled past _BESSEL_RESCALE
+_BESSEL_SERIES_BELOW = 1e-2
+_BESSEL_RESCALE = 1e250
 # Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
 _CROUZEIX = 1.0 + math.sqrt(2.0)
 
@@ -213,6 +216,45 @@ def _check_budget(budget: float) -> None:
         )
 
 
+def _bessel_j(n_max: int, x: float) -> np.ndarray:
+    """J_0(x), ..., J_n_max(x) for x >= 0, to about 1e-15 absolute.
+
+    Tiny x sums the power series (x/2)^k/k! * sum_m (-x^2/4)^m / (m! (k+1)...(k+m)).
+    Otherwise Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1},
+    started well above max(n_max, x), is normalised by
+    J_0 + 2 * sum_k J_2k = 1 (Numerical Recipes, section 6.5); the decaying
+    tail k > x keeps its relative accuracy.
+    """
+    k = np.arange(n_max + 1)
+    if x < _BESSEL_SERIES_BELOW:
+        half = 0.5 * x
+        lead = np.cumprod(np.concatenate(([1.0], half / k[1:])))
+        term = np.ones(n_max + 1)
+        total = term.copy()
+        m = 0
+        while np.abs(term).max() > _EPS * _EPS:
+            m += 1
+            term *= -half * half / (m * (k + m))
+            total += term
+        return lead * total
+    reach = max(n_max, math.ceil(x))
+    start = 2 * ((reach + math.isqrt(40 * reach) + 20) // 2)
+    values = np.zeros(n_max + 1)
+    above, current, total = 0.0, 1.0, 0.0
+    for j in range(start, 0, -1):
+        if j % 2 == 0:
+            total += 2.0 * current
+        if j <= n_max:
+            values[j] = current
+        above, current = current, (2.0 * j / x) * current - above
+        if abs(current) > _BESSEL_RESCALE:
+            values /= _BESSEL_RESCALE
+            above, current = above / _BESSEL_RESCALE, current / _BESSEL_RESCALE
+            total /= _BESSEL_RESCALE
+    values[0] = current
+    return values / (total + current)
+
+
 def _gershgorin(part) -> tuple[float, float]:
     """[lo, hi] holding every eigenvalue of a sparse Hermitian matrix."""
     coo = part.tocoo()
@@ -291,7 +333,7 @@ class _ChebyshevStepper:
         if n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
             return None
         k = np.arange(n_terms + 1)
-        coefficients = 2.0 * (-1j) ** k * scipy.special.jv(k, x) * np.exp(-1j * center * dt)
+        coefficients = 2.0 * (-1j) ** k * _bessel_j(n_terms, x) * np.exp(-1j * center * dt)
         coefficients[0] *= 0.5
         return cls(matrix, center, radius, coefficients)
 
@@ -329,10 +371,15 @@ class _KrylovStepper:
     budget. When Arnoldi reaches an invariant subspace the result is
     exact up to rounding and is accepted as is. The budget must be
     positive and finite; any other value raises PropagationError before
-    any work.
+    any work. A Krylov vector or error estimate that overflows raises it
+    too, at once instead of splitting the step; a non-finite result is
+    left to propagate's norm check.
     """
 
     def __init__(self, matrix, m_max: int = MAX_KRYLOV):
+        from scipy.linalg import expm  # only this stepper needs it
+
+        self.expm = expm
         self.matrix = matrix
         self.m_max = m_max
         self.m_previous = 0
@@ -367,19 +414,23 @@ class _KrylovStepper:
             m = j + 1
             if h <= 1e-14 * max(1.0, np.abs(H[: m + 1, :m]).max()):
                 # invariant subspace reached: result exact in the subspace
-                phi = scipy.linalg.expm(H[:m, :m])[:, 0]
+                phi = self.expm(H[:m, :m])[:, 0]
                 return beta * (V[:m].T @ phi)
             V[j + 1] = w / h
             if m >= m_first or m == m_cap:
                 aug = np.zeros((m + 1, m + 1), dtype=complex)
                 aug[:m, :m] = H[:m, :m]
                 aug[m, m - 1] = h
-                expa = scipy.linalg.expm(aug)
+                expa = self.expm(aug)
                 # safety factor 2 against cancellation inside the estimate
                 err = 2.0 * beta * abs(expa[m, 0])
                 if err <= budget:
                     self.m_previous = m
                     return beta * (V[:m].T @ expa[:m, 0])
+                if not math.isfinite(err):
+                    raise PropagationError(
+                        "Krylov error estimate is not finite: |H|*dt is too large to represent"
+                    )
         half = self.step(psi, dt / 2.0, budget / 2.0, depth + 1)
         return self.step(half, dt / 2.0, budget / 2.0, depth + 1)
 
@@ -388,8 +439,10 @@ class _KrylovStepper:
 def _openblas_thread_controls() -> tuple:
     """(getter, setter) pairs of the bundled OpenBLAS copies that export them.
 
-    Empty when numpy and scipy link another BLAS. Looked up on first use,
-    not at import.
+    Empty when numpy and scipy link another BLAS. Looking them up loads
+    both copies: the package calls this at import, under a one-thread
+    environment, so that scipy's copy starts at one thread before
+    scipy.linalg (loaded only by the Krylov stepper) ever needs it.
     """
     controls = []
     for package, pattern, get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
@@ -469,7 +522,9 @@ def propagate(
         step = chebyshev.step
     else:
         step = functools.partial(_KrylovStepper(ham.matrix).step, dt=dt_record, budget=budget)
-    with _one_blas_thread():
+    # an out-of-range model overflows inside a step; the checks below and
+    # the steppers' own report it, not numpy warnings
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, recorder.n_steps + 1):
             psi = step(psi)
             t = k * dt_record

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -210,6 +209,8 @@ def _sweep_worker(cfg: RunConfig, point: dict):
 def _parallel_map(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     # the pool starts all its workers at once: never more than there is work for
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import os
 import subprocess
@@ -252,10 +253,12 @@ class TestRunCommands:
 
 
 class TestCliEntry:
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # only the reference engine uses solve_ivp; every CLI start paid for it
-        code = ("import sys, polarbin.cli; "
-                "sys.exit('scipy.integrate' in sys.modules)")
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special",
+                                        "concurrent.futures.process"])
+    def test_import_leaves_module_unloaded(self, module):
+        # the reference engine, the Krylov stepper and the process pool load
+        # what they use on first use; every CLI start paid for them
+        code = f"import sys, polarbin.cli; sys.exit({module!r} in sys.modules)"
         src = os.path.dirname(os.path.dirname(pb.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -583,6 +586,19 @@ class TestExtremeValues:
                            "run.n_bins=2") == 2
         assert "overflowed" in capsys.readouterr().err
 
+    def test_krylov_overflow_prints_only_the_message(self, tmp_path):
+        # numpy's overflow warnings used to come before the message
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "polarbin.cli", "dynamics",
+             "--preset", "figS4", "--override", "model.sigma=1e300",
+             "--override", "run.n_bins=2", "--out", str(tmp_path / "x")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == ("polarbin: numerical failure: Krylov vector overflowed: "
+                                 "|H|*dt is too large to represent\n")
+
     def test_overflowing_absorption_is_a_numerical_failure(self, tmp_path, capsys):
         assert self._figs4(tmp_path, "spectrum", "model.kappa=1e308",
                            "run.n_bins=1", "run.n_vib=4") == 2
@@ -618,8 +634,6 @@ class TestExtremeValues:
 
     def test_pool_never_larger_than_the_grid(self, tmp_path, monkeypatch):
         # the pool forks all its workers at once: 64 for 2 points is waste
-        import polarbin.runs as runs_mod
-
         pools = []
 
         class SerialPool:
@@ -635,7 +649,7 @@ class TestExtremeValues:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(runs_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         text = (MINIMAL.replace("t_final = 60 au", "t_final = 4 au")
                 + "\n[sweep]\nkappa = 0.006, 0.01\n")
         rows = read_csv(run_sweep(load_config(text), str(tmp_path / "sw"), threads=64))
@@ -644,8 +658,6 @@ class TestExtremeValues:
 
     @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
     def test_grid_commands_use_the_pool(self, tmp_path, monkeypatch, command):
-        import polarbin.runs as runs_mod
-
         pools = []
 
         class SerialPool:
@@ -661,7 +673,7 @@ class TestExtremeValues:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(runs_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL.replace("t_final = 60 au", "t_final = 4 au")
                        + "\n[sweep]\nkappa = 0.006, 0.01\n")

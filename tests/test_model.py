@@ -82,6 +82,27 @@ class TestDiscretizeDisorder:
         np.testing.assert_allclose(merged_w, coarse.weights, atol=1e-14)
         np.testing.assert_allclose(merged_c, coarse.centers, atol=1e-12)
 
+    def test_math_erf_within_ulps_of_scipy_erf(self, monkeypatch):
+        # a bin's probability and first moment move by a few ulps of the
+        # unit total only; a narrow tail bin turns that into thousands of
+        # ulps of its own weight and conditional mean
+        from scipy.special import erf
+
+        import polarbin.model as model
+
+        spec = fig3_spec(sigma=0.02)
+        counts = range(1, 400)
+        binsets = [pb.discretize_disorder(spec, n) for n in counts]
+        monkeypatch.setattr(model, "_standard_normal_cdf",
+                            lambda z: 0.5 * (1.0 + erf(z / math.sqrt(2.0))))
+        eps = np.finfo(float).eps
+        for n_bins, bins in zip(counts, binsets):
+            reference = pb.discretize_disorder(spec, n_bins)
+            np.testing.assert_array_equal(bins.edges, reference.edges)
+            assert np.abs(bins.weights - reference.weights).max() <= 4 * eps
+            moment = reference.weights * (bins.centers - reference.centers) / spec.sigma
+            assert np.abs(moment).max() <= 4 * eps
+
     def test_edges_tile_domain(self):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 5)

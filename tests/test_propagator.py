@@ -248,6 +248,19 @@ class TestPropagate:
         with pytest.raises(pb.PropagationError, match="tolerance"):
             stepper.step(psi0, 1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_error_estimate_raises_without_splitting(self):
+        # |H|*dt = 1e119: the Krylov vectors stay finite but expm of the
+        # Hessenberg matrix does not; halving the step 31 times never helped
+        from polarbin.propagator import MAX_KRYLOV
+
+        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        matrix = CountingMatrix(ham.matrix, limit=MAX_KRYLOV)
+        with pytest.raises(pb.PropagationError, match="error estimate is not finite"):
+            pb.propagate(replace(ham, matrix=matrix), pb.photonic_state(ham.layout),
+                         1e120, 1e120, 1e-9)
+        assert matrix.calls > 0
+
     @pytest.mark.parametrize("budget", [0.0, -1e-12, math.nan, math.inf])
     # D = 17 lets Arnoldi reach D; D = 37 exceeds MAX_KRYLOV, so steps split
     @pytest.mark.parametrize("n_bins, n_vib, dim", [(2, 4, 17), (3, 6, 37)])
@@ -317,6 +330,25 @@ class TestPropagate:
         assert matrix.calls == 1
         exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
+
+
+class TestBesselJ:
+    """The Chebyshev coefficients' Bessel values against scipy.special.jv."""
+
+    @pytest.mark.parametrize("n_max", [1, 12, 64])
+    @pytest.mark.parametrize("x", [1e-300, 1e-9, 1e-3, 0.5, 5.0, 20.0, 45.0, 60.0])
+    def test_matches_scipy(self, x, n_max):
+        from scipy.special import jv
+
+        from polarbin.propagator import _bessel_j
+
+        k = np.arange(n_max + 1)
+        values, reference = _bessel_j(n_max, x), jv(k, x)
+        assert np.abs(values - reference).max() <= 4e-15
+        # the truncation lives in the decaying tail; subnormal values carry
+        # no relative precision to compare
+        tail = (k > x + 5) & (np.abs(reference) >= np.finfo(float).tiny)
+        np.testing.assert_allclose(values[tail], reference[tail], rtol=1e-12, atol=0)
 
 
 class TestChebyshevStep:
@@ -455,12 +487,29 @@ class TestStartupBlasThreads:
         if (cores or 1) < 2:
             pytest.skip("one core: the default thread count is already 1")
 
-    def _start(self, order, **variables):
+    # the criterion-2 system (D = 5) takes the Krylov stepper, which loads
+    # scipy.linalg only then; its OpenBLAS must still run at one thread
+    KRYLOV = (
+        "import json, sys\n"
+        "import polarbin as pb\n"
+        "from conftest import fig3_spec\n"
+        "from polarbin.propagator import _ChebyshevStepper, _openblas_thread_controls\n"
+        "loaded = ['scipy.linalg' in sys.modules]\n"
+        "spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)\n"
+        "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 1), 2)\n"
+        "dt = 200 * pb.FS_TO_AU / 8268\n"
+        "assert _ChebyshevStepper.plan(ham.matrix, dt, 1e-9 / 100, 1.0) is None\n"
+        "pb.propagate(ham, pb.photonic_state(ham.layout), dt, 100 * dt, 1e-9)\n"
+        "loaded.append('scipy.linalg' in sys.modules)\n"
+        "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()], loaded]))\n"
+    )
+
+    def _start(self, order, script=READ, **variables):
         src = os.path.dirname(os.path.dirname(pb.__file__))
         env = {key: value for key, value in os.environ.items()
                if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(variables, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", self.READ, order], env=env,
+        env.update(variables, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+        result = subprocess.run([sys.executable, "-c", script, order], env=env,
                                 capture_output=True, text=True, check=True)
         return json.loads(result.stdout)
 
@@ -474,6 +523,11 @@ class TestStartupBlasThreads:
         threads, variable = self._start("polarbin-first", **{name: "2"})
         assert threads == [2, 2]
         assert variable == ("2" if name == "OPENBLAS_NUM_THREADS" else None)
+
+    def test_lazy_scipy_linalg_runs_at_one_thread(self):
+        threads, loaded = self._start("polarbin-first", self.KRYLOV)
+        assert loaded == [False, True]
+        assert threads == [1, 1]
 
     def test_numpy_imported_first_keeps_its_default(self):
         threads, variable = self._start("numpy-first")
