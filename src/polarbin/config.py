@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
 from .errors import ConfigError
@@ -19,17 +19,12 @@ from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import ModelSpec, bin_count_rule, time_to_au
 from .propagator import INITIAL_STATE_NAMES, check_tolerance
 
+# one key per ModelSpec field; None marks a required key. omega_c defaults
+# to "resonant", which means omega0 + omega_nu
 MODEL_KEYS = {
-    "omega0": None,
-    "omega_nu": None,
-    "s1": None,
-    "s2": None,
-    "v12": None,
-    "omega_c": "resonant",  # default: omega0 + omega_nu
-    "kappa": None,
-    "coupling": None,
-    "sigma": None,
-    "delta2": "0.0",
+    f.name: "resonant" if f.name == "omega_c"
+    else None if f.default is MISSING else repr(f.default)
+    for f in fields(ModelSpec)
 }
 
 RUN_KEYS = {
@@ -43,6 +38,8 @@ RUN_KEYS = {
 }
 
 SWEEP_KEYS = ("sigma", "coupling", "kappa", "delta2")
+
+_SECTIONS = {"model": MODEL_KEYS, "run": RUN_KEYS, "sweep": dict.fromkeys(SWEEP_KEYS)}
 
 PRESET_NAMES = (
     "fig3a", "fig3c", "fig4a", "fig4c", "fig6",
@@ -78,23 +75,12 @@ def _parse_int(section: str, key: str, raw: str) -> int:
 
 
 @dataclass(frozen=True)
-class ResolvedPoint:
-    """One fully explicit run: every knob a number, grid snapped."""
-
-    spec: ModelSpec
-    n_bins: int
-    n_vib: int
-    t_final: float
-    dt_record: float
-    n_steps: int
-    tolerance: float
-    initial_state: str
-    vib_energy_times: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration, possibly carrying a sweep grid."""
+    """Parsed configuration, possibly carrying a sweep grid.
+
+    A resolved point is a RunConfig too: no sweep, every knob a number,
+    the record grid snapped to divide t_final.
+    """
 
     spec: ModelSpec
     t_final: float
@@ -130,7 +116,7 @@ class RunConfig:
         product = itertools.product(*(sorted(self.sweep[k]) for k in keys))
         return [dict(zip(keys, values)) for values in product]
 
-    def resolve_point(self, point: dict | None = None) -> ResolvedPoint:
+    def resolve_point(self, point: dict | None = None) -> RunConfig:
         spec = replace(self.spec, **point) if point else self.spec
         if self.t_final <= 0:
             raise ConfigError("t_final must be > 0")
@@ -140,26 +126,13 @@ class RunConfig:
         # refuse before binning: the rule grows without bound with sigma
         check_dimension(1 + 2 * n_bins * self.n_vib, DEFAULT_DIMENSION_CAP)
         n_steps = max(1, round(self.t_final / self.dt_record))
-        dt_record = self.t_final / n_steps
-        return ResolvedPoint(
-            spec=spec,
-            n_bins=n_bins,
-            n_vib=self.n_vib,
-            t_final=self.t_final,
-            dt_record=dt_record,
-            n_steps=n_steps,
-            tolerance=self.tolerance,
-            initial_state=self.initial_state,
-            vib_energy_times=self.vib_energy_times,
-        )
+        return replace(self, spec=spec, n_bins=n_bins,
+                       dt_record=self.t_final / n_steps, sweep={})
 
     def manifest_text(self, version: str) -> str:
         """Round-trippable INI text of this configuration."""
         lines = [f"# polarbin {version}", "", "[model]"]
-        s = self.spec
-        for key in ("omega0", "omega_nu", "s1", "s2", "v12", "omega_c",
-                    "kappa", "coupling", "sigma", "delta2"):
-            lines.append(f"{key} = {getattr(s, key)!r}")
+        lines += [f"{key} = {getattr(self.spec, key)!r}" for key in MODEL_KEYS]
         lines += [
             "",
             "[run]",
@@ -192,78 +165,50 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def load_config(
-    text: str, overrides: list[str] | None = None
-) -> RunConfig:
+def _with_defaults(section: str, given: dict) -> dict:
+    """A section's values with its defaults filled in; a None default is required."""
+    for key, default in _SECTIONS[section].items():
+        if default is None and key not in given:
+            raise ConfigError(f"missing required key [{section}] {key}")
+    return {**_SECTIONS[section], **given}
+
+
+def load_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     """Parse config text, apply 'section.key=value' overrides, validate."""
     parser = _read_ini(text)
     for section in parser.sections():
-        if section not in ("model", "run", "sweep"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    values = {
-        "model": dict(parser["model"]) if parser.has_section("model") else {},
-        "run": dict(parser["run"]) if parser.has_section("run") else {},
-        "sweep": dict(parser["sweep"]) if parser.has_section("sweep") else {},
-    }
-    for key in values["model"]:
-        if key not in MODEL_KEYS:
-            raise ConfigError(f"unknown key [model] {key}")
-    for key in values["run"]:
-        if key not in RUN_KEYS:
-            raise ConfigError(f"unknown key [run] {key}")
-    for key in values["sweep"]:
-        if key not in SWEEP_KEYS:
-            raise ConfigError(f"unknown key [sweep] {key}")
+    values = {section: dict(parser[section]) if parser.has_section(section) else {}
+              for section in _SECTIONS}
+    for section, given in values.items():
+        for key in given:
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(
-                f"override {item!r} must look like section.key=value"
-            )
+            raise ConfigError(f"override {item!r} must look like section.key=value")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
         section, key = section.strip(), key.strip()
-        known = {"model": MODEL_KEYS, "run": RUN_KEYS,
-                 "sweep": dict.fromkeys(SWEEP_KEYS)}.get(section)
-        if known is None:
+        if section not in _SECTIONS:
             raise ConfigError(f"override targets unknown section [{section}]")
-        if key not in known:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"override targets unknown key [{section}] {key}")
         values[section][key] = value.strip()
 
-    model = dict(values["model"])
-    for key, default in MODEL_KEYS.items():
-        if key not in model:
-            if default is None:
-                raise ConfigError(f"missing required key [model] {key}")
-            model[key] = default
-    omega0 = _parse_float("model", "omega0", model["omega0"])
-    omega_nu = _parse_float("model", "omega_nu", model["omega_nu"])
-    omega_c = (
-        omega0 + omega_nu
-        if model["omega_c"] == "resonant"
-        else _parse_float("model", "omega_c", model["omega_c"])
-    )
-    spec = ModelSpec(
-        omega0=omega0,
-        omega_nu=omega_nu,
-        s1=_parse_float("model", "s1", model["s1"]),
-        s2=_parse_float("model", "s2", model["s2"]),
-        v12=_parse_float("model", "v12", model["v12"]),
-        omega_c=omega_c,
-        kappa=_parse_float("model", "kappa", model["kappa"]),
-        coupling=_parse_float("model", "coupling", model["coupling"]),
-        sigma=_parse_float("model", "sigma", model["sigma"]),
-        delta2=_parse_float("model", "delta2", model["delta2"]),
-    )
+    model = _with_defaults("model", values["model"])
+    params = {
+        key: _parse_float("model", key, model[key])
+        for key in MODEL_KEYS
+        if (key, model[key]) != ("omega_c", "resonant")
+    }
+    params.setdefault("omega_c", params["omega0"] + params["omega_nu"])
+    spec = ModelSpec(**params)
 
-    run = dict(values["run"])
-    for key, default in RUN_KEYS.items():
-        if key not in run:
-            if default is None:
-                raise ConfigError(f"missing required key [run] {key}")
-            run[key] = default
+    run = _with_defaults("run", values["run"])
     n_bins_raw = run["n_bins"].strip()
     n_bins = None if n_bins_raw == "auto" else _parse_int("run", "n_bins", n_bins_raw)
     if n_bins is not None and n_bins < 1:

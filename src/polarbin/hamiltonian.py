@@ -79,6 +79,8 @@ def check_dimension(dimension: int, cap: int) -> None:
         raise DimensionCapError(f"dimension {dimension} exceeds cap {cap}")
 
 
+# a huge finite parameter overflows to inf here; the step plan refuses it
+@np.errstate(over="ignore", invalid="ignore")
 def vibronic_block(spec: ModelSpec, n_vib: int) -> np.ndarray:
     """Real-symmetric vibronic block K of one molecule, exciton energy excluded.
 

@@ -141,6 +141,7 @@ def _embed(op, coordinate: int, n_coords: int, n_vib: int):
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in vibronic_block
 def _tensor_hamiltonian(spec: ModelSpec, layout: ExplicitLayout, omegas,
                         photon, links) -> EffectiveHamiltonian:
     """Assemble photon block, excited tensor-product blocks and couplings.
@@ -173,6 +174,7 @@ def _tensor_hamiltonian(spec: ModelSpec, layout: ExplicitLayout, omegas,
     return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in vibronic_block
 def build_explicit_hamiltonian(
     spec: ModelSpec,
     ensemble: ExplicitEnsemble,

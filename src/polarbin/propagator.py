@@ -289,6 +289,7 @@ class _ChebyshevStepper:
         self.coefficients = coefficients
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the enclosure
     def plan(cls, matrix, dt: float, budget: float, norm: float):
         """The stepper whose steps of psi, |psi| <= norm, err by at most
         CHEBYSHEV_BUDGET_SHARE * budget.

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, ResolvedPoint, SWEEP_KEYS
+from .config import RunConfig, SWEEP_KEYS
 from .errors import ConfigError, PolarbinError, ZeroPopulationError
 from .hamiltonian import build_effective_hamiltonian
 from .model import bin_count_rule, discretize_disorder
@@ -57,7 +57,7 @@ def write_manifest(cfg: RunConfig, out_dir) -> str:
     return path
 
 
-def _propagate_point(point: ResolvedPoint):
+def _propagate_point(point: RunConfig):
     bins = discretize_disorder(point.spec, point.n_bins)
     ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
     psi0 = make_initial_state(point.initial_state, ham.layout, bins)
@@ -77,16 +77,17 @@ def _point_dirs(cfg: RunConfig, out_dir):
         (point, os.path.join(out_dir, f"point_{i:03d}"))
         for i, point in enumerate(points)
     ]
-    rows = []
-    for point, directory in pairs:
-        cells = [_fmt(point.get(k, getattr(cfg.spec, k))) for k in SWEEP_KEYS]
-        rows.append(cells + [os.path.basename(directory)])
     write_csv(
         os.path.join(out_dir, "index.csv"),
         list(SWEEP_KEYS) + ["directory"],
-        rows,
+        (_sweep_cells(cfg, point) + [os.path.basename(d)] for point, d in pairs),
     )
     return pairs
+
+
+def _sweep_cells(cfg: RunConfig, point: dict) -> list[str]:
+    """A grid point's swept values, unswept keys at their configured value."""
+    return [_fmt(point.get(k, getattr(cfg.spec, k))) for k in SWEEP_KEYS]
 
 
 def run_spectrum(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
@@ -223,7 +224,7 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> str:
     results = _parallel_map(partial(_sweep_worker, cfg), points, threads)
     rows = []
     for point, result in zip(points, results):
-        cells = [_fmt(point.get(k, getattr(cfg.spec, k))) for k in SWEEP_KEYS]
+        cells = _sweep_cells(cfg, point)
         if result["status"] == "ok":
             cells += [
                 str(result["n_bins"]),
@@ -260,15 +261,14 @@ class ConvergenceStep:
 def _converge_worker(cfg: RunConfig, n_bins: int):
     point = replace(cfg.resolve_point(), n_bins=n_bins, initial_state="photonic",
                     vib_energy_times=())
-    _, ham, traj = _propagate_point(point)
+    _, _, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
-    p_e1, p_e2, _ = state_populations(traj.final_state, ham.layout)
     return {
         "n_bins": n_bins,
         "spectrum": spectrum.values,
         "gamma": 1.0 - traj.norms2,
-        "p_e1_final": float(p_e1.sum()),
-        "p_e2_final": float(p_e2.sum()),
+        "p_e1_final": float(traj.p_e1[-1].sum()),
+        "p_e2_final": float(traj.p_e2[-1].sum()),
     }
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import polarbin as pb
 from polarbin.cli import main
 from polarbin.config import (
+    MODEL_KEYS,
     PRESET_NAMES,
     load_config,
     load_preset,
@@ -122,12 +124,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown preset"):
             load_preset("fig99")
 
-    def test_manifest_roundtrip_resolves_identically(self):
-        cfg = load_config(MINIMAL + "\n[sweep]\nsigma = 0, 0.01\n")
-        again = load_config(cfg.manifest_text("x"))
+    @pytest.mark.parametrize("overrides", [[], ["model.omega_c=resonant"]],
+                             ids=["as_given", "resonant"])
+    @pytest.mark.parametrize("name", ("minimal",) + PRESET_NAMES)
+    def test_manifest_roundtrip_resolves_identically(self, name, overrides):
+        if name == "minimal":
+            cfg = load_config(MINIMAL + "\n[sweep]\nsigma = 0, 0.01\n", overrides)
+        else:
+            cfg = load_preset(name, overrides)
+        text = cfg.manifest_text("x")
+        again = load_config(text)
+        assert again.manifest_text("x") == text
         assert cfg.sweep_points() == again.sweep_points()
         for point in cfg.sweep_points():
             assert cfg.resolve_point(point) == again.resolve_point(point)
+
+    def test_model_keys_keep_their_order_and_defaults(self):
+        # derived from ModelSpec's fields; the order is the manifest's
+        assert list(MODEL_KEYS.items()) == [
+            ("omega0", None), ("omega_nu", None), ("s1", None), ("s2", None),
+            ("v12", None), ("omega_c", "resonant"), ("kappa", None),
+            ("coupling", None), ("sigma", None), ("delta2", "0.0"),
+        ]
+
+    def test_resolved_point_is_a_run_config(self):
+        cfg = load_config(MINIMAL.replace("t_final = 60 au", "t_final = 60.5 au")
+                          + "\n[sweep]\nsigma = 0, 0.01\n")
+        point = cfg.resolve_point({"sigma": 0.01})
+        assert point == dataclasses.replace(
+            cfg, spec=dataclasses.replace(cfg.spec, sigma=0.01), n_bins=1,
+            dt_record=60.5 / 60, sweep={})
 
 
 class TestRunCommands:
@@ -268,6 +294,16 @@ class TestCliEntry:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         return str(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics", "sweep", "converge", "oracle"])
+    def test_subcommand_runs_clean_under_warnings_as_errors(self, tmp_path, capsys, command):
+        text = MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+        if command == "sweep":
+            text += "\n[sweep]\nkappa = 0.006, 0.01\n"
+        cfg = self._write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL)
@@ -598,6 +634,28 @@ class TestExtremeValues:
         assert result.returncode == 2
         assert result.stderr == ("polarbin: numerical failure: Krylov vector overflowed: "
                                  "|H|*dt is too large to represent\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, overrides", [
+        ("dynamics", ()),
+        ("oracle", ("model.sigma=0.01", "run.n_bins=2", "run.n_vib=4")),
+    ], ids=["dynamics", "oracle"])
+    def test_overflowing_assembly_prints_only_the_message(self, tmp_path, capsys,
+                                                          command, overrides):
+        # omega_nu * n(s) overflows while the blocks are built; numpy's
+        # warnings used to come before the message, or a traceback under -W error
+        assert self._figs4(tmp_path, command, "model.omega_nu=1.7e308", *overrides) == 2
+        assert capsys.readouterr().err == ("polarbin: numerical failure: "
+                                           "the Hamiltonian has entries that are not finite\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_enclosure_prints_only_the_message(self, tmp_path, capsys):
+        # finite entries whose Hermitian part overflows: the step plan used to
+        # warn before it handed the run to the Krylov stepper
+        assert self._figs4(tmp_path, "dynamics", "model.v12=1.7e308", "run.n_bins=2",
+                           "run.n_vib=4", "run.t_final=6 fs", "run.vib_energy_times=") == 2
+        assert capsys.readouterr().err == ("polarbin: numerical failure: Krylov vector "
+                                           "overflowed: |H|*dt is too large to represent\n")
 
     def test_overflowing_absorption_is_a_numerical_failure(self, tmp_path, capsys):
         assert self._figs4(tmp_path, "spectrum", "model.kappa=1e308",
