@@ -56,7 +56,6 @@ from .observables import (
     YieldReport,
     absorption,
     default_omega_grid,
-    leakage,
     populations,
     rabi_splitting,
     reaction_yield,
@@ -102,7 +101,6 @@ __all__ = [
     "discretize_disorder",
     "displaced_number_operator",
     "fc_overlap",
-    "leakage",
     "make_initial_state",
     "photonic_state",
     "polariton_state",

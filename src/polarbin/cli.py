@@ -10,15 +10,8 @@ import argparse
 import sys
 
 from .config import PRESET_NAMES, load_config_file, load_preset
-from .errors import (
-    ConfigError,
-    DegenerateDistributionError,
-    DimensionCapError,
-    PolarbinError,
-)
+from .errors import ConfigError, PolarbinError
 from .runs import run_converge, run_dynamics, run_oracle, run_spectrum, run_sweep
-
-_CONFIG_ERRORS = (ConfigError, DegenerateDistributionError, DimensionCapError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +71,7 @@ def main(argv=None) -> int:
             run_converge(cfg, args.out, threads=args.threads)
         else:
             run_oracle(cfg, args.out)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"polarbin: config error: {exc}", file=sys.stderr)
         return 1
     except PolarbinError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Two branches matter for the command line: configuration problems
-(exit code 1) and numerical failures during a run (exit code 2).
+Two branches matter for the command line: configuration problems, a
+ConfigError or one of its subclasses (exit code 1), and every other
+error, a numerical failure during a run (exit code 2).
 """
 
 
@@ -13,11 +14,11 @@ class ConfigError(PolarbinError):
     """Invalid, unknown, or unresolvable configuration input."""
 
 
-class DegenerateDistributionError(PolarbinError):
+class DegenerateDistributionError(ConfigError):
     """sigma = 0 cannot be split into more than one bin."""
 
 
-class DimensionCapError(PolarbinError):
+class DimensionCapError(ConfigError):
     """Requested Hilbert-space dimension exceeds the configured cap."""
 
 

@@ -53,11 +53,10 @@ def fc_overlap(s: float, level: int) -> float:
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Assembled sparse Hamiltonian with its basis layout and loss rate."""
+    """Assembled sparse Hamiltonian with its basis layout."""
 
     matrix: sp.csr_matrix
     layout: object
-    kappa: float
 
     @property
     def dimension(self) -> int:
@@ -139,4 +138,4 @@ def build_effective_hamiltonian(
     vals = np.concatenate(([spec.omega_c - 0.5j * spec.kappa], fc_coupling,
                            fc_coupling, values.ravel()))
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dimension,) * 2)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
+    return EffectiveHamiltonian(matrix=matrix, layout=layout)

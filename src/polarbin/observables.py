@@ -42,6 +42,11 @@ def default_omega_grid(spec: ModelSpec) -> np.ndarray:
     """Frequency window covering both polariton branches plus disorder."""
     lo = spec.omega0 - 3.0 * spec.sigma - 3.0 * spec.coupling
     hi = spec.omega0 + spec.omega_nu + 3.0 * spec.sigma + 3.0 * spec.coupling
+    if not np.isfinite([lo, hi]).all():
+        # four terms of at most 3|p| each: some parameter has 12|p| > max float
+        named = [f"{k} = {getattr(spec, k)!r}" for k in ("omega0", "omega_nu", "sigma", "coupling")
+                 if not np.isfinite(12.0 * getattr(spec, k))]
+        raise ConfigError(f"the absorption window overflows at {', '.join(named)}")
     if not (hi - lo) / OMEGA_GRID_STEP < MAX_OMEGA_POINTS:
         raise ConfigError(
             f"absorption window [{lo!r}, {hi!r}] au needs more than "
@@ -105,8 +110,9 @@ def state_populations(psi: np.ndarray, layout: BasisLayout):
 class PopulationRecord:
     """Populations on the time grid of one trajectory.
 
-    gamma is the leaked probability 1 - <psi|psi>; the normalized arrays
-    divide by the surviving norm, removing the cavity-leakage envelope.
+    gamma is the leaked probability 1 - <psi|psi>; normalized() divides by
+    the surviving norm, removing the cavity-leakage envelope, and refuses a
+    state that has leaked completely.
     """
 
     times: np.ndarray
@@ -124,13 +130,13 @@ class PopulationRecord:
     def p_e2_total(self) -> np.ndarray:
         return self.p_e2.sum(axis=1)
 
-    @property
-    def p_e1_normalized(self) -> np.ndarray:
-        return self.p_e1 / self.norms2[:, None]
-
-    @property
-    def p_e2_normalized(self) -> np.ndarray:
-        return self.p_e2 / self.norms2[:, None]
+    def normalized(self, values: np.ndarray) -> np.ndarray:
+        """values (time along the first axis) over the surviving norm."""
+        if not self.norms2.all():  # norms are >= 0: the first minimum is the first zero
+            raise ZeroPopulationError(
+                f"the state leaked completely by t = {self.times[self.norms2.argmin()]:.6g} au; "
+                "no population to normalize")
+        return values / self.norms2.reshape((-1,) + (1,) * (values.ndim - 1))
 
     def completeness_defect(self) -> float:
         """Max deviation of photon + populations + leakage from one."""
@@ -148,11 +154,6 @@ def populations(traj: Trajectory) -> PopulationRecord:
         norms2=traj.norms2,
         gamma=1.0 - traj.norms2,
     )
-
-
-def leakage(traj: Trajectory) -> np.ndarray:
-    """Cavity-leaked probability 1 - <psi(t)|psi(t)> on the full grid."""
-    return 1.0 - traj.norms2
 
 
 def vibrational_energy(
@@ -221,12 +222,11 @@ class YieldReport:
 def reaction_yield(record: PopulationRecord) -> YieldReport:
     """Product-state yield at the final recorded time."""
     p = record.p_e2[-1]
-    norm2 = record.norms2[-1]
     return YieldReport(
         t_final=float(record.times[-1]),
         per_bin=p.copy(),
         total=float(p.sum()),
-        per_bin_normalized=p / norm2,
-        total_normalized=float(p.sum() / norm2),
+        per_bin_normalized=record.normalized(record.p_e2)[-1],
+        total_normalized=float(record.normalized(record.p_e2_total)[-1]),
         gamma=float(record.gamma[-1]),
     )

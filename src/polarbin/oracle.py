@@ -171,7 +171,7 @@ def _tensor_hamiltonian(spec: ModelSpec, layout: ExplicitLayout, omegas,
         blocks[e1][0] = links[j].T
         blocks[e1][e2] = blocks[e2][e1] = spec.v12 * identity
     matrix = sp.bmat(blocks, format="csr", dtype=complex)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout, kappa=spec.kappa)
+    return EffectiveHamiltonian(matrix=matrix, layout=layout)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in vibronic_block

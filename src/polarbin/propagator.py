@@ -95,10 +95,6 @@ class Trajectory:
     initial_state_label: str
     dt_record: float
 
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
 
 def photonic_state(layout: BasisLayout) -> np.ndarray:
     """One photon, every molecule in its vibrational ground state."""

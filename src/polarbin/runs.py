@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -25,6 +25,7 @@ from .observables import (
     absorption,
     default_omega_grid,
     populations,
+    reaction_yield,
     state_populations,
     vibrational_energy,
 )
@@ -36,17 +37,21 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def write_csv(path, header, rows) -> None:
-    """One header row, '\\n' line endings, pre-formatted cells.
+def write_csv(path, columns: dict) -> None:
+    """The column names as header row, then one row per index, '\\n' line endings.
 
+    columns maps each name, in order, to an array, list or tuple; all have
+    the same length. Floats are written by _fmt, every other value by str.
     Cells holding a comma, quote or line break (a sweep row's error
     message) are quoted; numeric cells never are.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        # one row formatted at a time: a long column costs no list of strings
+        writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row]
+                         for row in zip(*columns.values(), strict=True))
 
 
 def write_manifest(cfg: RunConfig, out_dir) -> str:
@@ -73,21 +78,16 @@ def _point_dirs(cfg: RunConfig, out_dir):
     points = cfg.sweep_points()
     if len(points) == 1:
         return [(points[0], out_dir)]
-    pairs = [
-        (point, os.path.join(out_dir, f"point_{i:03d}"))
-        for i, point in enumerate(points)
-    ]
-    write_csv(
-        os.path.join(out_dir, "index.csv"),
-        list(SWEEP_KEYS) + ["directory"],
-        (_sweep_cells(cfg, point) + [os.path.basename(d)] for point, d in pairs),
-    )
-    return pairs
+    dirs = [f"point_{i:03d}" for i in range(len(points))]
+    write_csv(os.path.join(out_dir, "index.csv"),
+              {**_sweep_columns(cfg, points), "directory": dirs})
+    return [(point, os.path.join(out_dir, d)) for point, d in zip(points, dirs)]
 
 
-def _sweep_cells(cfg: RunConfig, point: dict) -> list[str]:
-    """A grid point's swept values, unswept keys at their configured value."""
-    return [_fmt(point.get(k, getattr(cfg.spec, k))) for k in SWEEP_KEYS]
+def _sweep_columns(cfg: RunConfig, points: list[dict]) -> dict:
+    """Each grid point's swept values, unswept keys at their configured value."""
+    return {k: [float(point.get(k, getattr(cfg.spec, k))) for point in points]
+            for k in SWEEP_KEYS}
 
 
 def run_spectrum(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
@@ -104,24 +104,11 @@ def _spectrum_point(cfg: RunConfig, pair) -> str:
     grid = default_omega_grid(resolved.spec)
     _, _, traj = _propagate_point(resolved)
     spectrum = absorption(traj, resolved.spec.kappa, grid)
-    write_csv(
-        os.path.join(directory, "spectrum.csv"),
-        ["omega_au", "absorption"],
-        ([_fmt(w), _fmt(a)] for w, a in zip(spectrum.omega, spectrum.values)),
-    )
-    write_csv(
-        os.path.join(directory, "autocorr.csv"),
-        ["t_au", "re_c", "im_c"],
-        (
-            [_fmt(t), _fmt(c.real), _fmt(c.imag)]
-            for t, c in zip(traj.times, traj.autocorr)
-        ),
-    )
-    write_csv(
-        os.path.join(directory, "norms.csv"),
-        ["t_au", "norm2"],
-        ([_fmt(t), _fmt(n)] for t, n in zip(traj.times, traj.norms2)),
-    )
+    write_csv(os.path.join(directory, "spectrum.csv"),
+              {"omega_au": spectrum.omega, "absorption": spectrum.values})
+    write_csv(os.path.join(directory, "autocorr.csv"),
+              {"t_au": traj.times, "re_c": traj.autocorr.real, "im_c": traj.autocorr.imag})
+    write_csv(os.path.join(directory, "norms.csv"), {"t_au": traj.times, "norm2": traj.norms2})
     return directory
 
 
@@ -137,74 +124,64 @@ def _dynamics_point(cfg: RunConfig, pair) -> str:
     bins, ham, traj = _propagate_point(resolved)
     record = populations(traj)
     nb = bins.n_bins
-    header = (
-        ["t_au", "photon", "norm2", "gamma", "p_e1_total", "p_e2_total",
-         "p_e1_total_normalized", "p_e2_total_normalized"]
-        + [f"p_e1_bin{i:02d}" for i in range(nb)]
-        + [f"p_e2_bin{i:02d}" for i in range(nb)]
-    )
-    rows = []
-    e1_tot, e2_tot = record.p_e1_total, record.p_e2_total
-    for k, t in enumerate(record.times):
-        row = [
-            _fmt(t), _fmt(record.photon[k]), _fmt(record.norms2[k]),
-            _fmt(record.gamma[k]), _fmt(e1_tot[k]), _fmt(e2_tot[k]),
-            _fmt(e1_tot[k] / record.norms2[k]),
-            _fmt(e2_tot[k] / record.norms2[k]),
-        ]
-        row += [_fmt(v) for v in record.p_e1[k]]
-        row += [_fmt(v) for v in record.p_e2[k]]
-        rows.append(row)
-    write_csv(os.path.join(directory, "populations.csv"), header, rows)
+    write_csv(os.path.join(directory, "populations.csv"), {
+        "t_au": record.times,
+        "photon": record.photon,
+        "norm2": record.norms2,
+        "gamma": record.gamma,
+        "p_e1_total": record.p_e1_total,
+        "p_e2_total": record.p_e2_total,
+        "p_e1_total_normalized": record.normalized(record.p_e1_total),
+        "p_e2_total_normalized": record.normalized(record.p_e2_total),
+        **{f"p_e1_bin{i:02d}": record.p_e1[:, i] for i in range(nb)},
+        **{f"p_e2_bin{i:02d}": record.p_e2[:, i] for i in range(nb)},
+    })
     if resolved.vib_energy_times:
         _write_vib_energy(resolved, bins, ham, traj, directory)
     return directory
 
 
 def _write_vib_energy(resolved, bins, ham, traj, directory) -> None:
-    rows = []
-    for t_have, psi in zip(traj.state_times, traj.states):
-        for i in range(bins.n_bins):
-            p_e1_i = float(
-                np.linalg.norm(psi[ham.layout.e1_slice(i)]) ** 2
-            )
-            try:
-                energy = vibrational_energy(psi, ham.layout, resolved.spec, i)
-                rows.append(
-                    [_fmt(t_have), str(i), _fmt(bins.centers[i]),
-                     _fmt(p_e1_i), _fmt(energy), "ok"]
-                )
-            except ZeroPopulationError:
-                rows.append(
-                    [_fmt(t_have), str(i), _fmt(bins.centers[i]),
-                     _fmt(p_e1_i), "", "no_population"]
-                )
-    write_csv(
-        os.path.join(directory, "vib_energy.csv"),
-        ["t_au", "bin", "omega0_bin", "p_e1_bin", "e_vib_au", "status"],
-        rows,
-    )
+    """Per-bin populations and energies of every kept state, one row per bin."""
+    n_states, n_bins = len(traj.states), bins.n_bins
+    energies = [
+        _vib_energy_cells(psi, ham.layout, resolved.spec, i)
+        for psi in traj.states for i in range(n_bins)
+    ]
+    write_csv(os.path.join(directory, "vib_energy.csv"), {
+        "t_au": np.repeat(traj.state_times, n_bins),
+        "bin": list(range(n_bins)) * n_states,
+        "omega0_bin": np.tile(bins.centers, n_states),
+        "p_e1_bin": np.concatenate(
+            [state_populations(psi, ham.layout)[0] for psi in traj.states]),
+        "e_vib_au": [energy for energy, _ in energies],
+        "status": [status for _, status in energies],
+    })
 
 
-def _sweep_worker(cfg: RunConfig, point: dict):
+def _vib_energy_cells(psi, layout, spec, i) -> tuple:
+    """(energy, status) of one bin; an empty bin has no conditional energy."""
+    try:
+        return vibrational_energy(psi, layout, spec, i), "ok"
+    except ZeroPopulationError:
+        return "", "no_population"
+
+
+SWEEP_RESULTS = ("n_bins", "p_e2_final", "p_e2_final_normalized", "gamma_final", "status")
+
+
+def _sweep_worker(cfg: RunConfig, point: dict) -> dict:
     """One sweep row; failures are captured and reported, not raised."""
     try:
         resolved = cfg.resolve_point(point)
-        _, ham, traj = _propagate_point(resolved)
-        _, p_e2, _ = state_populations(traj.final_state, ham.layout)
-        norm2 = float(np.vdot(traj.final_state, traj.final_state).real)
-        if norm2 == 0.0:
-            raise ZeroPopulationError("the state leaked completely; no yield to normalize")
-        total = float(p_e2.sum())
-        return {
-            "n_bins": resolved.n_bins,
-            "p_e2_final": total,
-            "p_e2_final_normalized": total / norm2,
-            "gamma_final": 1.0 - norm2,
-            "status": "ok",
-        }
+        _, _, traj = _propagate_point(resolved)
+        result = reaction_yield(populations(traj))
     except PolarbinError as exc:  # recorded per row; the sweep continues
-        return {"status": f"error: {type(exc).__name__}: {exc}"}
+        return {**dict.fromkeys(SWEEP_RESULTS, ""),
+                "status": f"error: {type(exc).__name__}: {exc}"}
+    return {"n_bins": resolved.n_bins, "p_e2_final": result.total,
+            "p_e2_final_normalized": result.total_normalized,
+            "gamma_final": result.gamma, "status": "ok"}
 
 
 def _parallel_map(fn, items, threads):
@@ -221,29 +198,10 @@ def run_sweep(cfg: RunConfig, out_dir, threads: int = 1) -> str:
     """Final-time yields over the sweep grid, one CSV row per point."""
     write_manifest(cfg, out_dir)
     points = cfg.sweep_points()
-    results = _parallel_map(partial(_sweep_worker, cfg), points, threads)
-    rows = []
-    for point, result in zip(points, results):
-        cells = _sweep_cells(cfg, point)
-        if result["status"] == "ok":
-            cells += [
-                str(result["n_bins"]),
-                _fmt(result["p_e2_final"]),
-                _fmt(result["p_e2_final_normalized"]),
-                _fmt(result["gamma_final"]),
-                "ok",
-            ]
-        else:
-            cells += ["", "", "", "", result["status"]]
-        rows.append(cells)
+    rows = _parallel_map(partial(_sweep_worker, cfg), points, threads)
     path = os.path.join(out_dir, "sweep.csv")
-    write_csv(
-        path,
-        list(SWEEP_KEYS)
-        + ["n_bins", "p_e2_final", "p_e2_final_normalized", "gamma_final",
-           "status"],
-        rows,
-    )
+    write_csv(path, {**_sweep_columns(cfg, points),
+                     **{key: [row[key] for row in rows] for key in SWEEP_RESULTS}})
     return path
 
 
@@ -263,21 +221,20 @@ def _converge_worker(cfg: RunConfig, n_bins: int):
                     vib_energy_times=())
     _, _, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
+    record = populations(traj)
     return {
         "n_bins": n_bins,
         "spectrum": spectrum.values,
-        "gamma": 1.0 - traj.norms2,
-        "p_e1_final": float(traj.p_e1[-1].sum()),
-        "p_e2_final": float(traj.p_e2[-1].sum()),
+        "gamma": record.gamma,
+        "p_e1_final": float(record.p_e1_total[-1]),
+        "p_e2_final": float(record.p_e2_total[-1]),
     }
 
 
 def converge_bin_counts(sigma: float, t_final: float) -> list[int]:
     """Refinement ladder around the bin-count rule: rule/4 ... 2*rule."""
     rule = bin_count_rule(sigma, t_final)
-    counts = sorted({max(1, round(rule / 4)), max(1, round(rule / 2)),
-                     rule, 2 * rule})
-    return counts
+    return sorted({max(1, round(rule / 4)), max(1, round(rule / 2)), rule, 2 * rule})
 
 
 def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceStep]:
@@ -293,49 +250,33 @@ def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceS
         raise ZeroPopulationError(
             "no reactant population at t_final; the product/reactant ratio is undefined"
         )
-
-    write_csv(
-        os.path.join(out_dir, "converge_runs.csv"),
-        ["n_bins", "p_e1_final", "p_e2_final", "ratio", "gamma_final"],
-        (
-            [
-                str(r["n_bins"]), _fmt(r["p_e1_final"]), _fmt(r["p_e2_final"]),
-                _fmt(r["p_e2_final"] / r["p_e1_final"]), _fmt(r["gamma"][-1]),
-            ]
-            for r in results
-        ),
-    )
-    steps = []
-    for coarse, fine in zip(results[:-1], results[1:]):
-        ratio_c = coarse["p_e2_final"] / coarse["p_e1_final"]
-        ratio_f = fine["p_e2_final"] / fine["p_e1_final"]
-        steps.append(
-            ConvergenceStep(
-                n_bins_coarse=coarse["n_bins"],
-                n_bins_fine=fine["n_bins"],
-                spectrum_dev=float(
-                    np.abs(coarse["spectrum"] - fine["spectrum"]).max()
-                ),
-                leakage_dev=float(np.abs(coarse["gamma"] - fine["gamma"]).max()),
-                ratio_dev=abs(ratio_c - ratio_f),
-            )
+    ratios = [r["p_e2_final"] / r["p_e1_final"] for r in results]
+    write_csv(os.path.join(out_dir, "converge_runs.csv"), {
+        "n_bins": counts,
+        "p_e1_final": [r["p_e1_final"] for r in results],
+        "p_e2_final": [r["p_e2_final"] for r in results],
+        "ratio": ratios,
+        "gamma_final": [r["gamma"][-1] for r in results],
+    })
+    steps = [
+        ConvergenceStep(
+            n_bins_coarse=coarse["n_bins"],
+            n_bins_fine=fine["n_bins"],
+            spectrum_dev=float(np.abs(coarse["spectrum"] - fine["spectrum"]).max()),
+            leakage_dev=float(np.abs(coarse["gamma"] - fine["gamma"]).max()),
+            ratio_dev=abs(ratio_c - ratio_f),
         )
-    write_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        ["n_bins_coarse", "n_bins_fine", "spectrum_dev", "leakage_dev",
-         "ratio_dev"],
-        (
-            [
-                str(s.n_bins_coarse), str(s.n_bins_fine), _fmt(s.spectrum_dev),
-                _fmt(s.leakage_dev), _fmt(s.ratio_dev),
-            ]
-            for s in steps
-        ),
-    )
+        for coarse, fine, ratio_c, ratio_f
+        in zip(results[:-1], results[1:], ratios[:-1], ratios[1:])
+    ]
+    write_csv(os.path.join(out_dir, "convergence.csv"),
+              {f.name: [getattr(s, f.name) for s in steps] for f in fields(ConvergenceStep)})
     return steps
 
 
 ORACLE_ENSEMBLE_SIZES = (1, 2, 4)
+ORACLE_COLUMNS = ("photon_max", "photon_final", "p_e1_max", "p_e1_final", "p_e2_max",
+                  "p_e2_final", "p_e1_total_max", "autocorr_max", "autocorr_final")
 
 
 def run_oracle(cfg: RunConfig, out_dir) -> str:
@@ -347,28 +288,14 @@ def run_oracle(cfg: RunConfig, out_dir) -> str:
     resolved = cfg.resolve_point()
     bins = discretize_disorder(resolved.spec, resolved.n_bins)
     write_manifest(cfg, out_dir)
-    rows = []
-    for n in ORACLE_ENSEMBLE_SIZES:
-        report = compare_to_cute(
+    reports = [
+        compare_to_cute(
             resolved.spec, bins, resolved.n_vib, n,
             resolved.dt_record, resolved.t_final, resolved.tolerance,
         )
-        rows.append(
-            [
-                str(n),
-                _fmt(report.photon_max), _fmt(report.photon_final),
-                _fmt(report.p_e1_max), _fmt(report.p_e1_final),
-                _fmt(report.p_e2_max), _fmt(report.p_e2_final),
-                _fmt(report.p_e1_total_max),
-                _fmt(report.autocorr_max), _fmt(report.autocorr_final),
-            ]
-        )
+        for n in ORACLE_ENSEMBLE_SIZES
+    ]
     path = os.path.join(out_dir, "oracle.csv")
-    write_csv(
-        path,
-        ["n_molecules", "photon_max", "photon_final", "p_e1_max", "p_e1_final",
-         "p_e2_max", "p_e2_final", "p_e1_total_max", "autocorr_max",
-         "autocorr_final"],
-        rows,
-    )
+    write_csv(path, {"n_molecules": ORACLE_ENSEMBLE_SIZES,
+                     **{name: [getattr(r, name) for r in reports] for name in ORACLE_COLUMNS}})
     return path

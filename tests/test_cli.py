@@ -1,6 +1,8 @@
+import ast
 import concurrent.futures
 import csv
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -198,6 +200,21 @@ class TestRunCommands:
         assert len(rows) == 62  # header + 61 samples
         vib = read_csv(out / "vib_energy.csv")
         assert vib[0][-1] == "status"
+
+    def test_vib_energy_population_is_the_recorded_one(self, tmp_path):
+        cfg = load_config(
+            MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+            .replace("n_bins = auto", "n_bins = 8")
+            + "vib_energy_times = 20 au, 50 au\n"
+        )
+        out = tmp_path / "dyn"
+        run_dynamics(cfg, str(out))
+        pops = read_csv(out / "populations.csv")
+        at_time = {row[0]: row for row in pops[1:]}
+        vib = read_csv(out / "vib_energy.csv")
+        assert len(vib) == 1 + 2 * 8
+        for t, i, _, p_e1, *_ in vib[1:]:
+            assert p_e1 == at_time[t][pops[0].index(f"p_e1_bin{int(i):02d}")]
 
     def test_sweep_single_point_matches_dynamics(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nsigma = 0.0\n"
@@ -657,6 +674,27 @@ class TestExtremeValues:
         assert capsys.readouterr().err == ("polarbin: numerical failure: Krylov vector "
                                            "overflowed: |H|*dt is too large to represent\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_fully_leaked_dynamics_is_a_numerical_failure(self, tmp_path, capsys):
+        # the leakage-normalized totals used to be written as nan, with exit 0
+        assert self._figs4(tmp_path, "dynamics", "model.kappa=1.7e308", "model.sigma=0.01",
+                           "run.n_bins=2", "run.n_vib=4", "run.t_final=6 fs",
+                           "run.vib_energy_times=") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("polarbin: numerical failure: the state leaked completely by t = ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x" / "populations.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_absorption_window_names_its_parameter(self, tmp_path, capsys):
+        # used to blame the grid size for a window of [-inf, inf]
+        assert self._figs4(tmp_path, "spectrum", "model.coupling=1.7e308", "model.sigma=0.01",
+                           "run.n_bins=2", "run.n_vib=4") == 1
+        err = capsys.readouterr().err
+        assert "absorption window" in err
+        assert "overflows at coupling = 1.7e+308\n" in err
+        assert "frequency points" not in err
+
     def test_overflowing_absorption_is_a_numerical_failure(self, tmp_path, capsys):
         assert self._figs4(tmp_path, "spectrum", "model.kappa=1e308",
                            "run.n_bins=1", "run.n_vib=4") == 2
@@ -782,3 +820,43 @@ class TestExtremeValues:
         assert main(["dynamics", "--config", str(cfg), "--out", str(out)]) == 1
         assert "kappa must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _benchmark_spans():
+    """COMMON_SPANS and COMMAND_SPANS as the benchmark harness defines them."""
+    with open(os.path.join(REPO, "perfbench", "run.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    values = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("COMMON_SPANS", "COMMAND_SPANS")
+    }
+    return values["COMMON_SPANS"], values["COMMAND_SPANS"]
+
+
+class TestBenchmarkTrace:
+    """The benchmark's traced run still sees every layer it times."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("dynamics", "vib_energy_times = 50 au\n"),
+        ("sweep", "\n[sweep]\nkappa = 0.006, 0.01\n"),
+    ], ids=["dynamics", "sweep"])
+    def test_every_expected_span_fires(self, tmp_path, command, extra):
+        common, per_command = _benchmark_spans()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL + extra)
+        spans_path = tmp_path / "spans.json"
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        result = subprocess.run(
+            [sys.executable, os.path.join(REPO, "perfbench", "child.py"), "trace",
+             str(spans_path), command, "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        with open(spans_path, encoding="utf-8") as handle:
+            fired = {span["name"] for span in json.load(handle)}
+        assert set(common + per_command[command]) - fired == set()

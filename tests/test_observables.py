@@ -214,10 +214,20 @@ class TestReactionYield:
 
 
 class TestLeakage:
+    def test_complete_leakage_leaves_no_normalized_yield(self):
+        spec = fig3_spec(sigma=0.01)
+        bins, ham, traj = photonic_run(spec, 2, 6, 10.0)
+        traj.norms2[3:] = 0.0  # the state gone from the fourth grid time on
+        record = pb.populations(traj)
+        with pytest.raises(ZeroPopulationError, match=f"by t = {traj.times[3]:.6g} au"):
+            record.normalized(record.p_e1_total)
+        with pytest.raises(ZeroPopulationError, match="leaked completely"):
+            pb.reaction_yield(record)
+
     def test_matches_norm_deficit(self):
         spec = fig3_spec(sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 6, 100.0)
-        gamma = pb.leakage(traj)
+        gamma = pb.populations(traj).gamma
         np.testing.assert_allclose(gamma, 1.0 - traj.norms2, atol=0)
         assert gamma[0] == pytest.approx(0.0, abs=1e-12)
 
