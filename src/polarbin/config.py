@@ -17,7 +17,7 @@ from importlib import resources
 from .errors import ConfigError
 from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import ModelSpec, bin_count_rule, time_to_au
-from .propagator import INITIAL_STATE_NAMES, check_tolerance
+from .propagator import DEFAULT_TOLERANCE, INITIAL_STATE_NAMES, check_tolerance
 
 # one key per ModelSpec field; None marks a required key. omega_c defaults
 # to "resonant", which means omega0 + omega_nu
@@ -32,7 +32,7 @@ RUN_KEYS = {
     "n_bins": "auto",
     "n_vib": "60",
     "dt_record": "1.0",
-    "tolerance": "1e-9",
+    "tolerance": repr(DEFAULT_TOLERANCE),
     "initial_state": "photonic",
     "vib_energy_times": "",
 }

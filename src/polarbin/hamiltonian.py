@@ -56,21 +56,19 @@ class EffectiveHamiltonian:
     """Assembled sparse Hamiltonian with its basis layout."""
 
     matrix: sp.csr_matrix
-    layout: object
+    layout: BasisLayout
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
     def hermiticity_defect(self) -> float:
-        """Max |H - H'| over all entries except the lossy photon diagonal."""
+        """Max |H - H'| over all entries except the lossy photon-block diagonal."""
         defect = (self.matrix - self.matrix.conjugate().transpose()).tocoo()
-        mask = ~((defect.row == 0) & (defect.col == 0))
+        mask = ~((defect.row == defect.col) & (defect.row < self.layout.photon_dim))
         if not mask.any():
             return 0.0
         return float(np.abs(defect.data[mask]).max())
-
-
 
 
 def check_dimension(dimension: int, cap: int) -> None:
@@ -125,16 +123,18 @@ def build_effective_hamiltonian(
     offsets = np.array([0.0, spec.delta2])[local_rows[diagonal] // n_vib]
     shift = bins.centers[:, None] + offsets
     values[:, diagonal] = shift + values[:, diagonal]
-    starts = 1 + n_vib * np.arange(nb)[:, None]  # reactant level 0 of each bin
+    bin_index = np.arange(nb)
+    starts = layout.index(0, bin_index, 0)  # reactant level 0 of each bin
 
     def place(local):
-        # a bin's product levels sit (nb - 1) * n_vib further down than in K
-        return (starts + local + (local // n_vib) * (nb - 1) * n_vib).ravel()
+        # K's local index (surface * n_vib + level), laid out in every bin
+        surface, level = np.divmod(local, n_vib)
+        return layout.index(surface, bin_index[:, None], level).ravel()
 
-    photon = np.zeros(nb, dtype=int)
+    photon = np.full(nb, layout.PHOTON)
     fc_coupling = spec.coupling * np.sqrt(bins.weights)
-    rows = np.concatenate(([layout.PHOTON], photon, starts.ravel(), place(local_rows)))
-    cols = np.concatenate(([layout.PHOTON], starts.ravel(), photon, place(local_cols)))
+    rows = np.concatenate(([layout.PHOTON], photon, starts, place(local_rows)))
+    cols = np.concatenate(([layout.PHOTON], starts, photon, place(local_cols)))
     vals = np.concatenate(([spec.omega_c - 0.5j * spec.kappa], fc_coupling,
                            fc_coupling, values.ravel()))
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dimension,) * 2)

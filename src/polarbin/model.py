@@ -163,57 +163,74 @@ def discretize_disorder(spec: ModelSpec, n_bins: int) -> BinSet:
 
 
 class BasisLayout:
-    """Flat indexing of the effective Hilbert space.
+    """Flat indexing of the state vector, shared by every engine.
 
-    Index 0 is the photon state (which carries the shared ground
-    vibrational wavefunction); then one reactant block per bin, then one
-    product block per bin; inside a block, vibrational levels are
-    contiguous. photon_dim, vib_dim and block_bins (the bin of each
-    block) describe the same blocks to the layout-independent population
-    reduction.
+    A photon block of photon_dim states comes first, then one reactant
+    (surface 0, 'e1') block per vibrational coordinate, then one product
+    (surface 1, 'e2') block per coordinate; each excited block holds
+    vib_dim contiguous states, and block_bins names the bin of each
+    coordinate. The binned model has one photon state (carrying the shared
+    ground vibrational wavefunction) and one coordinate of n_vib levels
+    per bin; the reference engines' ExplicitLayout sets other sizes.
     """
 
     PHOTON = 0
-    photon_dim = 1
+    SURFACES = ("e1", "e2")
 
     def __init__(self, n_bins: int, n_vib: int):
         if n_bins < 1 or n_vib < 2:
             raise ConfigError("need n_bins >= 1 and n_vib >= 2")
         self.n_bins = n_bins
         self.n_vib = n_vib
+        self.photon_dim = 1
+        self.n_coords = n_bins
         self.vib_dim = n_vib
         self.block_bins = np.arange(n_bins)
-        self.dimension = 1 + 2 * n_bins * n_vib
 
-    def e1(self, bin_index: int, level: int) -> int:
-        self._check(bin_index, level)
-        return 1 + bin_index * self.n_vib + level
+    @property
+    def dimension(self) -> int:
+        return self.photon_dim + 2 * self.n_coords * self.vib_dim
 
-    def e2(self, bin_index: int, level: int) -> int:
-        self._check(bin_index, level)
-        return 1 + (self.n_bins + bin_index) * self.n_vib + level
+    def index(self, surface, coordinate, level):
+        """Flat index of a level of a coordinate on surface 0 (e1) or 1 (e2).
 
-    def e1_slice(self, bin_index: int) -> slice:
-        start = self.e1(bin_index, 0)
-        return slice(start, start + self.n_vib)
+        Unchecked, and elementwise over arrays.
+        """
+        return self.photon_dim + (surface * self.n_coords + coordinate) * self.vib_dim + level
 
-    def e2_slice(self, bin_index: int) -> slice:
-        start = self.e2(bin_index, 0)
-        return slice(start, start + self.n_vib)
+    def blocks(self, vector: np.ndarray):
+        """(photon block, excited blocks as a (2, n_coords, vib_dim) view)."""
+        return (vector[: self.photon_dim],
+                vector[self.photon_dim :].reshape(2, self.n_coords, self.vib_dim))
+
+    def e1(self, coordinate: int, level: int) -> int:
+        self._check(coordinate, level)
+        return self.index(0, coordinate, level)
+
+    def e2(self, coordinate: int, level: int) -> int:
+        self._check(coordinate, level)
+        return self.index(1, coordinate, level)
+
+    def e1_slice(self, coordinate: int) -> slice:
+        start = self.e1(coordinate, 0)
+        return slice(start, start + self.vib_dim)
+
+    def e2_slice(self, coordinate: int) -> slice:
+        start = self.e2(coordinate, 0)
+        return slice(start, start + self.vib_dim)
 
     def describe(self, flat: int):
-        """Inverse map: flat index -> ('photon',) or (surface, bin, level)."""
+        """Inverse map: flat index -> ('photon',) or (surface, coordinate, level)."""
         if not 0 <= flat < self.dimension:
             raise IndexError(f"flat index {flat} out of range")
-        if flat == self.PHOTON:
+        if flat < self.photon_dim:
             return ("photon",)
-        block, level = divmod(flat - 1, self.n_vib)
-        if block < self.n_bins:
-            return ("e1", block, level)
-        return ("e2", block - self.n_bins, level)
+        surface, coordinate, level = np.unravel_index(
+            flat - self.photon_dim, (2, self.n_coords, self.vib_dim))
+        return (self.SURFACES[surface], int(coordinate), int(level))
 
-    def _check(self, bin_index: int, level: int) -> None:
-        if not 0 <= bin_index < self.n_bins:
-            raise IndexError(f"bin index {bin_index} out of range")
-        if not 0 <= level < self.n_vib:
+    def _check(self, coordinate: int, level: int) -> None:
+        if not 0 <= coordinate < self.n_coords:
+            raise IndexError(f"coordinate {coordinate} out of range")
+        if not 0 <= level < self.vib_dim:
             raise IndexError(f"vibrational level {level} out of range")

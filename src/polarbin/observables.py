@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # the propagator records through state_populations
 
 OMEGA_GRID_STEP = 1e-4
 MAX_OMEGA_POINTS = 1_000_000
+PHOTONIC_START_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,16 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     A(w) = kappa*Re[C~(w)] - kappa^2/2 |C~(w)|^2 with C~ the finite-time
     Fourier transform of <psi(0)|psi(t)>, evaluated by trapezoidal
     quadrature on the recorded grid with plain truncation (no window).
+    The recorded t = 0 state must be the photonic state up to a phase:
+    its photon population and its squared norm both one to within
+    PHOTONIC_START_TOLERANCE, or InitialStateError is raised.
     """
-    if traj.initial_state_label != "photonic":
+    photon0, norm0 = abs(traj.photon_amp[0]) ** 2, traj.norms2[0]
+    if not (abs(photon0 - 1.0) <= PHOTONIC_START_TOLERANCE
+            and abs(norm0 - 1.0) <= PHOTONIC_START_TOLERANCE):
         raise InitialStateError(
             "absorption requires a trajectory started from the photonic state, "
-            f"got {traj.initial_state_label!r}"
+            f"got |a0(0)|^2 = {photon0!r} and |psi(0)|^2 = {norm0!r}"
         )
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or np.any(np.diff(omega_grid) <= 0):
@@ -91,19 +97,17 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
 def state_populations(psi: np.ndarray, layout: BasisLayout):
     """Per-bin reactant/product populations and photon population of one state.
 
-    Works for every basis layout: a photon block of layout.photon_dim
-    states, then one reactant and then one product block per coordinate,
-    each of layout.vib_dim contiguous states. Block sums go to the bins
-    named by layout.block_bins: the identity for the binned layout, the
-    molecule-to-bin map for an explicit ensemble.
+    Works for every basis layout: the photon block and the excited blocks
+    of layout.blocks. Block sums go to the bins named by layout.block_bins:
+    the identity for the binned layout, the molecule-to-bin map for an
+    explicit ensemble.
     """
-    density = np.abs(psi) ** 2
-    per_block = density[layout.photon_dim:].reshape(2, -1, layout.vib_dim).sum(axis=2)
+    photon, excited = layout.blocks(np.abs(psi) ** 2)
     p_e1, p_e2 = (
         np.bincount(layout.block_bins, weights, minlength=layout.n_bins)
-        for weights in per_block
+        for weights in excited.sum(axis=2)
     )
-    return p_e1, p_e2, float(density[: layout.photon_dim].sum())
+    return p_e1, p_e2, float(photon.sum())
 
 
 @dataclass(frozen=True)

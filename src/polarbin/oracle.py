@@ -17,9 +17,9 @@ test differs only in Hamiltonian assembly.
 :func:`propagate_eom` is an independent integrator for the binned model
 itself: it solves the amplitude equations of motion in the displaced
 vibrational eigenbasis with an adaptive explicit Runge-Kutta method and
-records through the same recorder as :func:`propagate`. Both represent
-the identical truncated model, so any disagreement beyond integrator
-tolerances is a bug.
+returns the same :class:`~polarbin.propagator.Trajectory` as
+:func:`propagate`. Both represent the identical truncated model, so any
+disagreement beyond integrator tolerances is a bug.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .observables import populations
 from .propagator import (
     DEFAULT_TOLERANCE,
     Trajectory,
-    _Recorder,
     check_tolerance,
     make_initial_state,
     propagate,
@@ -97,39 +96,25 @@ class ExplicitEnsemble:
                    coupling=coupling)
 
 
-class ExplicitLayout:
+class ExplicitLayout(BasisLayout):
     """Basis of the tensor-product reference Hamiltonians.
 
-    Blocks: photon, then one reactant and then one product block per
-    vibrational coordinate, each spanning all n_vib**n_coords vibrational
-    configurations in row-major order. The explicit ensemble has one
-    coordinate per molecule and a photon block as large as an excited
-    one; the multi-coordinate form has one coordinate per bin and a
-    one-state photon block (ground-state molecules stay in the shared
-    ground vibrational wavefunction). block_bins maps coordinates to bins.
+    The blocks of BasisLayout, each excited block spanning all
+    n_vib**n_coords vibrational configurations in row-major order. The
+    explicit ensemble has one coordinate per molecule and a photon block
+    as large as an excited one; the multi-coordinate form has one
+    coordinate per bin and a one-state photon block (ground-state
+    molecules stay in the shared ground vibrational wavefunction).
+    block_bins maps coordinates to bins.
     """
-
-    PHOTON = 0
 
     def __init__(self, block_bins, n_bins: int, n_vib: int, photon_dim: int):
         self.block_bins = np.asarray(block_bins)
         self.n_bins = n_bins
-        self.n_coords = len(self.block_bins)
         self.n_vib = n_vib
-        self.vib_dim = n_vib**self.n_coords
         self.photon_dim = photon_dim
-        self.dimension = photon_dim + 2 * self.n_coords * self.vib_dim
-
-    def photon_slice(self) -> slice:
-        return slice(0, self.photon_dim)
-
-    def e1_slice(self, coordinate: int) -> slice:
-        start = self.photon_dim + coordinate * self.vib_dim
-        return slice(start, start + self.vib_dim)
-
-    def e2_slice(self, coordinate: int) -> slice:
-        start = self.photon_dim + (self.n_coords + coordinate) * self.vib_dim
-        return slice(start, start + self.vib_dim)
+        self.n_coords = len(self.block_bins)
+        self.vib_dim = n_vib**self.n_coords
 
 
 def _embed(op, coordinate: int, n_coords: int, n_vib: int):
@@ -257,7 +242,7 @@ def _compare(label, reference, spec, bins, n_vib, dt_record, t_final, tolerance,
     for ham in (reference, build_effective_hamiltonian(spec, bins, n_vib)):
         traj = propagate(
             ham, make_initial_state(initial_state, ham.layout, bins),
-            dt_record, t_final, tolerance, initial_state_label=initial_state,
+            dt_record, t_final, tolerance,
         )
         records.append((populations(traj), traj.autocorr))
     (ref, c_ref), (eff, c_eff) = records
@@ -332,39 +317,34 @@ class _EigenbasisModel:
 
     def __init__(self, spec: ModelSpec, bins: BinSet, n_vib: int):
         self.spec = spec
-        self.bins = bins
         self.layout = BasisLayout(bins.n_bins, n_vib)
-        lam1, u1 = np.linalg.eigh(displaced_number_operator(spec.s1, n_vib))
-        lam2, u2 = np.linalg.eigh(displaced_number_operator(spec.s2, n_vib))
-        self.lam1, self.u1 = lam1, u1
-        self.lam2, self.u2 = lam2, u2
-        self.fc_row = u1[0, :].copy()
-        self.overlap = u1.T @ u2
+        lam1, self.u1 = np.linalg.eigh(displaced_number_operator(spec.s1, n_vib))
+        lam2, self.u2 = np.linalg.eigh(displaced_number_operator(spec.s2, n_vib))
+        self.fc_row = self.u1[0, :].copy()
+        self.overlap = self.u1.T @ self.u2
         self.sqrt_w = np.sqrt(bins.weights)
         self.e1_freq = bins.centers[:, None] + spec.omega_nu * lam1[None, :]
         self.e2_freq = bins.centers[:, None] + spec.delta2 + spec.omega_nu * lam2[None, :]
 
-    def to_eigen(self, psi: np.ndarray):
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        a0 = psi[0]
-        blocks = psi[1:].reshape(2 * nb, nv)
-        a1 = blocks[:nb] @ self.u1
-        a2 = blocks[nb:] @ self.u2
-        return a0, a1, a2
+    def to_eigen(self, psi: np.ndarray) -> np.ndarray:
+        return self._rotate(psi, self.u1, self.u2)
 
-    def to_fock(self, a0, a1, a2) -> np.ndarray:
-        psi = np.empty(self.layout.dimension, dtype=complex)
-        psi[0] = a0
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        psi[1 : 1 + nb * nv] = (a1 @ self.u1.T).ravel()
-        psi[1 + nb * nv :] = (a2 @ self.u2.T).ravel()
-        return psi
+    def to_fock(self, y: np.ndarray) -> np.ndarray:
+        return self._rotate(y, self.u1.T, self.u2.T)
+
+    def _rotate(self, vector, r1, r2) -> np.ndarray:
+        """vector, laid out as layout.blocks reads it, with its reactant blocks
+        times r1 and its product blocks times r2."""
+        photon, (e1, e2) = self.layout.blocks(vector)
+        out = np.empty(self.layout.dimension, dtype=complex)
+        out_photon, out_excited = self.layout.blocks(out)
+        out_photon[:] = photon
+        out_excited[0] = e1 @ r1
+        out_excited[1] = e2 @ r2
+        return out
 
     def rhs(self, _t, y):
-        nb, nv = self.layout.n_bins, self.layout.n_vib
-        a0 = y[0]
-        a1 = y[1 : 1 + nb * nv].reshape(nb, nv)
-        a2 = y[1 + nb * nv :].reshape(nb, nv)
+        (a0,), (a1, a2) = self.layout.blocks(y)
         g = self.spec.coupling
         d0 = (self.spec.omega_c - 0.5j * self.spec.kappa) * a0 + g * (
             self.sqrt_w @ (a1 @ self.fc_row)
@@ -375,7 +355,10 @@ class _EigenbasisModel:
             + self.spec.v12 * (a2 @ self.overlap.T)
         )
         d2 = self.e2_freq * a2 + self.spec.v12 * (a1 @ self.overlap)
-        return -1j * np.concatenate(([d0], d1.ravel(), d2.ravel()))
+        dy = np.empty_like(y)
+        dy_photon, dy_excited = self.layout.blocks(dy)
+        dy_photon[0], dy_excited[0], dy_excited[1] = d0, d1, d2
+        return -1j * dy
 
 
 def propagate_eom(
@@ -387,7 +370,6 @@ def propagate_eom(
     t_final: float,
     tolerance: float = DEFAULT_TOLERANCE,
     state_times=(),
-    initial_state_label: str = "custom",
 ) -> Trajectory:
     """Evolve psi0 by integrating the amplitude equations of motion.
 
@@ -403,11 +385,9 @@ def propagate_eom(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.layout.dimension,):
         raise ConfigError("initial state dimension does not match model")
-    recorder = _Recorder(psi0, model.layout, dt_record, t_final, state_times)
-
-    a0, a1, a2 = model.to_eigen(psi0)
-    y0 = np.concatenate(([a0], a1.ravel(), a2.ravel()))
-    if recorder.n_steps == 0:
+    traj = Trajectory(psi0, model.layout, dt_record, t_final, state_times)
+    y0 = model.to_eigen(psi0)
+    if len(traj.times) == 1:
         ys = y0[:, None]
     else:
         rtol = max(1e-13, 0.01 * tolerance)
@@ -416,7 +396,7 @@ def propagate_eom(
             (0.0, t_final),
             y0,
             method="DOP853",
-            t_eval=recorder.times,
+            t_eval=traj.times,
             rtol=rtol,
             atol=rtol,
         )
@@ -425,11 +405,6 @@ def propagate_eom(
         ys = sol.y
     if not np.isfinite(ys).all():
         raise PropagationError("non-finite amplitudes in EoM integration")
-
-    nb, nv = model.layout.n_bins, model.layout.n_vib
-    for k, col in enumerate(ys.T):
-        psi = model.to_fock(
-            col[0], col[1 : 1 + nb * nv].reshape(nb, nv), col[1 + nb * nv :].reshape(nb, nv)
-        )
-        recorder.record(k, psi)
-    return recorder.trajectory(psi, initial_state_label)
+    for k, y in enumerate(ys.T):
+        traj.record(k, model.to_fock(y))
+    return traj

@@ -12,7 +12,7 @@ Observables (autocorrelation, norm, photon amplitude
 and per-bin populations) are recorded at every grid step while the state
 is propagated; full states are kept only at the times a caller asks for
 and at the end. The independent cross-validation engine,
-:func:`polarbin.oracle.propagate_eom`, fills the same recorder.
+:func:`polarbin.oracle.propagate_eom`, returns the same :class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import functools
 import glob
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -70,32 +69,6 @@ _OPENBLAS_THREAD_CONTROLS = (
 )
 
 
-@dataclass
-class Trajectory:
-    """Observables recorded on a uniform time grid.
-
-    autocorr holds <psi(0)|psi(t_k)>, norms2 the squared norm (decaying
-    when the cavity is lossy), photon_amp the bare photon amplitude;
-    p_e1/p_e2 (n_times, n_bins) and photon are the populations of
-    state_populations at every grid time. states holds one full state per
-    requested time, taken at the grid time state_times nearest to it.
-    """
-
-    times: np.ndarray
-    autocorr: np.ndarray
-    norms2: np.ndarray
-    photon_amp: np.ndarray
-    p_e1: np.ndarray
-    p_e2: np.ndarray
-    photon: np.ndarray
-    state_times: np.ndarray
-    states: np.ndarray
-    final_state: np.ndarray
-    initial_state: np.ndarray
-    initial_state_label: str
-    dt_record: float
-
-
 def photonic_state(layout: BasisLayout) -> np.ndarray:
     """One photon, every molecule in its vibrational ground state."""
     psi = np.zeros(layout.dimension, dtype=complex)
@@ -106,8 +79,7 @@ def photonic_state(layout: BasisLayout) -> np.ndarray:
 def bright_state(layout: BasisLayout, bins: BinSet) -> np.ndarray:
     """In-phase superposition sqrt(P_i)|e1,i> at the ground vibrational level."""
     psi = np.zeros(layout.dimension, dtype=complex)
-    for i in range(bins.n_bins):
-        psi[layout.e1_slice(i).start] = math.sqrt(bins.weights[i])
+    psi[layout.index(0, np.arange(bins.n_bins), 0)] = np.sqrt(bins.weights)
     return psi
 
 
@@ -152,20 +124,23 @@ def check_tolerance(tolerance: float) -> None:
         raise ConfigError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
 
 
-class _Recorder:
-    """Observables of every grid step, full states only where asked.
+class Trajectory:
+    """Observables recorded on a uniform time grid while a state is propagated.
 
-    A requested time keeps the state of the nearest grid step (the first
-    on a tie).
+    autocorr holds <psi(0)|psi(t_k)>, norms2 the squared norm (decaying
+    when the cavity is lossy), photon_amp the bare photon amplitude;
+    p_e1/p_e2 (n_times, n_bins) and photon are the populations of
+    state_populations at every grid time. states holds one full state per
+    requested time, taken at the grid time state_times nearest to it (the
+    first on a tie); final_state is the last state recorded. The
+    constructor allocates every array and record fills one grid step.
     """
 
-    def __init__(self, psi0, layout, dt_record: float, t_final: float, state_times=()):
-        self.n_steps = _resolve_grid(dt_record, t_final)
-        self.times = np.arange(self.n_steps + 1) * dt_record
+    def __init__(self, psi0, layout: BasisLayout, dt_record: float, t_final: float,
+                 state_times=()):
+        n_t = _resolve_grid(dt_record, t_final) + 1
+        self.times = np.arange(n_t) * dt_record
         self.dt_record = dt_record
-        self.psi0 = psi0
-        self.layout = layout
-        n_t = self.n_steps + 1
         self.autocorr = np.empty(n_t, dtype=complex)
         self.norms2 = np.empty(n_t)
         self.photon_amp = np.empty(n_t, dtype=complex)
@@ -175,34 +150,22 @@ class _Recorder:
         state_times = np.asarray(state_times, dtype=float)
         if not np.isfinite(state_times).all():
             raise ConfigError("state_times must be finite")
-        self.state_steps = np.array(
+        self._state_steps = np.array(
             [int(np.argmin(np.abs(self.times - t))) for t in state_times], dtype=int
         )
-        self.states = np.empty((len(self.state_steps), layout.dimension), dtype=complex)
+        self.state_times = self.times[self._state_steps]
+        self.states = np.empty((len(self._state_steps), layout.dimension), dtype=complex)
+        self.final_state = None
+        self._psi0 = psi0
+        self._layout = layout
 
     def record(self, k: int, psi: np.ndarray) -> None:
-        self.autocorr[k] = np.vdot(self.psi0, psi)
+        self.autocorr[k] = np.vdot(self._psi0, psi)
         self.norms2[k] = np.vdot(psi, psi).real
-        self.photon_amp[k] = psi[0]
-        self.p_e1[k], self.p_e2[k], self.photon[k] = state_populations(psi, self.layout)
-        self.states[self.state_steps == k] = psi
-
-    def trajectory(self, final_state: np.ndarray, initial_state_label: str) -> Trajectory:
-        return Trajectory(
-            times=self.times,
-            autocorr=self.autocorr,
-            norms2=self.norms2,
-            photon_amp=self.photon_amp,
-            p_e1=self.p_e1,
-            p_e2=self.p_e2,
-            photon=self.photon,
-            state_times=self.times[self.state_steps],
-            states=self.states,
-            final_state=final_state,
-            initial_state=self.psi0,
-            initial_state_label=initial_state_label,
-            dt_record=self.dt_record,
-        )
+        self.photon_amp[k] = psi[self._layout.PHOTON]
+        self.p_e1[k], self.p_e2[k], self.photon[k] = state_populations(psi, self._layout)
+        self.states[self._state_steps == k] = psi
+        self.final_state = psi
 
 
 def _check_budget(budget: float) -> None:
@@ -487,7 +450,6 @@ def propagate(
     t_final: float,
     tolerance: float = DEFAULT_TOLERANCE,
     state_times=(),
-    initial_state_label: str = "custom",
 ) -> Trajectory:
     """Evolve psi0 under the assembled Hamiltonian, recording every dt_record.
 
@@ -496,23 +458,23 @@ def propagate(
     The steps are Chebyshev steps planned once from the matrix, dt_record
     and the step budget, with Krylov steps where that plan is refused
     (see _ChebyshevStepper.plan). Full states are kept at the grid times
-    nearest to `state_times` and at the end. Each step's norm is checked
-    before its observables are recorded: a norm that is not finite, or
-    grows beyond the tolerance and rounding, which the lossy generator
-    cannot do, raises PropagationError. So does a matrix entry that is not
-    finite.
+    nearest to `state_times` and at the end. Each step's recorded norm is
+    checked: a norm that is not finite, or grows beyond the tolerance and
+    rounding, which the lossy generator cannot do, raises PropagationError
+    and discards the trajectory. So does a matrix entry that is not finite.
     """
     check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (ham.dimension,):
         raise ConfigError("initial state dimension does not match Hamiltonian")
-    recorder = _Recorder(psi0, ham.layout, dt_record, t_final, state_times)
+    traj = Trajectory(psi0, ham.layout, dt_record, t_final, state_times)
+    n_steps = len(traj.times) - 1
     psi = psi0.copy()
-    recorder.record(0, psi)
-    if recorder.n_steps == 0:
-        return recorder.trajectory(psi, initial_state_label)
-    budget = tolerance / recorder.n_steps
-    norm0 = math.sqrt(recorder.norms2[0])
+    traj.record(0, psi)
+    if n_steps == 0:
+        return traj
+    budget = tolerance / n_steps
+    norm0 = math.sqrt(traj.norms2[0])
     # norms never grow, so a plan for norm0 bounds every step
     chebyshev = _ChebyshevStepper.plan(ham.matrix, dt_record, budget, norm0)
     if chebyshev is not None:
@@ -522,10 +484,11 @@ def propagate(
     # an out-of-range model overflows inside a step; the checks below and
     # the steppers' own report it, not numpy warnings
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, recorder.n_steps + 1):
+        for k in range(1, n_steps + 1):
             psi = step(psi)
+            traj.record(k, psi)
             t = k * dt_record
-            norm2 = np.vdot(psi, psi).real
+            norm2 = traj.norms2[k]
             if not math.isfinite(norm2):
                 if np.isfinite(psi).all():
                     raise PropagationError(
@@ -541,5 +504,4 @@ def propagate(
                     f"state norm {norm:.6g} at step {k} (t = {t}) exceeds "
                     f"its initial {norm0:.6g}; the model is out of numerical range"
                 )
-            recorder.record(k, psi)
-    return recorder.trajectory(psi, initial_state_label)
+    return traj

@@ -55,10 +55,12 @@ def write_csv(path, columns: dict) -> None:
 
 
 def write_manifest(cfg: RunConfig, out_dir) -> str:
+    # formatting resolves the configuration: a refused one leaves no directory
+    text = cfg.manifest_text(__version__)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.cfg")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(cfg.manifest_text(__version__))
+        handle.write(text)
     return path
 
 
@@ -66,10 +68,8 @@ def _propagate_point(point: RunConfig):
     bins = discretize_disorder(point.spec, point.n_bins)
     ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
     psi0 = make_initial_state(point.initial_state, ham.layout, bins)
-    traj = propagate(
-        ham, psi0, point.dt_record, point.t_final, point.tolerance,
-        state_times=point.vib_energy_times, initial_state_label=point.initial_state,
-    )
+    traj = propagate(ham, psi0, point.dt_record, point.t_final, point.tolerance,
+                     state_times=point.vib_energy_times)
     return bins, ham, traj
 
 

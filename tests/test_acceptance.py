@@ -66,8 +66,7 @@ def test_criterion_01_jaynes_cummings_exactness():
     bins = pb.discretize_disorder(spec, 1)
     ham = pb.build_effective_hamiltonian(spec, bins, 2)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9,
-                        initial_state_label="photonic")
+                        1e-9)
     pop_err = np.abs(
         np.abs(traj.photon_amp) ** 2 - np.cos(0.03 * traj.times) ** 2
     ).max()
@@ -76,8 +75,7 @@ def test_criterion_01_jaynes_cummings_exactness():
     lossy = replace(spec, kappa=0.006)
     ham_l = pb.build_effective_hamiltonian(lossy, bins, 2)
     traj_l = pb.propagate(ham_l, pb.photonic_state(ham_l.layout), dt, t_final,
-                          1e-9,
-                          initial_state_label="photonic")
+                          1e-9)
     spectrum = pb.absorption(traj_l, lossy.kappa, pb.default_omega_grid(lossy))
     lo, hi = top_two_peak_positions(spectrum)
     peak_err = max(abs(lo - 0.07), abs(hi - 0.13))
@@ -96,8 +94,7 @@ def test_criterion_02_empty_cavity_null():
     bins = pb.discretize_disorder(spec, 1)
     ham = pb.build_effective_hamiltonian(spec, bins, 2)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9,
-                        initial_state_label="photonic")
+                        1e-9)
     spectrum = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
     worst = np.abs(spectrum.values).max()
     elapsed = time.time() - start
@@ -113,10 +110,8 @@ def test_criterion_03_dual_path_equivalence():
     bins = pb.discretize_disorder(spec, 4)
     ham = pb.build_effective_hamiltonian(spec, bins, 20)
     psi0 = pb.photonic_state(ham.layout)
-    a = pb.propagate(ham, psi0, dt, t_final, 1e-9,
-                     initial_state_label="photonic")
-    b = pb.propagate_eom(spec, bins, 20, psi0, dt, t_final, 1e-9,
-                         initial_state_label="photonic")
+    a = pb.propagate(ham, psi0, dt, t_final, 1e-9)
+    b = pb.propagate_eom(spec, bins, 20, psi0, dt, t_final, 1e-9)
     ra, rb = populations(a), populations(b)
     dev = max(np.abs(ra.p_e1 - rb.p_e1).max(), np.abs(ra.p_e2 - rb.p_e2).max())
     elapsed = time.time() - start
@@ -166,8 +161,7 @@ def test_criterion_06_bin_count_rule():
         bins = pb.discretize_disorder(spec, n_bins)
         ham = pb.build_effective_hamiltonian(spec, bins, 60)
         traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                            1e-9,
-                            initial_state_label="photonic")
+                            1e-9)
         e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
         ratios[n_bins] = e2.sum() / e1.sum()
     rel_double = abs(ratios[2 * rule] - ratios[rule]) / ratios[rule]
@@ -186,8 +180,7 @@ def _production_spectrum(sigma):
     bins = pb.discretize_disorder(spec, pb.bin_count_rule(sigma, t_final))
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9,
-                        initial_state_label="photonic")
+                        1e-9)
     return pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
 
 
@@ -222,7 +215,7 @@ def _bright_yield(sigma, coupling):
     )
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), dt, t_final,
-                        1e-9, initial_state_label="bright")
+                        1e-9)
     _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
     return e2.sum()
 
@@ -250,8 +243,7 @@ def test_criterion_09_narrowband_asymmetry():
     yields = {}
     for name in ("upper_polariton", "lower_polariton"):
         psi0 = pb.make_initial_state(name, ham.layout, bins)
-        traj = pb.propagate(ham, psi0, dt, t_final, 1e-9,
-                            initial_state_label=name)
+        traj = pb.propagate(ham, psi0, dt, t_final, 1e-9)
         e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
         yields[name] = (e1, e2)
     e1_up, e2_up = yields["upper_polariton"]
@@ -276,8 +268,7 @@ def test_criterion_10_vibrational_energy_gradient():
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     dt, t_final = grid(5, 207)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9,
-                        initial_state_label="photonic")
+                        1e-9)
     energies = np.array([
         pb.vibrational_energy(traj.final_state, ham.layout, spec, i)
         for i in range(n_bins)

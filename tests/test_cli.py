@@ -510,6 +510,18 @@ class TestLoadTimeRejection:
         assert "dt_record must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [
+        ("run.n_bins=100000",),
+        ("model.sigma=1e5",),
+        ("run.t_final=0 fs", "run.vib_energy_times="),
+    ], ids=["n_bins", "sigma", "t_final"])
+    def test_refused_at_resolution_leaves_no_output(self, tmp_path, overrides):
+        # an empty manifest.cfg used to be left behind: the file was opened
+        # before the configuration was resolved
+        code, out = self._figs4(tmp_path, *overrides)
+        assert code == 1
+        assert not out.exists()
+
     def test_snapshot_stride_is_an_unknown_key(self, tmp_path, capsys):
         # manifests written while full states were stored carry this key
         code, out = self._figs4(tmp_path, "run.snapshot_stride=1")

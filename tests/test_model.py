@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import polarbin as pb
 from polarbin.errors import ConfigError, DegenerateDistributionError
+from polarbin.oracle import ExplicitLayout
 
 from conftest import fig3_spec
 
@@ -175,17 +176,31 @@ class TestBasisLayout:
         assert layout.e2(0, 0) == 9
         assert layout.e2(1, 3) == 16
 
-    @pytest.mark.parametrize("n_bins,n_vib", [(1, 2), (2, 5), (4, 9)])
-    def test_describe_is_inverse(self, n_bins, n_vib):
-        layout = pb.BasisLayout(n_bins, n_vib)
+    @pytest.mark.parametrize("layout", [
+        pytest.param(pb.BasisLayout(1, 2), id="1-2"),
+        pytest.param(pb.BasisLayout(2, 5), id="2-5"),
+        pytest.param(pb.BasisLayout(4, 9), id="4-9"),
+        pytest.param(ExplicitLayout([0, 0, 1, 1], 2, 3, 3**4), id="explicit"),
+    ])
+    def test_describe_is_inverse(self, layout):
         for flat in range(layout.dimension):
             desc = layout.describe(flat)
             if desc == ("photon",):
-                assert flat == layout.PHOTON
+                assert flat < layout.photon_dim
             else:
                 kind, i, n = desc
                 back = layout.e1(i, n) if kind == "e1" else layout.e2(i, n)
                 assert back == flat
+
+    @pytest.mark.parametrize("layout", [
+        pb.BasisLayout(3, 4), ExplicitLayout([0, 0, 1, 1], 2, 3, 3**4),
+    ], ids=["binned", "explicit"])
+    def test_blocks_and_index_agree(self, layout):
+        # each entry of a flat arange is its own index
+        photon, excited = layout.blocks(np.arange(layout.dimension))
+        np.testing.assert_array_equal(photon, np.arange(layout.photon_dim))
+        surface, coordinate, level = np.indices(excited.shape)
+        np.testing.assert_array_equal(excited, layout.index(surface, coordinate, level))
 
     def test_out_of_range(self):
         layout = pb.BasisLayout(2, 3)

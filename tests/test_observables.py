@@ -20,7 +20,6 @@ def photonic_run(spec, n_bins, n_vib, t_final, dt=1.0):
     ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
     traj = pb.propagate(
         ham, pb.photonic_state(ham.layout), dt, t_final, 1e-9,
-        initial_state_label="photonic",
     )
     return bins, ham, traj
 
@@ -31,7 +30,28 @@ class TestAbsorption:
         bins = pb.discretize_disorder(spec, 1)
         ham = pb.build_effective_hamiltonian(spec, bins, 4)
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 10.0,
-                            1e-9, initial_state_label="bright")
+                            1e-9)
+        with pytest.raises(InitialStateError):
+            pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
+
+    @pytest.mark.parametrize("phase", [1.0, 1j])
+    def test_accepts_photonic_start_up_to_a_phase(self, phase):
+        # no label: the recorded t = 0 state is what is checked
+        spec = fig3_spec(sigma=0.0)
+        bins = pb.discretize_disorder(spec, 1)
+        ham = pb.build_effective_hamiltonian(spec, bins, 4)
+        traj = pb.propagate(ham, phase * pb.photonic_state(ham.layout), 1.0, 10.0, 1e-9)
+        spectrum = pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
+        assert np.isfinite(spectrum.values).all()
+
+    @pytest.mark.parametrize("start", ["upper_polariton", "twice_photonic"])
+    def test_refuses_other_starts(self, start):
+        spec = fig3_spec(sigma=0.0)
+        bins = pb.discretize_disorder(spec, 1)
+        ham = pb.build_effective_hamiltonian(spec, bins, 4)
+        psi0 = (2.0 * pb.photonic_state(ham.layout) if start == "twice_photonic"
+                else pb.make_initial_state(start, ham.layout, bins))
+        traj = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9)
         with pytest.raises(InitialStateError):
             pb.absorption(traj, spec.kappa, pb.default_omega_grid(spec))
 
@@ -97,7 +117,7 @@ class TestPopulations:
         bins = pb.discretize_disorder(spec, 3)
         ham = pb.build_effective_hamiltonian(spec, bins, 5)
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 5.0,
-                            1e-9, initial_state_label="bright")
+                            1e-9)
         record = pb.populations(traj)
         np.testing.assert_allclose(record.p_e1[0], bins.weights, atol=1e-14)
 
@@ -195,7 +215,7 @@ class TestReactionYield:
         bins = pb.discretize_disorder(spec, 2)
         ham = pb.build_effective_hamiltonian(spec, bins, 8)
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 200.0,
-                            1e-9, initial_state_label="bright")
+                            1e-9)
         record = pb.populations(traj)
         result = pb.reaction_yield(record)
         assert result.total == pytest.approx(0.0, abs=1e-12)
@@ -245,7 +265,6 @@ class TestProductionDiagnostics:
             traj = pb.propagate(
                 ham, pb.bright_state(ham.layout, bins),
                 t_final / 1240, t_final, 1e-9,
-                initial_state_label="bright",
             )
             _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
             norm2 = np.vdot(traj.final_state, traj.final_state).real

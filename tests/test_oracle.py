@@ -48,6 +48,15 @@ class TestExplicitHamiltonian:
         assert np.abs(eigs - (0.10 - g)).min() < 1e-12
         assert np.abs(eigs - (0.10 + g)).min() < 1e-12
 
+    def test_hermitian_apart_from_photon_loss(self):
+        # every photon-block diagonal entry carries the loss, not only the first
+        spec = fig3_spec(sigma=0.02)
+        bins = pb.discretize_disorder(spec, 2)
+        ensemble = ExplicitEnsemble.from_bins(bins, 2, 3, spec.coupling)
+        ham = build_explicit_hamiltonian(spec, ensemble)
+        assert spec.kappa > 0
+        assert ham.hermiticity_defect() == 0.0
+
     def test_two_molecule_dark_state_decoupled(self):
         spec = fig3_spec(s1=0.0, s2=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
         bins = pb.discretize_disorder(spec, 1)
@@ -68,7 +77,7 @@ class TestExplicitHamiltonian:
         ham = build_explicit_hamiltonian(spec, ensemble)
         layout = ham.layout
         dense = ham.matrix.toarray()
-        block = dense[layout.photon_slice(), layout.e1_slice(0)]
+        block = dense[: layout.photon_dim, layout.e1_slice(0)]
         np.testing.assert_array_equal(
             block, ensemble.g_single * np.eye(layout.vib_dim)
         )
@@ -112,7 +121,6 @@ class TestCompareToCute:
             ham = build_explicit_hamiltonian(spec, ensemble)
             traj = pb.propagate(
                 ham, pb.photonic_state(ham.layout), 1.0, 40.0, 1e-10,
-                initial_state_label="photonic",
             )
             e1, e2, ph = pb.state_populations(traj.final_state, ham.layout)
             results.append((ph, e1, e2))

@@ -162,8 +162,7 @@ class TestPropagate:
         spec = fig3_spec(coupling=0.0, kappa=0.004)
         bins, ham = small_system(spec, 1, 4)
         psi0 = pb.photonic_state(ham.layout)
-        traj = pb.propagate(ham, psi0, 1.0, 500.0, 1e-10,
-                            initial_state_label="photonic")
+        traj = pb.propagate(ham, psi0, 1.0, 500.0, 1e-10)
         expected = np.exp((-1j * spec.omega_c - spec.kappa / 2) * traj.times)
         np.testing.assert_allclose(traj.autocorr, expected, atol=1e-9)
         np.testing.assert_allclose(
@@ -174,8 +173,7 @@ class TestPropagate:
         spec = fig3_spec(s1=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
         bins, ham = small_system(spec, 1, 3)
         psi0 = pb.photonic_state(ham.layout)
-        traj = pb.propagate(ham, psi0, 1.0, 1240.0, 1e-9,
-                            initial_state_label="photonic")
+        traj = pb.propagate(ham, psi0, 1.0, 1240.0, 1e-9)
         target = np.cos(spec.coupling * traj.times) ** 2
         np.testing.assert_allclose(
             np.abs(traj.photon_amp) ** 2, target, atol=1e-8
@@ -201,8 +199,7 @@ class TestPropagate:
     def test_zero_time_trajectory(self):
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
         psi0 = pb.photonic_state(ham.layout)
-        traj = pb.propagate(ham, psi0, 1.0, 0.0, 1e-9,
-                            initial_state_label="photonic")
+        traj = pb.propagate(ham, psi0, 1.0, 0.0, 1e-9)
         assert len(traj.times) == 1
         assert traj.autocorr[0] == pytest.approx(1.0)
         assert traj.norms2[0] == pytest.approx(1.0)
@@ -594,8 +591,7 @@ class TestPropagateEom:
         bins = pb.discretize_disorder(spec, 1)
         layout = pb.BasisLayout(1, 4)
         psi0 = pb.photonic_state(layout)
-        traj = pb.propagate_eom(spec, bins, 4, psi0, 1.0, 0.0, 1e-9,
-                                initial_state_label="photonic")
+        traj = pb.propagate_eom(spec, bins, 4, psi0, 1.0, 0.0, 1e-9)
         assert len(traj.times) == 1
         assert traj.autocorr[0] == pytest.approx(1.0)
 
@@ -609,10 +605,8 @@ class TestPropagateEom:
         ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
         psi0 = pb.make_initial_state("photonic", ham.layout, bins)
         tol = 1e-9
-        a = pb.propagate(ham, psi0, 1.0, 300.0, tol,
-                         initial_state_label="photonic")
-        b = pb.propagate_eom(spec, bins, n_vib, psi0, 1.0, 300.0, tol,
-                             initial_state_label="photonic")
+        a = pb.propagate(ham, psi0, 1.0, 300.0, tol)
+        b = pb.propagate_eom(spec, bins, n_vib, psi0, 1.0, 300.0, tol)
         ra, rb = populations(a), populations(b)
         assert np.abs(ra.p_e1 - rb.p_e1).max() < 10 * tol
         assert np.abs(ra.p_e2 - rb.p_e2).max() < 10 * tol
@@ -658,8 +652,7 @@ class TestPropagationInvariants:
         spec = fig3_spec(sigma=0.01)
         bins, ham = small_system(spec, 2, 8)
         psi0 = pb.photonic_state(ham.layout)
-        traj = pb.propagate(ham, psi0, 0.25, 50.0, 1e-10,
-                            initial_state_label="photonic")
+        traj = pb.propagate(ham, psi0, 0.25, 50.0, 1e-10)
         dndt = np.gradient(traj.norms2, traj.times)
         target = -spec.kappa * np.abs(traj.photon_amp) ** 2
         assert np.abs(dndt - target)[1:-1].max() < 1e-6
