@@ -1,7 +1,7 @@
 """Sparse Hamiltonian assembly for the binned-disorder cavity model.
 
-The working basis is the undisplaced Fock basis of the shared vibrational
-coordinate. Displaced-surface vibrational terms are expanded analytically
+The working basis is the undisplaced Fock basis of every vibrational
+mode. Displaced-surface vibrational terms are expanded analytically
 to tridiagonal form, so the matrices are exactly sparse and free of
 displacement-operator truncation error. The photon diagonal carries the
 -i*kappa/2 loss term; everything else is Hermitian.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +95,75 @@ def vibronic_block(spec: ModelSpec, n_vib: int) -> np.ndarray:
     ])
 
 
+def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
+                         links) -> EffectiveHamiltonian:
+    """Assemble the Hamiltonian of any layout from per-coordinate data.
+
+    An excited block spans the vibrational configurations of layout.n_modes
+    modes, and coordinate j vibrates along its own mode: mode j when every
+    coordinate has one, else the single mode. Coordinate j carries the
+    vibronic block K on its own mode, shifted by omegas[j] (plus delta2 on
+    the product surface), and omega_nu*n of every other mode. The photon
+    block holds omega_c - i*kappa/2 plus the same oscillators on its
+    photon_dim configurations, and links[j] couples photon configuration c
+    to reactant configuration c of coordinate j. The triplets are laid out
+    by index arithmetic and converted to CSR once. All structural entries
+    are stored even when numerically zero, so the sparsity pattern is
+    independent of the parameter values.
+    """
+    # built in a helper so that its temporaries are freed before the conversion
+    rows, cols, values = _triplets(spec, layout, omegas, links)
+    matrix = sp.csr_matrix((values, (rows, cols)), shape=(layout.dimension,) * 2)
+    return EffectiveHamiltonian(matrix=matrix, layout=layout)
+
+
+# a huge finite parameter overflows to inf here; the step plan refuses it
+@np.errstate(over="ignore", invalid="ignore")
+def _triplets(spec: ModelSpec, layout: BasisLayout, omegas, links):
+    """(rows, cols, values) of every structural entry; see assemble_hamiltonian."""
+    n_vib, n_modes, vib_dim = layout.n_vib, layout.n_modes, layout.vib_dim
+    coords = np.arange(layout.n_coords)
+    own = coords % n_modes  # mode j, or mode 0 of a one-mode layout
+    levels = np.indices((n_vib,) * n_modes).reshape(n_modes, vib_dim)
+    own_levels = levels[own]  # (n_coords, vib_dim)
+    k = vibronic_block(spec, n_vib)
+    # diagonal terms per mode, surface, coordinate and configuration; the
+    # own mode's term is K_aa, and the modes are summed in order after the
+    # shift: (omega_j + offset) + ((t_0 + t_1) + ...)
+    oscillators = spec.omega_nu * levels
+    is_own = (np.arange(n_modes)[:, None] == own)[:, None, :, None]
+    k_diagonal = np.diag(k).reshape(2, n_vib)[:, own_levels]
+    terms = np.where(is_own, k_diagonal, oscillators[:, None, None, :])
+    shift = np.asarray(omegas)[None, :, None] + np.array([0.0, spec.delta2])[:, None, None]
+    diagonal = np.empty(layout.dimension, dtype=complex)
+    photon_block, excited = layout.blocks(diagonal)
+    photon_block[:] = (spec.omega_c - 0.5j * spec.kappa) + reduce(
+        np.add, oscillators[:, : layout.photon_dim])
+    excited[:] = shift + reduce(np.add, terms)
+    # K's structural off-diagonal: the two surface ladders and the v12 identity
+    eye = np.eye(n_vib)
+    ladder = np.eye(n_vib, k=1) + np.eye(n_vib, k=-1)
+    local_rows, local_cols = np.nonzero(np.block([[ladder, eye], [eye, ladder]]))
+    surface_r, level_r = np.divmod(local_rows, n_vib)
+    surface_c, level_c = np.divmod(local_cols, n_vib)
+    # K_rc moves the own mode from level_r to level_c in every configuration
+    # of the other modes; base holds those configurations at own level 0
+    base = np.nonzero(own_levels == 0)[1].reshape(layout.n_coords, 1, -1)
+    stride = (n_vib ** (n_modes - 1 - own))[:, None, None]
+    coord = coords[:, None, None]
+    off_rows = layout.index(surface_r[:, None], coord, base + stride * level_r[:, None])
+    off_cols = layout.index(surface_c[:, None], coord, base + stride * level_c[:, None])
+    off_values = np.broadcast_to(k[local_rows, local_cols][:, None], off_rows.shape)
+    photon = np.arange(layout.photon_dim)
+    link_photon = np.tile(photon, layout.n_coords)
+    link_reactant = layout.index(0, coords[:, None], photon).ravel()
+    link_values = np.repeat(links, layout.photon_dim)
+    flat = np.arange(layout.dimension)
+    return (np.concatenate((flat, link_photon, link_reactant, off_rows.ravel())),
+            np.concatenate((flat, link_reactant, link_photon, off_cols.ravel())),
+            np.concatenate((diagonal, link_values, link_values, off_values.ravel())))
+
+
 def build_effective_hamiltonian(
     spec: ModelSpec,
     bins: BinSet,
@@ -104,38 +174,10 @@ def build_effective_hamiltonian(
 
     Every bin i carries the vibronic block K of :func:`vibronic_block`
     shifted by its frequency, and the photon couples to its reactant n=0
-    level with strength coupling*sqrt(P_i). The triplets are laid out by
-    index arithmetic and converted to CSR once. All structural entries
-    are stored even when numerically zero, so the sparsity pattern is
-    independent of the parameter values.
+    level with strength coupling*sqrt(P_i).
     """
     bins.validate()
     layout = BasisLayout(bins.n_bins, n_vib)
     check_dimension(layout.dimension, dimension_cap)
-    nb = bins.n_bins
-    # structural entries of K: two tridiagonal surfaces and a diagonal coupling
-    eye = np.eye(n_vib)
-    band = eye + np.eye(n_vib, k=1) + np.eye(n_vib, k=-1)
-    local_rows, local_cols = np.nonzero(np.block([[band, eye], [eye, band]]))
-    values = np.tile(vibronic_block(spec, n_vib)[local_rows, local_cols], (nb, 1))
-    diagonal = local_rows == local_cols
-    # the bin shift and delta2 are summed first: (omega_i + delta2) + omega_nu*n
-    offsets = np.array([0.0, spec.delta2])[local_rows[diagonal] // n_vib]
-    shift = bins.centers[:, None] + offsets
-    values[:, diagonal] = shift + values[:, diagonal]
-    bin_index = np.arange(nb)
-    starts = layout.index(0, bin_index, 0)  # reactant level 0 of each bin
-
-    def place(local):
-        # K's local index (surface * n_vib + level), laid out in every bin
-        surface, level = np.divmod(local, n_vib)
-        return layout.index(surface, bin_index[:, None], level).ravel()
-
-    photon = np.full(nb, layout.PHOTON)
-    fc_coupling = spec.coupling * np.sqrt(bins.weights)
-    rows = np.concatenate(([layout.PHOTON], photon, starts, place(local_rows)))
-    cols = np.concatenate(([layout.PHOTON], starts, photon, place(local_cols)))
-    vals = np.concatenate(([spec.omega_c - 0.5j * spec.kappa], fc_coupling,
-                           fc_coupling, values.ravel()))
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dimension,) * 2)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout)
+    return assemble_hamiltonian(spec, layout, bins.centers,
+                                spec.coupling * np.sqrt(bins.weights))

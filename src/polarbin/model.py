@@ -19,6 +19,9 @@ FS_TO_AU = 41.341373335
 # domain truncation of the Gaussian disorder distribution, in units of sigma
 DOMAIN_HALF_WIDTH = 3.0
 
+# largest accepted deviation of a bin set's weight sum from one
+WEIGHT_SUM_TOLERANCE = 1e-12
+
 
 def time_to_au(value: float, unit: str = "au") -> float:
     """Convert a time given in 'fs' or 'au' to atomic units."""
@@ -99,8 +102,8 @@ class BinSet:
     def n_bins(self) -> int:
         return len(self.weights)
 
-    def validate(self, tol: float = 1e-12) -> None:
-        if abs(self.weights.sum() - 1.0) > tol:
+    def validate(self) -> None:
+        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValueError("bin weights do not sum to 1")
         if np.any(np.diff(self.centers) <= 0) and self.n_bins > 1:
             raise ValueError("bin centers must strictly increase")
@@ -167,10 +170,11 @@ class BasisLayout:
 
     A photon block of photon_dim states comes first, then one reactant
     (surface 0, 'e1') block per vibrational coordinate, then one product
-    (surface 1, 'e2') block per coordinate; each excited block holds
-    vib_dim contiguous states, and block_bins names the bin of each
-    coordinate. The binned model has one photon state (carrying the shared
-    ground vibrational wavefunction) and one coordinate of n_vib levels
+    (surface 1, 'e2') block per coordinate; each excited block holds the
+    vib_dim = n_vib**n_modes configurations of n_modes vibrational modes,
+    contiguous and in row-major order, and block_bins names the bin of
+    each coordinate. The binned model has one photon state (carrying the
+    shared ground vibrational wavefunction) and one coordinate of one mode
     per bin; the reference engines' ExplicitLayout sets other sizes.
     """
 
@@ -184,8 +188,12 @@ class BasisLayout:
         self.n_vib = n_vib
         self.photon_dim = 1
         self.n_coords = n_bins
-        self.vib_dim = n_vib
+        self.n_modes = 1
         self.block_bins = np.arange(n_bins)
+
+    @property
+    def vib_dim(self) -> int:
+        return self.n_vib**self.n_modes
 
     @property
     def dimension(self) -> int:

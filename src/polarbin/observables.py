@@ -29,6 +29,8 @@ if TYPE_CHECKING:  # the propagator records through state_populations
 OMEGA_GRID_STEP = 1e-4
 MAX_OMEGA_POINTS = 1_000_000
 PHOTONIC_START_TOLERANCE = 1e-12
+# a bin population at or below this cannot condition a vibrational energy
+MIN_CONDITIONING_POPULATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,6 @@ def vibrational_energy(
     layout: BasisLayout,
     spec: ModelSpec,
     bin_index: int,
-    min_population: float = 1e-12,
 ) -> float:
     """Mean vibrational energy of the reactant wavepacket of one bin.
 
@@ -175,7 +176,7 @@ def vibrational_energy(
     """
     block = psi[layout.e1_slice(bin_index)]
     population = float(np.vdot(block, block).real)
-    if population <= min_population:
+    if population <= MIN_CONDITIONING_POPULATION:
         raise ZeroPopulationError(
             f"bin {bin_index} population {population:g} too small for a "
             "conditional vibrational energy"

@@ -1,7 +1,8 @@
 """Brute-force validation engines.
 
 Two tensor-product reference constructions, deliberately expensive and
-kept small, sharing one block assembly and one basis layout:
+kept small, built by the binned model's own assembly
+(:func:`polarbin.hamiltonian.assemble_hamiltonian`) on one basis layout:
 
 * the explicit finite ensemble (every molecule with its own vibrational
   coordinate, single-molecule coupling g = G/sqrt(N), no Franck-Condon
@@ -26,15 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, PropagationError
 from .hamiltonian import (
     DEFAULT_DIMENSION_CAP,
     EffectiveHamiltonian,
+    assemble_hamiltonian,
     build_effective_hamiltonian,
     check_dimension,
     displaced_number_operator,
@@ -99,8 +99,8 @@ class ExplicitEnsemble:
 class ExplicitLayout(BasisLayout):
     """Basis of the tensor-product reference Hamiltonians.
 
-    The blocks of BasisLayout, each excited block spanning all
-    n_vib**n_coords vibrational configurations in row-major order. The
+    The blocks of BasisLayout with one vibrational mode per coordinate,
+    each excited block spanning all n_vib**n_coords configurations. The
     explicit ensemble has one coordinate per molecule and a photon block
     as large as an excited one; the multi-coordinate form has one
     coordinate per bin and a one-state photon block (ground-state
@@ -114,52 +114,9 @@ class ExplicitLayout(BasisLayout):
         self.n_vib = n_vib
         self.photon_dim = photon_dim
         self.n_coords = len(self.block_bins)
-        self.vib_dim = n_vib**self.n_coords
+        self.n_modes = self.n_coords
 
 
-def _embed(op, coordinate: int, n_coords: int, n_vib: int):
-    """Kronecker-embed a single-coordinate operator at the given position."""
-    factors = [
-        op if k == coordinate else sp.identity(n_vib, format="csr")
-        for k in range(n_coords)
-    ]
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as in vibronic_block
-def _tensor_hamiltonian(spec: ModelSpec, layout: ExplicitLayout, omegas,
-                        photon, links) -> EffectiveHamiltonian:
-    """Assemble photon block, excited tensor-product blocks and couplings.
-
-    Coordinate j's excited blocks sit at its exciton frequency omegas[j]
-    (plus delta2 on the product surface); its own coordinate carries the
-    displaced surface, every other coordinate the undisplaced ground-surface
-    oscillator. links[j] couples the photon block to coordinate j's
-    reactant block; v12 couples reactant and product as the identity.
-    """
-    n, n_vib = layout.n_coords, layout.n_vib
-    number_op = sp.diags(np.arange(n_vib, dtype=float))
-    identity = sp.identity(layout.vib_dim, format="csr")
-    blocks = [[None] * (1 + 2 * n) for _ in range(1 + 2 * n)]
-    blocks[0][0] = photon
-    for j in range(n):
-        e1, e2 = 1 + j, 1 + n + j
-        for block, s_disp, offset in ((e1, spec.s1, 0.0), (e2, spec.s2, spec.delta2)):
-            displaced = displaced_number_operator(s_disp, n_vib)
-            vib = sum(
-                _embed(spec.omega_nu * sp.csr_matrix(displaced if k == j else number_op),
-                       k, n, n_vib)
-                for k in range(n)
-            )
-            blocks[block][block] = (omegas[j] + offset) * identity + vib
-        blocks[0][e1] = links[j]
-        blocks[e1][0] = links[j].T
-        blocks[e1][e2] = blocks[e2][e1] = spec.v12 * identity
-    matrix = sp.bmat(blocks, format="csr", dtype=complex)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as in vibronic_block
 def build_explicit_hamiltonian(
     spec: ModelSpec,
     ensemble: ExplicitEnsemble,
@@ -179,14 +136,8 @@ def build_explicit_hamiltonian(
     layout = ExplicitLayout(ensemble.molecule_bins, ensemble.bins.n_bins,
                             n_vib, n_vib**n)
     check_dimension(layout.dimension, dimension_cap)
-    number_op = sp.diags(np.arange(n_vib, dtype=float))
-    identity = sp.identity(layout.vib_dim, format="csr")
-    photon = (spec.omega_c - 0.5j * spec.kappa) * identity + sum(
-        _embed(spec.omega_nu * number_op, k, n, n_vib) for k in range(n)
-    )
-    omegas = ensemble.bins.centers[ensemble.molecule_bins]
-    return _tensor_hamiltonian(spec, layout, omegas, photon,
-                               [ensemble.g_single * identity] * n)
+    return assemble_hamiltonian(spec, layout, ensemble.bins.centers[ensemble.molecule_bins],
+                                np.full(n, ensemble.g_single))
 
 
 def build_multibin_hamiltonian(
@@ -208,22 +159,15 @@ def build_multibin_hamiltonian(
         raise ConfigError("multibin form is capped at two bins")
     layout = ExplicitLayout(np.arange(bins.n_bins), bins.n_bins, n_vib, 1)
     check_dimension(layout.dimension, dimension_cap)
-    photon = sp.csr_matrix(np.array([[spec.omega_c - 0.5j * spec.kappa]]))
-    # the Franck-Condon projector: block-local index 0 is the all-ground configuration
-    links = [
-        sp.csr_matrix(([spec.coupling * math.sqrt(w)], ([0], [0])),
-                      shape=(1, layout.vib_dim))
-        for w in bins.weights
-    ]
-    return _tensor_hamiltonian(spec, layout, bins.centers, photon, links)
+    # the photon state is the all-ground configuration: the Franck-Condon projector
+    return assemble_hamiltonian(spec, layout, bins.centers,
+                                spec.coupling * np.sqrt(bins.weights))
 
 
 @dataclass(frozen=True)
 class DeviationReport:
     """Absolute deviations between a reference engine and the binned one."""
 
-    label: str
-    times: np.ndarray
     photon_max: float
     photon_final: float
     p_e1_max: float          # max over bins and times
@@ -235,7 +179,7 @@ class DeviationReport:
     autocorr_final: float
 
 
-def _compare(label, reference, spec, bins, n_vib, dt_record, t_final, tolerance,
+def _compare(reference, spec, bins, n_vib, dt_record, t_final, tolerance,
              initial_state) -> DeviationReport:
     """Propagate a reference engine and the binned one from the same named state."""
     records = []
@@ -251,8 +195,6 @@ def _compare(label, reference, spec, bins, n_vib, dt_record, t_final, tolerance,
     d_ph = np.abs(ref.photon - eff.photon)
     d_c = np.abs(c_ref - c_eff)
     return DeviationReport(
-        label=label,
-        times=ref.times,
         photon_max=float(d_ph.max()),
         photon_final=float(d_ph[-1]),
         p_e1_max=float(d_e1.max()),
@@ -281,8 +223,8 @@ def compare_to_cute(
     populations, and the autocorrelation on the common grid.
     """
     ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, n_vib, spec.coupling)
-    return _compare(f"explicit N={n_molecules}", build_explicit_hamiltonian(spec, ensemble),
-                    spec, bins, n_vib, dt_record, t_final, tolerance, "photonic")
+    return _compare(build_explicit_hamiltonian(spec, ensemble), spec, bins, n_vib,
+                    dt_record, t_final, tolerance, "photonic")
 
 
 def compare_multibin_to_effective(
@@ -300,8 +242,8 @@ def compare_multibin_to_effective(
     equivalent for states entering through the ground vibrational level,
     so deviations should sit at integrator tolerance.
     """
-    return _compare("multibin", build_multibin_hamiltonian(spec, bins, n_vib),
-                    spec, bins, n_vib, dt_record, t_final, tolerance, initial_state)
+    return _compare(build_multibin_hamiltonian(spec, bins, n_vib), spec, bins, n_vib,
+                    dt_record, t_final, tolerance, initial_state)
 
 
 class _EigenbasisModel:

@@ -29,7 +29,7 @@ from .observables import (
     state_populations,
     vibrational_energy,
 )
-from .oracle import compare_to_cute
+from .oracle import DeviationReport, compare_to_cute
 from .propagator import make_initial_state, propagate
 
 
@@ -275,8 +275,6 @@ def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceS
 
 
 ORACLE_ENSEMBLE_SIZES = (1, 2, 4)
-ORACLE_COLUMNS = ("photon_max", "photon_final", "p_e1_max", "p_e1_final", "p_e2_max",
-                  "p_e2_final", "p_e1_total_max", "autocorr_max", "autocorr_final")
 
 
 def run_oracle(cfg: RunConfig, out_dir) -> str:
@@ -297,5 +295,6 @@ def run_oracle(cfg: RunConfig, out_dir) -> str:
     ]
     path = os.path.join(out_dir, "oracle.csv")
     write_csv(path, {"n_molecules": ORACLE_ENSEMBLE_SIZES,
-                     **{name: [getattr(r, name) for r in reports] for name in ORACLE_COLUMNS}})
+                     **{f.name: [getattr(r, f.name) for r in reports]
+                        for f in fields(DeviationReport)}})
     return path

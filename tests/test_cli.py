@@ -856,7 +856,9 @@ class TestBenchmarkTrace:
     @pytest.mark.parametrize("command, extra", [
         ("dynamics", "vib_energy_times = 50 au\n"),
         ("sweep", "\n[sweep]\nkappa = 0.006, 0.01\n"),
-    ], ids=["dynamics", "sweep"])
+        ("spectrum", ""),
+        ("oracle", ""),
+    ], ids=["dynamics", "sweep", "spectrum", "oracle"])
     def test_every_expected_span_fires(self, tmp_path, command, extra):
         common, per_command = _benchmark_spans()
         cfg = tmp_path / "run.cfg"

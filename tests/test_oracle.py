@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polarbin.oracle import (
     ExplicitLayout,
     apportion_molecules,
     build_explicit_hamiltonian,
+    build_multibin_hamiltonian,
     compare_multibin_to_effective,
     compare_to_cute,
 )
@@ -146,3 +148,79 @@ class TestMultibinEquivalence:
         )
         assert report.p_e1_max < 1e-9
         assert report.p_e2_max < 1e-9
+
+
+def kron_reference(spec, omegas, links, n_vib, photon_dim):
+    """Dense Kronecker-product assembly of a reference Hamiltonian.
+
+    Coordinate j carries the displaced surfaces on its own mode, every
+    other mode the undisplaced oscillator; the photon block keeps its first
+    photon_dim configurations, each linked with links[j] to the same
+    configuration of coordinate j's reactant block.
+    """
+    n = len(omegas)
+    eye = np.eye(n_vib)
+    number = np.diag(np.arange(n_vib, dtype=float))
+
+    def embed(op, mode):
+        return reduce(np.kron, [op if k == mode else eye for k in range(n)])
+
+    identity = np.eye(n_vib**n)
+    oscillators = sum(embed(spec.omega_nu * number, k) for k in range(n))
+    zero = np.zeros_like(identity)
+    excited = [[zero] * (2 * n) for _ in range(2 * n)]
+    for j, omega in enumerate(omegas):
+        for surface, (s, offset) in enumerate(((spec.s1, 0.0), (spec.s2, spec.delta2))):
+            displaced = spec.omega_nu * pb.displaced_number_operator(s, n_vib)
+            own = embed(displaced - spec.omega_nu * number, j)
+            excited[surface * n + j][surface * n + j] = (
+                (omega + offset) * identity + oscillators + own)
+        excited[j][n + j] = excited[n + j][j] = spec.v12 * identity
+    link_row = np.hstack([g * identity[:photon_dim] for g in links]
+                         + [np.zeros((photon_dim, n * n_vib**n))])
+    photon = ((spec.omega_c - 0.5j * spec.kappa) * np.eye(photon_dim)
+              + oscillators[:photon_dim, :photon_dim])
+    return np.block([[photon, link_row], [link_row.T, np.block(excited)]])
+
+
+class TestTensorPlacement:
+    """Index-arithmetic placement against dense Kronecker products."""
+
+    @pytest.mark.parametrize("molecule_bins, n_vib", [
+        ([0], 4), ([1, 0], 3), ([1, 0], 4), ([0, 1, 1], 3),
+    ])
+    def test_explicit_ensemble_matches_kron(self, molecule_bins, n_vib):
+        spec = fig3_spec(sigma=0.02, delta2=0.004)
+        bins = pb.discretize_disorder(spec, 2)
+        ensemble = ExplicitEnsemble(bins=bins, molecule_bins=np.array(molecule_bins),
+                                    n_vib=n_vib, coupling=spec.coupling)
+        have = build_explicit_hamiltonian(spec, ensemble).matrix.toarray()
+        n = len(molecule_bins)
+        want = kron_reference(spec, bins.centers[molecule_bins], [ensemble.g_single] * n,
+                              n_vib, n_vib**n)
+        np.testing.assert_allclose(have, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_bins", [1, 2])
+    def test_multibin_matches_kron(self, n_bins):
+        spec = fig3_spec(sigma=0.02, delta2=0.004)
+        bins = pb.discretize_disorder(spec, n_bins)
+        have = build_multibin_hamiltonian(spec, bins, 4).matrix.toarray()
+        want = kron_reference(spec, bins.centers, spec.coupling * np.sqrt(bins.weights),
+                              4, 1)
+        np.testing.assert_allclose(have, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda spec, bins: build_explicit_hamiltonian(
+            spec, ExplicitEnsemble.from_bins(bins, 4, 6, spec.coupling)), id="explicit"),
+        pytest.param(lambda spec, bins: build_multibin_hamiltonian(spec, bins, 6),
+                     id="multibin"),
+    ])
+    def test_pattern_independent_of_parameter_values(self, build):
+        # vanishing displacements and v12 keep their stored zeros
+        values = fig3_spec(sigma=0.02)
+        zeros = fig3_spec(sigma=0.02, s1=0.0, s2=0.0, v12=0.0)
+        a = build(values, pb.discretize_disorder(values, 2)).matrix
+        b = build(zeros, pb.discretize_disorder(zeros, 2)).matrix
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        assert np.count_nonzero(b.data) < b.nnz
