@@ -4,9 +4,11 @@ Importing polarbin before numpy loads the OpenBLAS copies bundled with
 numpy and scipy at one thread each, unless the caller has set
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: the binned
 problems are small and sparse, and a BLAS thread pool costs them more than
-it saves. The environment is left as it was found. Import loads numpy and
-scipy.sparse only; scipy.linalg (the Krylov stepper), scipy.integrate (the
-equations-of-motion engine) and the process pool load on first use.
+it saves. The environment is left as it was found. Import loads numpy
+only, and no scipy module: scipy.sparse (the Fock-basis CSR matrices of
+the reference engines), scipy.linalg (the Krylov stepper),
+scipy.integrate (the equations-of-motion engine) and the process pool
+load on first use.
 """
 
 import os as _os

@@ -1,20 +1,28 @@
-"""Sparse Hamiltonian assembly for the binned-disorder cavity model.
+"""Hamiltonian assembly for the binned-disorder cavity model.
 
-The working basis is the undisplaced Fock basis of every vibrational
-mode. Displaced-surface vibrational terms are expanded analytically
-to tridiagonal form, so the matrices are exactly sparse and free of
+Every matrix is defined once, in the undisplaced Fock basis of every
+vibrational mode, by the triplets :func:`assemble_hamiltonian` describes.
+Displaced-surface vibrational terms are expanded analytically to
+tridiagonal form, so these matrices are exactly sparse and free of
 displacement-operator truncation error. The photon diagonal carries the
 -i*kappa/2 loss term; everything else is Hermitian.
+
+The binned model is stepped in another basis. Every bin carries the same
+real-symmetric vibronic block K' = K + delta2*P_e2, shifted by its
+frequency, so in the eigenbasis of K' its Hamiltonian is an arrowhead:
+a diagonal plus one photon row and column (:class:`ArrowheadOperator`).
+That operator needs numpy only. The Fock-basis CSR matrix, which the
+reference engines step and the tests inspect, is built on demand and
+imports scipy.sparse only then.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionCapError
 from .model import BasisLayout, BinSet, ModelSpec
@@ -52,24 +60,126 @@ def fc_overlap(s: float, level: int) -> float:
     return sign * math.exp(log_mag)
 
 
+class ArrowheadOperator:
+    """A diagonal plus a full first row, and a first column equal to it.
+
+    arm holds the first row past the diagonal, so dot(x) is diagonal*x
+    plus arm.x[1:] in the first entry and x[0]*arm in the others. dot is
+    all the steppers of :func:`polarbin.propagator.propagate` ask of a
+    matrix; shape and nnz (the stored entries) serve reports.
+    """
+
+    def __init__(self, diagonal: np.ndarray, arm: np.ndarray):
+        self.diagonal = diagonal
+        self.arm = arm
+        self.shape = (len(diagonal),) * 2
+        self.nnz = len(diagonal) + 2 * len(arm)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        out = self.diagonal * x
+        out[0] += self.arm @ x[1:]
+        out[1:] += x[0] * self.arm
+        return out
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Assembled sparse Hamiltonian with its basis layout."""
+    """An assembled Hamiltonian, with the basis it is stepped in.
 
-    matrix: sp.csr_matrix
+    entries holds the Fock-basis (rows, cols, values) of every structural
+    entry, sorted by row and then column (the order of CSR arrays), and
+    enclosure the rectangle of :func:`_enclosure` around their numerical
+    range, which no change of basis moves. matrix is the operator
+    propagate steps, in the working basis. Without basis that is the Fock
+    basis. With basis, the eigenvectors U of the shared block K' as
+    columns, a working vector is the photon amplitude followed by the
+    (2*n_vib, n_bins) array whose column i is U' x_i, x_i being bin i's
+    reactant levels followed by its product levels.
+    """
+
+    matrix: object
     layout: BasisLayout
+    entries: tuple
+    basis: np.ndarray | None = None
+    enclosure: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived here, while the memory the assembly just freed can hold
+        # its temporaries, and again whenever dataclasses.replace changes entries
+        object.__setattr__(self, "enclosure", _enclosure(self.entries, self.dimension))
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.layout.dimension
+
+    def to_working(self, psi: np.ndarray) -> np.ndarray:
+        """A Fock-basis state in the working basis."""
+        if self.basis is None:
+            return psi
+        photon, excited = self.layout.blocks(psi)
+        bins_last = excited.transpose(0, 2, 1).reshape(len(self.basis), -1)
+        return np.concatenate((photon, (self.basis.T @ bins_last).ravel()))
+
+    def to_fock(self, y: np.ndarray) -> np.ndarray:
+        """A working-basis state in the Fock basis: one real matrix product."""
+        if self.basis is None:
+            return y
+        n_vib = self.layout.n_vib
+        # U is real, so it multiplies the interleaved float view of y
+        working = y[self.layout.photon_dim :].reshape(2 * n_vib, -1).view(float)
+        fock = (self.basis @ working).view(complex).reshape(2, n_vib, -1)
+        psi = np.empty_like(y)
+        photon, excited = self.layout.blocks(psi)
+        photon[:] = y[: self.layout.photon_dim]
+        excited[:] = fock.transpose(0, 2, 1)
+        return psi
+
+    def fock_matrix(self):
+        """The Fock-basis matrix as scipy CSR, built from entries."""
+        return _csr(self.entries, self.dimension)
 
     def hermiticity_defect(self) -> float:
         """Max |H - H'| over all entries except the lossy photon-block diagonal."""
-        defect = (self.matrix - self.matrix.conjugate().transpose()).tocoo()
+        matrix = self.fock_matrix()
+        defect = (matrix - matrix.conjugate().transpose()).tocoo()
         mask = ~((defect.row == defect.col) & (defect.row < self.layout.photon_dim))
         if not mask.any():
             return 0.0
         return float(np.abs(defect.data[mask]).max())
+
+
+# a huge finite entry overflows the rectangle; the step plan then takes Krylov
+@np.errstate(over="ignore", invalid="ignore")
+def _enclosure(entries, dimension: int) -> tuple[float, float, float, float]:
+    """(lo, hi, slo, shi): Gershgorin intervals of the Hermitian part
+    (H + H^H)/2 and of the skew part (H - H^H)/2i.
+
+    entries are H's (rows, cols, values), each entry once, sorted by row
+    and then column, in a symmetric pattern that holds the whole diagonal:
+    so each row's radius is summed in column order, as over CSR arrays.
+    """
+    rows, cols, values = entries
+    # the pattern is symmetric, so a stable sort of the row-sorted entries
+    # by column lists the transposes
+    adjoint = values[np.argsort(cols, kind="stable")]
+    np.conjugate(adjoint, out=adjoint)
+    off = rows != cols
+    off_rows = rows[off]
+
+    def interval(part):
+        radius = np.bincount(off_rows, np.abs(part)[off], minlength=dimension)
+        centre = part[~off].real
+        return [float((centre - radius).min()), float((centre + radius).max())]
+
+    # in place, one part at a time, so the large reference matrices add
+    # little to the peak memory
+    part = values + adjoint
+    part *= 0.5
+    bounds = interval(part)
+    del part
+    skew = np.subtract(values, adjoint, out=adjoint)
+    skew *= -0.5j
+    return tuple(bounds + interval(skew))
 
 
 def check_dimension(dimension: int, cap: int) -> None:
@@ -97,7 +207,7 @@ def vibronic_block(spec: ModelSpec, n_vib: int) -> np.ndarray:
 
 def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
                          links) -> EffectiveHamiltonian:
-    """Assemble the Hamiltonian of any layout from per-coordinate data.
+    """Assemble the Fock-basis Hamiltonian of any layout as CSR.
 
     An excited block spans the vibrational configurations of layout.n_modes
     modes, and coordinate j vibrates along its own mode: mode j when every
@@ -111,16 +221,30 @@ def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
     are stored even when numerically zero, so the sparsity pattern is
     independent of the parameter values.
     """
-    # built in a helper so that its temporaries are freed before the conversion
-    rows, cols, values = _triplets(spec, layout, omegas, links)
-    matrix = sp.csr_matrix((values, (rows, cols)), shape=(layout.dimension,) * 2)
-    return EffectiveHamiltonian(matrix=matrix, layout=layout)
+    matrix = _csr(_triplets(spec, layout, omegas, links), layout.dimension)
+    # CSR holds the entries sorted, as EffectiveHamiltonian keeps them; share its arrays
+    rows = np.repeat(np.arange(layout.dimension, dtype=matrix.indices.dtype),
+                     np.diff(matrix.indptr))
+    return EffectiveHamiltonian(matrix=matrix, layout=layout,
+                                entries=(rows, matrix.indices, matrix.data))
+
+
+def _csr(entries, dimension: int):
+    """CSR of (rows, cols, values); the only user of scipy.sparse."""
+    import scipy.sparse as sp  # production runs step the arrowhead and never load it
+
+    rows, cols, values = entries
+    return sp.csr_matrix((values, (rows, cols)), shape=(dimension, dimension))
 
 
 # a huge finite parameter overflows to inf here; the step plan refuses it
 @np.errstate(over="ignore", invalid="ignore")
 def _triplets(spec: ModelSpec, layout: BasisLayout, omegas, links):
-    """(rows, cols, values) of every structural entry; see assemble_hamiltonian."""
+    """(rows, cols, values) of every structural entry; see assemble_hamiltonian.
+
+    The one definition of every Fock-basis matrix: each entry once, in a
+    symmetric pattern.
+    """
     n_vib, n_modes, vib_dim = layout.n_vib, layout.n_modes, layout.vib_dim
     coords = np.arange(layout.n_coords)
     own = coords % n_modes  # mode j, or mode 0 of a one-mode layout
@@ -170,14 +294,43 @@ def build_effective_hamiltonian(
     n_vib: int,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> EffectiveHamiltonian:
-    """Assemble the single-coordinate effective Hamiltonian.
+    """Assemble the single-coordinate effective Hamiltonian as an arrowhead.
 
     Every bin i carries the vibronic block K of :func:`vibronic_block`
     shifted by its frequency, and the photon couples to its reactant n=0
-    level with strength coupling*sqrt(P_i).
+    level with strength coupling*sqrt(P_i). With K' = K + delta2*P_e2 =
+    U diag(lambda) U', the working basis of EffectiveHamiltonian puts
+    omega_c - i*kappa/2 and omega_i + lambda_k on the diagonal and
+    coupling*sqrt(P_i)*U_0k in the photon row and column.
     """
     bins.validate()
     layout = BasisLayout(bins.n_bins, n_vib)
     check_dimension(layout.dimension, dimension_cap)
-    return assemble_hamiltonian(spec, layout, bins.centers,
-                                spec.coupling * np.sqrt(bins.weights))
+    links = spec.coupling * np.sqrt(bins.weights)
+    rows, cols, values = _triplets(spec, layout, bins.centers, links)
+    order = np.lexsort((cols, rows))  # row by row, as CSR stores them
+    entries = (rows[order], cols[order], values[order])
+    energies, basis = _shared_eigenbasis(spec, n_vib)
+    diagonal = np.empty(layout.dimension, dtype=complex)
+    diagonal[0] = spec.omega_c - 0.5j * spec.kappa
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal[1:] = (energies[:, None] + bins.centers).ravel()
+    # complex, so that neither product of dot converts it at every step
+    arm = np.outer(basis[0], links).ravel().astype(complex)
+    return EffectiveHamiltonian(matrix=ArrowheadOperator(diagonal, arm), layout=layout,
+                                entries=entries, basis=basis)
+
+
+# a huge finite parameter overflows to inf here; the step plan refuses it
+@np.errstate(over="ignore", invalid="ignore")
+def _shared_eigenbasis(spec: ModelSpec, n_vib: int):
+    """Eigenvalues and eigenvectors (columns) of K' = K + delta2 on the product levels.
+
+    A K' that is not finite keeps its diagonal and the identity: the step
+    plan refuses the Fock entries before any step is taken.
+    """
+    block = vibronic_block(spec, n_vib)
+    block[n_vib:, n_vib:] += spec.delta2 * np.eye(n_vib)
+    if not np.isfinite(block).all():
+        return np.diag(block).copy(), np.eye(2 * n_vib)
+    return np.linalg.eigh(block)

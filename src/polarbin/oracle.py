@@ -1,7 +1,7 @@
 """Brute-force validation engines.
 
 Two tensor-product reference constructions, deliberately expensive and
-kept small, built by the binned model's own assembly
+kept small, built from the binned model's own Fock-basis entries as CSR
 (:func:`polarbin.hamiltonian.assemble_hamiltonian`) on one basis layout:
 
 * the explicit finite ensemble (every molecule with its own vibrational
@@ -13,7 +13,9 @@ kept small, built by the binned model's own assembly
 
 Both reuse :func:`polarbin.propagator.propagate` and
 :func:`polarbin.observables.populations` verbatim, so the engine under
-test differs only in Hamiltonian assembly.
+test differs only in Hamiltonian assembly and in the basis it is stepped
+in: these CSR matrices step in the Fock basis, the binned one as an
+arrowhead in its vibronic eigenbasis.
 
 :func:`propagate_eom` is an independent integrator for the binned model
 itself: it solves the amplitude equations of motion in the displaced
@@ -250,7 +252,7 @@ class _EigenbasisModel:
     """Per-surface eigendecomposition of the truncated vibrational operators.
 
     Diagonalizing the truncated displaced number operators keeps this
-    engine unitarily equivalent, block by block, to the sparse matrix of
+    engine unitarily equivalent, block by block, to the Fock-basis matrix of
     build_effective_hamiltonian: the photon coupling picks up the ground
     row of the reactant eigenvectors (the truncated Franck-Condon
     amplitudes) and the diabatic coupling becomes the overlap matrix

@@ -1,17 +1,20 @@
 """Time evolution of a state vector under a sparse, lossy Hamiltonian.
 
-:func:`propagate` steps the assembled sparse matrix H = A - i*Gamma on
-the recording grid with one of two steppers, chosen once per run. A
-Chebyshev series, cut where a rigorous bound over an enclosure of H's
-numerical range meets the step's share of the tolerance, costs only
-mat-vecs and vector updates; it serves whenever that plan is finite,
-short and well-conditioned. Otherwise an adaptive Arnoldi (Krylov)
-approximation steps the run, carrying a per-step error estimate. Either
-way the total 2-norm error stays within the requested tolerance.
-Observables (autocorrelation, norm, photon amplitude
-and per-bin populations) are recorded at every grid step while the state
-is propagated; full states are kept only at the times a caller asks for
-and at the end. The independent cross-validation engine,
+:func:`propagate` steps the assembled Hamiltonian H = A - i*Gamma on the
+recording grid, in its working basis (the arrowhead of the binned model,
+or the Fock-basis CSR of a reference engine), with one of two steppers
+chosen once per run. A Chebyshev series, cut where a rigorous bound over
+an enclosure of H's numerical range meets the step's share of the
+tolerance, costs only mat-vecs and vector updates; it serves whenever
+that plan is finite, short and well-conditioned. The enclosure comes
+from H's Fock-basis entries; it is unitarily invariant, so it serves
+every basis. Otherwise an adaptive Arnoldi (Krylov) approximation steps
+the run, carrying a per-step error estimate. Either way the total 2-norm
+error stays within the requested tolerance. Observables
+(autocorrelation, norm, photon amplitude and per-bin populations) are
+recorded from the Fock-basis state at every grid step while the state is
+propagated; full states are kept only at the times a caller asks for and
+at the end. The independent cross-validation engine,
 :func:`polarbin.oracle.propagate_eom`, returns the same :class:`Trajectory`.
 """
 
@@ -21,11 +24,11 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 import math
 import os
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError, PropagationError
 from .hamiltonian import EffectiveHamiltonian
@@ -62,9 +65,9 @@ INITIAL_STATE_NAMES = ("photonic", "bright", "upper_polariton", "lower_polariton
 # (package, library file pattern inside <package>.libs, getter, setter) of
 # the OpenBLAS copies that numpy and scipy bundle
 _OPENBLAS_THREAD_CONTROLS = (
-    (np, "libscipy_openblas64_*.so",
+    ("numpy", "libscipy_openblas64_*.so",
      "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    (scipy, "libscipy_openblas-*.so",
+    ("scipy", "libscipy_openblas-*.so",
      "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
@@ -214,15 +217,6 @@ def _bessel_j(n_max: int, x: float) -> np.ndarray:
     return values / (total + current)
 
 
-def _gershgorin(part) -> tuple[float, float]:
-    """[lo, hi] holding every eigenvalue of a sparse Hermitian matrix."""
-    coo = part.tocoo()
-    off = coo.row != coo.col
-    radius = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=coo.shape[0])
-    centre = part.diagonal().real
-    return float((centre - radius).min()), float((centre + radius).max())
-
-
 class _ChebyshevStepper:
     """exp(-i*H*dt) as a truncated Chebyshev series with an a-priori bound.
 
@@ -248,24 +242,22 @@ class _ChebyshevStepper:
         self.coefficients = coefficients
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the enclosure
-    def plan(cls, matrix, dt: float, budget: float, norm: float):
-        """The stepper whose steps of psi, |psi| <= norm, err by at most
-        CHEBYSHEV_BUDGET_SHARE * budget.
+    @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the corners
+    def plan(cls, ham: EffectiveHamiltonian, dt: float, budget: float, norm: float):
+        """The stepper of ham.matrix whose steps of psi, |psi| <= norm, err
+        by at most CHEBYSHEV_BUDGET_SHARE * budget.
 
-        None when Krylov is the safer stepper: the plan is not finite,
-        needs MAX_CHEBYSHEV terms or more than the dimension (Arnoldi never
-        needs more than that), or its rounding could grow past
-        MAX_CHEBYSHEV_GROWTH. A budget that is not positive and finite, or
-        a matrix entry that is not finite, raises PropagationError.
+        The rectangle is ham.enclosure. None when Krylov is the safer
+        stepper: the plan is not finite, needs MAX_CHEBYSHEV terms or more
+        than the dimension (Arnoldi never needs more than that), or its
+        rounding could grow past MAX_CHEBYSHEV_GROWTH. A budget that is not
+        positive and finite, or a Fock entry that is not finite, raises
+        PropagationError.
         """
         _check_budget(budget)
-        h = matrix.tocsr()
-        if not np.isfinite(h.data).all():
+        if not np.isfinite(ham.entries[2]).all():
             raise PropagationError("the Hamiltonian has entries that are not finite")
-        adjoint = h.conj().T
-        lo, hi = _gershgorin((h + adjoint) * 0.5)
-        slo, shi = _gershgorin((h - adjoint) * -0.5j)
+        lo, hi, slo, shi = ham.enclosure
         radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
         x = radius * dt
         if not (math.isfinite(x) and math.isfinite(norm)):
@@ -281,7 +273,7 @@ class _ChebyshevStepper:
         log_limit = (math.log(CHEBYSHEV_BUDGET_SHARE * budget)
                      - math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else math.inf)
         # sum_{k>K} y^k/k! <= y^(K+1)/(K+1)! / (1 - y/(K+2)) once K + 2 > y
-        for n_terms in range(1, min(MAX_CHEBYSHEV, h.shape[0] - 1) + 1):
+        for n_terms in range(1, min(MAX_CHEBYSHEV, ham.dimension - 1) + 1):
             if n_terms + 2 <= y:
                 continue
             log_tail = ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
@@ -295,7 +287,7 @@ class _ChebyshevStepper:
         k = np.arange(n_terms + 1)
         coefficients = 2.0 * (-1j) ** k * _bessel_j(n_terms, x) * np.exp(-1j * center * dt)
         coefficients[0] *= 0.5
-        return cls(matrix, center, radius, coefficients)
+        return cls(ham.matrix, center, radius, coefficients)
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """The three-term recurrence T_{k+1} = 2 z T_k - T_{k-1} on (H - c)/R."""
@@ -406,9 +398,12 @@ def _openblas_thread_controls() -> tuple:
     """
     controls = []
     for package, pattern, get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
-        libs_dir = os.path.join(
-            os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs"
-        )
+        # find_spec locates a package without importing it: scipy stays unloaded
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        libs_dir = os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
+                                f"{package}.libs")
         for path in sorted(glob.glob(os.path.join(libs_dir, pattern))):
             library = ctypes.CDLL(path)
             getter = getattr(library, get_name, None)
@@ -455,9 +450,11 @@ def propagate(
 
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the steps).
-    The steps are Chebyshev steps planned once from the matrix, dt_record
-    and the step budget, with Krylov steps where that plan is refused
-    (see _ChebyshevStepper.plan). Full states are kept at the grid times
+    psi0 is mapped into ham's working basis once; the steps are Chebyshev
+    steps planned once from the Hamiltonian, dt_record and the step
+    budget, with Krylov steps where that plan is refused (see
+    _ChebyshevStepper.plan), and every step is recorded from its
+    Fock-basis state. Full states are kept at the grid times
     nearest to `state_times` and at the end. Each step's recorded norm is
     checked: a norm that is not finite, or grows beyond the tolerance and
     rounding, which the lossy generator cannot do, raises PropagationError
@@ -469,24 +466,24 @@ def propagate(
         raise ConfigError("initial state dimension does not match Hamiltonian")
     traj = Trajectory(psi0, ham.layout, dt_record, t_final, state_times)
     n_steps = len(traj.times) - 1
-    psi = psi0.copy()
-    traj.record(0, psi)
+    traj.record(0, psi0.copy())
     if n_steps == 0:
         return traj
     budget = tolerance / n_steps
     norm0 = math.sqrt(traj.norms2[0])
     # norms never grow, so a plan for norm0 bounds every step
-    chebyshev = _ChebyshevStepper.plan(ham.matrix, dt_record, budget, norm0)
+    chebyshev = _ChebyshevStepper.plan(ham, dt_record, budget, norm0)
     if chebyshev is not None:
         step = chebyshev.step
     else:
         step = functools.partial(_KrylovStepper(ham.matrix).step, dt=dt_record, budget=budget)
+    psi = ham.to_working(psi0)
     # an out-of-range model overflows inside a step; the checks below and
     # the steppers' own report it, not numpy warnings
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             psi = step(psi)
-            traj.record(k, psi)
+            traj.record(k, ham.to_fock(psi))
             t = k * dt_record
             norm2 = traj.norms2[k]
             if not math.isfinite(norm2):

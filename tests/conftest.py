@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 import polarbin as pb
@@ -28,3 +30,10 @@ def random_small_spec(rng: np.random.Generator) -> pb.ModelSpec:
         coupling=rng.uniform(0.0, 0.04),
         sigma=rng.uniform(0.0, 0.03),
     )
+
+
+def negated(ham):
+    """-H, the time-reversed Hamiltonian, stepped as Fock-basis CSR."""
+    rows, cols, values = ham.entries
+    return replace(ham, matrix=-ham.fock_matrix(), entries=(rows, cols, -values),
+                   basis=None)

@@ -20,7 +20,7 @@ from polarbin.observables import populations
 from polarbin.oracle import compare_multibin_to_effective, compare_to_cute
 from polarbin.runs import run_dynamics
 
-from conftest import fig3_spec, random_small_spec
+from conftest import fig3_spec, negated, random_small_spec
 
 FS = pb.FS_TO_AU
 
@@ -291,7 +291,7 @@ def _case_invariants(rng):
     ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
     tol = 1e-9
 
-    scale = np.abs(ham.matrix.data).max()
+    scale = np.abs(ham.fock_matrix().data).max()
     assert ham.hermiticity_defect() <= 1e-12 * scale
 
     # completeness and the norm decay law on a fine recording grid
@@ -328,8 +328,7 @@ def _case_invariants(rng):
         replace(spec, kappa=0.0), bins, n_vib
     )
     forward = pb.propagate(lossless, psi0, 1.0, 100.0, tol)
-    backward = pb.propagate(replace(lossless, matrix=-lossless.matrix),
-                            forward.final_state, 1.0, 100.0, tol)
+    backward = pb.propagate(negated(lossless), forward.final_state, 1.0, 100.0, tol)
     assert np.linalg.norm(backward.final_state - psi0) < 100 * tol
 
 

@@ -297,14 +297,30 @@ class TestRunCommands:
 
 class TestCliEntry:
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special",
+                                        "scipy.sparse", "scipy",
                                         "concurrent.futures.process"])
     def test_import_leaves_module_unloaded(self, module):
-        # the reference engine, the Krylov stepper and the process pool load
+        # the reference engines, the Krylov stepper and the process pool load
         # what they use on first use; every CLI start paid for them
         code = f"import sys, polarbin.cli; sys.exit({module!r} in sys.modules)"
         src = os.path.dirname(os.path.dirname(pb.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("command", ["dynamics", "spectrum"])
+    def test_production_run_loads_no_scipy(self, tmp_path, command):
+        # MINIMAL takes Chebyshev steps of the numpy arrowhead
+        cfg, out = self._write(tmp_path, MINIMAL), str(tmp_path / "out")
+        code = ("import sys\n"
+                "from polarbin.cli import main\n"
+                f"assert main([{command!r}, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+                "print('loaded:', *(name for name in sys.modules\n"
+                "                   if name == 'scipy' or name.startswith('scipy.')))\n")
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "loaded:"
 
 
     def _write(self, tmp_path, text):

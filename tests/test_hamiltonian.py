@@ -13,7 +13,7 @@ from conftest import fig3_spec
 
 
 def hermitian_part(ham):
-    dense = ham.matrix.toarray()
+    dense = ham.fock_matrix().toarray()
     return 0.5 * (dense + dense.conj().T)
 
 
@@ -84,8 +84,8 @@ class TestEffectiveHamiltonian:
         bins = pb.discretize_disorder(spec, 1)
         ham = pb.build_effective_hamiltonian(spec, bins, 8)
         assert ham.hermiticity_defect() == 0.0
-        assert ham.matrix[0, 0] == spec.omega_c
-        dense = ham.matrix.toarray()
+        assert ham.fock_matrix()[0, 0] == spec.omega_c
+        dense = ham.fock_matrix().toarray()
         # no photon-matter or e1-e2 mixing beyond stored structural zeros
         assert np.all(dense[0, 1:] == 0)
         layout = ham.layout
@@ -96,7 +96,7 @@ class TestEffectiveHamiltonian:
         spec = fig3_spec(s1=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
         bins = pb.discretize_disorder(spec, 1)
         ham = pb.build_effective_hamiltonian(spec, bins, 4)
-        sub = ham.matrix.toarray()[np.ix_([0, 1], [0, 1])].real
+        sub = ham.fock_matrix().toarray()[np.ix_([0, 1], [0, 1])].real
         eigs = np.linalg.eigvalsh(sub)
         np.testing.assert_allclose(
             eigs, [0.10 - 0.03, 0.10 + 0.03], atol=1e-14
@@ -111,21 +111,21 @@ class TestEffectiveHamiltonian:
         expected_nnz = (
             1 + 2 * n_bins * (3 * n_vib - 2) + 2 * n_bins + 2 * n_bins * n_vib
         )
-        assert ham.matrix.nnz == expected_nnz
-        scale = np.abs(ham.matrix.data).max()
+        assert ham.fock_matrix().nnz == expected_nnz
+        scale = np.abs(ham.fock_matrix().data).max()
         assert ham.hermiticity_defect() <= 1e-12 * scale
-        assert ham.matrix[0, 0] == spec.omega_c - 0.5j * spec.kappa
+        assert ham.fock_matrix()[0, 0] == spec.omega_c - 0.5j * spec.kappa
 
     def test_photon_row_touches_only_fc_components(self):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 5)
         ham = pb.build_effective_hamiltonian(spec, bins, 12)
         layout = ham.layout
-        row = ham.matrix.getrow(0).tocoo()
+        row = ham.fock_matrix().getrow(0).tocoo()
         allowed = {0} | {layout.e1(i, 0) for i in range(5)}
         assert set(row.col) == allowed
         for i in range(5):
-            assert ham.matrix[0, layout.e1(i, 0)] == pytest.approx(
+            assert ham.fock_matrix()[0, layout.e1(i, 0)] == pytest.approx(
                 spec.coupling * math.sqrt(bins.weights[i])
             )
 
@@ -160,6 +160,29 @@ class TestEffectiveHamiltonian:
         bins = pb.discretize_disorder(spec, 10)
         with pytest.raises(pb.DimensionCapError):
             pb.build_effective_hamiltonian(spec, bins, 60, dimension_cap=100)
+
+
+class TestArrowhead:
+    """The arrowhead in the K' eigenbasis is the Fock-basis matrix, rotated."""
+
+    @pytest.mark.parametrize("overrides, n_bins, n_vib", [
+        pytest.param(dict(sigma=0.0), 1, 30, id="one bin"),
+        pytest.param(dict(sigma=0.02), 24, 60, id="24 bins"),
+        pytest.param(dict(sigma=0.02, delta2=0.02), 5, 12, id="delta2"),
+        pytest.param(dict(sigma=0.02, s1=0.0, s2=0.0, v12=0.0), 3, 8, id="degenerate K'"),
+    ])
+    def test_operator_equals_fock_matrix(self, overrides, n_bins, n_vib):
+        spec = fig3_spec(**overrides)
+        ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, n_bins), n_vib)
+        fock = ham.fock_matrix()
+        scale = abs(fock).sum(axis=1).max()  # |H| in the infinity norm
+        rng = np.random.default_rng(n_bins)
+        for _ in range(3):
+            x = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            x /= np.linalg.norm(x)
+            have = ham.to_fock(ham.matrix.dot(ham.to_working(x)))
+            assert np.linalg.norm(have - fock @ x) <= 1e-14 * scale
+            assert np.linalg.norm(ham.to_fock(ham.to_working(x)) - x) <= 1e-14
 
 
 class TestMultibinHamiltonian:
@@ -232,7 +255,7 @@ class TestVibronicBlockAssembly:
     def test_bitwise_equal_to_entrywise_assembly(self, overrides):
         spec = fig3_spec(**overrides)
         bins = pb.discretize_disorder(spec, 1 if spec.sigma == 0 else 4)
-        have = pb.build_effective_hamiltonian(spec, bins, self.N_VIB).matrix
+        have = pb.build_effective_hamiltonian(spec, bins, self.N_VIB).fock_matrix()
         want = entrywise_reference(spec, bins, self.N_VIB)
         for name in ("indptr", "indices", "data"):
             assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), name
@@ -244,9 +267,9 @@ class TestVibronicBlockAssembly:
         zeros = fig3_spec(sigma=0.02, s1=0.0, s2=0.0, v12=0.0, coupling=0.0,
                           kappa=0.0, delta2=0.0)
         a = pb.build_effective_hamiltonian(
-            values, pb.discretize_disorder(values, 3), self.N_VIB).matrix
+            values, pb.discretize_disorder(values, 3), self.N_VIB).fock_matrix()
         b = pb.build_effective_hamiltonian(
-            zeros, pb.discretize_disorder(zeros, 3), self.N_VIB).matrix
+            zeros, pb.discretize_disorder(zeros, 3), self.N_VIB).fock_matrix()
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         assert np.count_nonzero(b.data) < b.nnz
@@ -255,7 +278,7 @@ class TestVibronicBlockAssembly:
         spec = fig3_spec(sigma=0.02, delta2=0.02)
         bins = pb.discretize_disorder(spec, 3)
         ham = pb.build_effective_hamiltonian(spec, bins, self.N_VIB)
-        dense = ham.matrix.toarray()
+        dense = ham.fock_matrix().toarray()
         block = vibronic_block(spec, self.N_VIB)
         assert np.array_equal(block, block.T)
         for i in range(3):

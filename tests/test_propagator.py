@@ -17,7 +17,7 @@ from polarbin.observables import populations
 from polarbin.oracle import ExplicitEnsemble, ExplicitLayout, build_explicit_hamiltonian
 from polarbin.propagator import _openblas_thread_controls
 
-from conftest import fig3_spec, random_small_spec
+from conftest import fig3_spec, negated, random_small_spec
 
 
 def small_system(spec, n_bins, n_vib):
@@ -26,8 +26,18 @@ def small_system(spec, n_bins, n_vib):
     return bins, ham
 
 
-def negated(ham):
-    return replace(ham, matrix=-ham.matrix)
+def dense_fock(ham):
+    return ham.fock_matrix().toarray()
+
+
+def preset_points():
+    """(preset name, sweep point, resolved configuration) of every preset point."""
+    from polarbin.config import PRESET_NAMES, load_preset
+
+    for name in PRESET_NAMES:
+        cfg = load_preset(name)
+        for point in cfg.sweep_points():
+            yield name, point, cfg.resolve_point(point)
 
 
 class CountingMatrix:
@@ -152,7 +162,7 @@ class TestPropagate:
         layout = ham.layout
         psi0 = np.zeros(layout.dimension, dtype=complex)
         psi0[layout.e1(0, 2)] = 1.0
-        energy = ham.matrix[layout.e1(0, 2), layout.e1(0, 2)].real
+        energy = ham.fock_matrix()[layout.e1(0, 2), layout.e1(0, 2)].real
         traj = pb.propagate(ham, psi0, 2.0, 200.0, 1e-10)
         expected = np.exp(-1j * energy * traj.times)
         np.testing.assert_allclose(traj.autocorr, expected, atol=1e-9)
@@ -191,7 +201,7 @@ class TestPropagate:
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
         traj = pb.propagate(ham, psi0, 5.0, 50.0, 1e-10)
-        dense = ham.matrix.toarray()
+        dense = dense_fock(ham)
         for k, t in enumerate(traj.times):
             exact = scipy.linalg.expm(-1j * dense * t) @ psi0
             assert abs(np.vdot(psi0, exact) - traj.autocorr[k]) < 1e-9
@@ -280,11 +290,11 @@ class TestPropagate:
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
         psi0 = pb.photonic_state(ham.layout)
         matrix = CountingMatrix(ham.matrix)
-        psi = _KrylovStepper(matrix).step(psi0, dt, 1e-12)
+        psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), dt, 1e-12))
         if dt == 50.0:
             # no estimate fits below m = D: the invariant-subspace return
             assert matrix.calls == ham.dimension
-        exact = scipy.linalg.expm(-1j * dt * ham.matrix.toarray()) @ psi0
+        exact = scipy.linalg.expm(-1j * dt * dense_fock(ham)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
 
     # budgets from 1e-12 to 1e-6 on the lossy fig3 system, D = 49 > MAX_KRYLOV
@@ -295,13 +305,13 @@ class TestPropagate:
 
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
         assert ham.dimension == 49 > MAX_KRYLOV
-        exact_step = scipy.linalg.expm(-1j * dt * ham.matrix.toarray())
+        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
         stepper = _KrylovStepper(ham.matrix)
-        psi = pb.polariton_state(ham.layout, bins, +1)
+        y = ham.to_working(pb.polariton_state(ham.layout, bins, +1))
         for _ in range(4):  # later steps start the estimate from the previous m
-            exact = exact_step @ psi
-            psi = stepper.step(psi, dt, budget)
-            assert np.linalg.norm(psi - exact) <= budget
+            exact = exact_step @ ham.to_fock(y)
+            y = stepper.step(y, dt, budget)
+            assert np.linalg.norm(ham.to_fock(y) - exact) <= budget
 
     def test_subdivided_step_within_budget(self):
         from polarbin.propagator import _KrylovStepper
@@ -310,9 +320,10 @@ class TestPropagate:
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
-        psi = _KrylovStepper(matrix, m_max=4).step(psi0, 30.0, 1e-10)
+        psi = ham.to_fock(_KrylovStepper(matrix, m_max=4).step(ham.to_working(psi0), 30.0,
+                                                               1e-10))
         assert matrix.calls > 4
-        exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
+        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(ham)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-10
 
     def test_invariant_subspace_step_within_budget(self):
@@ -323,9 +334,9 @@ class TestPropagate:
         bins, ham = small_system(fig3_spec(sigma=0.02, coupling=0.0), 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
-        psi = _KrylovStepper(matrix).step(psi0, 30.0, 1e-12)
+        psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), 30.0, 1e-12))
         assert matrix.calls == 1
-        exact = scipy.linalg.expm(-1j * 30.0 * ham.matrix.toarray()) @ psi0
+        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(ham)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
 
 
@@ -358,19 +369,20 @@ class TestChebyshevStep:
 
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
         assert ham.dimension == 49
-        exact_step = scipy.linalg.expm(-1j * dt * ham.matrix.toarray())
+        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
         rng = np.random.default_rng(round(1e3 * dt))
         psi = rng.normal(size=49) + 1j * rng.normal(size=49)
         psi *= norm / np.linalg.norm(psi)
         matrix = CountingMatrix(ham.matrix)
-        stepper = _ChebyshevStepper.plan(matrix, dt, budget, norm)
+        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, budget, norm)
         assert stepper is not None and matrix.calls == 0
         n_terms = len(stepper.coefficients) - 1
+        y = ham.to_working(psi)
         for k in range(1, 4):
-            exact = exact_step @ psi
-            psi = stepper.step(psi)
+            exact = exact_step @ ham.to_fock(y)
+            y = stepper.step(y)
             assert matrix.calls == k * n_terms
-            assert np.linalg.norm(psi - exact) <= budget
+            assert np.linalg.norm(ham.to_fock(y) - exact) <= budget
 
     @pytest.mark.parametrize("budget", [0.0, -1e-12, math.nan, math.inf])
     def test_invalid_budget_raises_before_any_matvec(self, budget):
@@ -379,18 +391,19 @@ class TestChebyshevStep:
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
         matrix = CountingMatrix(ham.matrix, limit=0)
         with pytest.raises(pb.PropagationError, match="tolerance"):
-            _ChebyshevStepper.plan(matrix, 1.0, budget, 1.0)
+            _ChebyshevStepper.plan(replace(ham, matrix=matrix), 1.0, budget, 1.0)
         assert matrix.calls == 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entry_raises_before_any_matvec(self, value):
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
-        broken = ham.matrix.copy()
-        broken.data[7] = value
-        matrix = CountingMatrix(broken, limit=0)
+        rows, cols, values = ham.entries
+        broken = values.copy()
+        broken[7] = value
+        matrix = CountingMatrix(ham.matrix, limit=0)
         with pytest.raises(pb.PropagationError, match="not finite"):
-            pb.propagate(replace(ham, matrix=matrix), pb.photonic_state(ham.layout),
-                         1.0, 10.0, 1e-9)
+            pb.propagate(replace(ham, matrix=matrix, entries=(rows, cols, broken)),
+                         pb.photonic_state(ham.layout), 1.0, 10.0, 1e-9)
         assert matrix.calls == 0
 
     @pytest.mark.parametrize("case", ["criterion 2", "kappa 0.5", "s1 4.36e10"])
@@ -407,7 +420,7 @@ class TestChebyshevStep:
             spec, n_bins, n_vib, dt = fig3_spec(s1=4.36e10, kappa=0.0), 1, 2, 0.5
         _, ham = small_system(spec, n_bins, n_vib)
         matrix = CountingMatrix(ham.matrix, limit=0)
-        assert _ChebyshevStepper.plan(matrix, dt, budget, 1.0) is None
+        assert _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, budget, 1.0) is None
 
     def test_fig6_shape_takes_chebyshev(self):
         from polarbin.propagator import _ChebyshevStepper
@@ -416,28 +429,74 @@ class TestChebyshevStep:
         assert ham.dimension == 2881
         psi0 = pb.polariton_state(ham.layout, bins, +1)
         matrix = CountingMatrix(ham.matrix, limit=0)
-        stepper = _ChebyshevStepper.plan(matrix, 1.0, 1e-9 / 1240, np.linalg.norm(psi0))
+        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), 1.0, 1e-9 / 1240,
+                                         np.linalg.norm(psi0))
         assert stepper is not None
         assert len(stepper.coefficients) - 1 == 12
 
+    # the series length K of every preset point, in sweep order, as planned
+    # when the enclosure was still taken from scipy's CSR arithmetic
+    PRESET_TERMS = {
+        "fig3a": [11, 12, 12, 12],
+        "fig3c": [11] * 8 + [12] * 32,
+        "fig4a": [11, 11, 12, 12, 12, 12],
+        "fig4c": [11, 12, 12, 12, 12, 12],
+        "fig6": [12],
+        "figS1": [12],
+        "figS2": [11] * 8 + [12] * 32,
+        "figS3": [12] * 8,
+        "figS4": [11],
+    }
+
     def test_every_preset_point_takes_chebyshev(self):
-        # a silent fall-back to Krylov would undo the step's speed-up
-        from polarbin.config import PRESET_NAMES, load_preset
+        # a silent fall-back to Krylov would undo the step's speed-up, and
+        # a longer series would cost mat-vecs
         from polarbin.propagator import _ChebyshevStepper, _resolve_grid
 
-        for name in PRESET_NAMES:
-            cfg = load_preset(name)
-            for point in cfg.sweep_points():
-                resolved = cfg.resolve_point(point)
-                bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
-                psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
-                n_steps = _resolve_grid(resolved.dt_record, resolved.t_final)
-                matrix = CountingMatrix(ham.matrix, limit=0)
-                stepper = _ChebyshevStepper.plan(
-                    matrix, resolved.dt_record, resolved.tolerance / n_steps,
-                    np.linalg.norm(psi0),
-                )
-                assert stepper is not None, (name, point)
+        terms = {name: [] for name in self.PRESET_TERMS}
+        for name, point, resolved in preset_points():
+            bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
+            psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
+            n_steps = _resolve_grid(resolved.dt_record, resolved.t_final)
+            matrix = CountingMatrix(ham.matrix, limit=0)
+            stepper = _ChebyshevStepper.plan(
+                replace(ham, matrix=matrix), resolved.dt_record, resolved.tolerance / n_steps,
+                np.linalg.norm(psi0),
+            )
+            assert stepper is not None, (name, point)
+            terms[name].append(len(stepper.coefficients) - 1)
+        assert terms == self.PRESET_TERMS
+
+
+def scipy_enclosure(matrix):
+    """The plan's Gershgorin rectangle, by scipy's sparse arithmetic."""
+    h = matrix.tocsr()
+    adjoint = h.conj().T
+    bounds = []
+    for part in ((h + adjoint) * 0.5, (h - adjoint) * -0.5j):
+        coo = part.tocoo()
+        off = coo.row != coo.col
+        radius = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=coo.shape[0])
+        centre = part.diagonal().real
+        bounds += [float((centre - radius).min()), float((centre + radius).max())]
+    return tuple(bounds)
+
+
+class TestEnclosure:
+    """The rectangle taken from the Fock entries equals the CSR one, bit for bit."""
+
+    def test_every_preset_point(self):
+        for name, point, resolved in preset_points():
+            _, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
+            assert ham.enclosure == scipy_enclosure(ham.fock_matrix()), (name, point)
+
+    @pytest.mark.parametrize("n_molecules", [1, 2, 4])
+    def test_explicit_ensembles(self, n_molecules):
+        spec = fig3_spec(sigma=0.02, delta2=0.004)
+        bins = pb.discretize_disorder(spec, 2)
+        ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, 4, spec.coupling)
+        ham = build_explicit_hamiltonian(spec, ensemble)
+        assert ham.enclosure == scipy_enclosure(ham.matrix)
 
 
 class TestBlasThreadScope:
@@ -495,7 +554,7 @@ class TestStartupBlasThreads:
         "spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)\n"
         "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 1), 2)\n"
         "dt = 200 * pb.FS_TO_AU / 8268\n"
-        "assert _ChebyshevStepper.plan(ham.matrix, dt, 1e-9 / 100, 1.0) is None\n"
+        "assert _ChebyshevStepper.plan(ham, dt, 1e-9 / 100, 1.0) is None\n"
         "pb.propagate(ham, pb.photonic_state(ham.layout), dt, 100 * dt, 1e-9)\n"
         "loaded.append('scipy.linalg' in sys.modules)\n"
         "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()], loaded]))\n"
