@@ -118,20 +118,23 @@ class EffectiveHamiltonian:
             return psi
         photon, excited = self.layout.blocks(psi)
         bins_last = excited.transpose(0, 2, 1).reshape(len(self.basis), -1)
-        return np.concatenate((photon, (self.basis.T @ bins_last).ravel()))
+        # U is real: a real product on the interleaved float view, as in to_fock
+        working = (self.basis.T @ bins_last.view(float)).view(complex)
+        return np.concatenate((photon, working.ravel()))
 
     def to_fock(self, y: np.ndarray) -> np.ndarray:
-        """A working-basis state in the Fock basis: one real matrix product."""
+        """A working-basis state, or each row of a block of them, in the
+        Fock basis: one real matrix product per state, in one call."""
         if self.basis is None:
             return y
-        n_vib = self.layout.n_vib
+        n_vib, lead = self.layout.n_vib, y.shape[:-1]
         # U is real, so it multiplies the interleaved float view of y
-        working = y[self.layout.photon_dim :].reshape(2 * n_vib, -1).view(float)
-        fock = (self.basis @ working).view(complex).reshape(2, n_vib, -1)
+        working = y[..., self.layout.photon_dim :].reshape(*lead, 2 * n_vib, -1).view(float)
+        fock = (self.basis @ working).view(complex).reshape(*lead, 2, n_vib, -1)
         psi = np.empty_like(y)
         photon, excited = self.layout.blocks(psi)
-        photon[:] = y[: self.layout.photon_dim]
-        excited[:] = fock.transpose(0, 2, 1)
+        photon[:] = y[..., : self.layout.photon_dim]
+        excited[:] = np.swapaxes(fock, -1, -2)
         return psi
 
     def fock_matrix(self):

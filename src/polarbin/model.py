@@ -207,9 +207,14 @@ class BasisLayout:
         return self.photon_dim + (surface * self.n_coords + coordinate) * self.vib_dim + level
 
     def blocks(self, vector: np.ndarray):
-        """(photon block, excited blocks as a (2, n_coords, vib_dim) view)."""
-        return (vector[: self.photon_dim],
-                vector[self.photon_dim :].reshape(2, self.n_coords, self.vib_dim))
+        """(photon block, excited blocks as a (2, n_coords, vib_dim) view).
+
+        The layout runs along the last axis, so a block of states, one per
+        row, gives a (rows, photon_dim) and a (rows, 2, n_coords, vib_dim) view.
+        """
+        return (vector[..., : self.photon_dim],
+                vector[..., self.photon_dim :].reshape(
+                    *vector.shape[:-1], 2, self.n_coords, self.vib_dim))
 
     def e1(self, coordinate: int, level: int) -> int:
         self._check(coordinate, level)

@@ -97,19 +97,21 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
 
 
 def state_populations(psi: np.ndarray, layout: BasisLayout):
-    """Per-bin reactant/product populations and photon population of one state.
+    """Per-bin reactant/product populations and photon population of one
+    state, or of every row of a block of states.
 
     Works for every basis layout: the photon block and the excited blocks
-    of layout.blocks. Block sums go to the bins named by layout.block_bins:
-    the identity for the binned layout, the molecule-to-bin map for an
-    explicit ensemble.
+    of layout.blocks. Block sums go to the bins named by layout.block_bins,
+    added in coordinate order: the identity for the binned layout, the
+    molecule-to-bin map for an explicit ensemble. A row of a block gives
+    the same bits as that state alone.
     """
     photon, excited = layout.blocks(np.abs(psi) ** 2)
-    p_e1, p_e2 = (
-        np.bincount(layout.block_bins, weights, minlength=layout.n_bins)
-        for weights in excited.sum(axis=2)
-    )
-    return p_e1, p_e2, float(photon.sum())
+    sums = excited.sum(axis=-1).T  # (coordinate, surface, ...)
+    per_bin = np.zeros((layout.n_bins, *sums.shape[1:]))
+    np.add.at(per_bin, layout.block_bins, sums)
+    p_e1, p_e2 = per_bin.T[..., 0, :], per_bin.T[..., 1, :]
+    return p_e1, p_e2, photon.sum(axis=-1)
 
 
 @dataclass(frozen=True)

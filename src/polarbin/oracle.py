@@ -277,14 +277,15 @@ class _EigenbasisModel:
         return self._rotate(y, self.u1.T, self.u2.T)
 
     def _rotate(self, vector, r1, r2) -> np.ndarray:
-        """vector, laid out as layout.blocks reads it, with its reactant blocks
-        times r1 and its product blocks times r2."""
-        photon, (e1, e2) = self.layout.blocks(vector)
-        out = np.empty(self.layout.dimension, dtype=complex)
+        """vector, or each row of a block of them, laid out as layout.blocks
+        reads it, with its reactant blocks times r1 and its product blocks
+        times r2."""
+        photon, excited = self.layout.blocks(vector)
+        out = np.empty(vector.shape, dtype=complex)
         out_photon, out_excited = self.layout.blocks(out)
         out_photon[:] = photon
-        out_excited[0] = e1 @ r1
-        out_excited[1] = e2 @ r2
+        out_excited[..., 0, :, :] = excited[..., 0, :, :] @ r1
+        out_excited[..., 1, :, :] = excited[..., 1, :, :] @ r2
         return out
 
     def rhs(self, _t, y):
@@ -329,26 +330,24 @@ def propagate_eom(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.layout.dimension,):
         raise ConfigError("initial state dimension does not match model")
-    traj = Trajectory(psi0, model.layout, dt_record, t_final, state_times)
-    y0 = model.to_eigen(psi0)
+    traj = Trajectory(psi0, model.layout, dt_record, t_final, state_times, tolerance,
+                      model.to_fock)
     if len(traj.times) == 1:
-        ys = y0[:, None]
-    else:
-        rtol = max(1e-13, 0.01 * tolerance)
-        sol = solve_ivp(
-            model.rhs,
-            (0.0, t_final),
-            y0,
-            method="DOP853",
-            t_eval=traj.times,
-            rtol=rtol,
-            atol=rtol,
-        )
-        if not sol.success:
-            raise PropagationError(f"EoM integration failed: {sol.message}")
-        ys = sol.y
-    if not np.isfinite(ys).all():
+        return traj
+    rtol = max(1e-13, 0.01 * tolerance)
+    sol = solve_ivp(
+        model.rhs,
+        (0.0, t_final),
+        model.to_eigen(psi0),
+        method="DOP853",
+        t_eval=traj.times,
+        rtol=rtol,
+        atol=rtol,
+    )
+    if not sol.success:
+        raise PropagationError(f"EoM integration failed: {sol.message}")
+    if not np.isfinite(sol.y).all():
         raise PropagationError("non-finite amplitudes in EoM integration")
-    for k, y in enumerate(ys.T):
-        traj.record(k, model.to_fock(y))
+    # the first column is psi0, which the Trajectory recorded when made
+    traj.record(1, sol.y[:, 1:].T)
     return traj

@@ -2,20 +2,27 @@
 
 :func:`propagate` steps the assembled Hamiltonian H = A - i*Gamma on the
 recording grid, in its working basis (the arrowhead of the binned model,
-or the Fock-basis CSR of a reference engine), with one of two steppers
-chosen once per run. A Chebyshev series, cut where a rigorous bound over
-an enclosure of H's numerical range meets the step's share of the
-tolerance, costs only mat-vecs and vector updates; it serves whenever
-that plan is finite, short and well-conditioned. The enclosure comes
-from H's Fock-basis entries; it is unitarily invariant, so it serves
-every basis. Otherwise an adaptive Arnoldi (Krylov) approximation steps
-the run, carrying a per-step error estimate. Either way the total 2-norm
-error stays within the requested tolerance. Observables
-(autocorrelation, norm, photon amplitude and per-bin populations) are
-recorded from the Fock-basis state at every grid step while the state is
-propagated; full states are kept only at the times a caller asks for and
-at the end. The independent cross-validation engine,
-:func:`polarbin.oracle.propagate_eom`, returns the same :class:`Trajectory`.
+or the Fock-basis CSR of a reference engine), a block of grid steps at a
+time, with one of two steppers chosen once per run. A Chebyshev series,
+cut where a rigorous bound over an enclosure of H's numerical range meets
+the block's share of the tolerance, gives every state of a block from one
+three-term recurrence: its vectors do not depend on time, so one
+coefficient matrix, planned once, combines them into the block's states
+by real matrix products. It costs only mat-vecs, vector updates and those
+products, and serves whenever that plan is finite, short and
+well-conditioned; the plan takes the block length of least estimated
+work whose buffers fit BLOCK_BYTES. The enclosure comes from H's
+Fock-basis entries; it is unitarily invariant, so it serves every basis.
+Otherwise an adaptive Arnoldi (Krylov) approximation steps the run, a
+step at a time with a per-step error estimate, into blocks as well.
+Either way the total 2-norm error stays within the requested tolerance.
+A :class:`Trajectory` records each block while the state is propagated:
+it maps a few states at a time to the Fock basis, reduces their
+autocorrelation, norm, photon amplitude and per-bin populations, and
+checks every norm; full states are kept only at the times a caller asks
+for and at the end. The independent cross-validation engine,
+:func:`polarbin.oracle.propagate_eom`, records into the same
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -38,20 +45,40 @@ from .observables import state_populations
 DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_RANGE = (1e-12, 1e-6)
 MAX_KRYLOV = 30
-# A Chebyshev step needs more than e*|H|*dt/2 terms and cannot split
-# itself; past this many, Arnoldi (at most MAX_KRYLOV vectors, splitting
-# the step when they do not suffice) is the stepper to use
-MAX_CHEBYSHEV = 64
+# The longest Chebyshev series of one block. K grows about linearly with
+# the block's span R*m*dt, so the plan shortens the block first; a single
+# step that needs more is left to Arnoldi (at most MAX_KRYLOV vectors,
+# splitting the step when they do not suffice). _bessel_j is checked to
+# this order
+MAX_CHEBYSHEV = 128
 # Rounding in the three-term recurrence grows like rho**K, the largest
 # Chebyshev polynomial on the numerical range; capping it keeps the lost
-# digits (about GROWTH * eps = 2e-13 of the norm per step) below the
+# digits (about GROWTH * eps = 2e-13 of the norm per block) below the
 # smallest tolerance, 1e-12
 MAX_CHEBYSHEV_GROWTH = 1e3
-# Share of the step budget a Chebyshev plan spends. The bound exceeds the
+# Share of the block budget a Chebyshev plan spends. The bound exceeds the
 # error it bounds about tenfold, so a plan on the whole budget would err by
 # about a tenth of the tolerance, more than a Krylov run usually does; one
-# more term per step cuts that error about thirtyfold
+# more term per block cuts that error about thirtyfold
 CHEBYSHEV_BUDGET_SHARE = 0.1
+# Bytes the buffers of a block of steps may take: a Chebyshev block's
+# states, series vectors and partial sum (see _block_rows), a Krylov
+# block's states, and the rows a Trajectory maps to the Fock basis at a
+# time, at RECORD_ROW_BYTES per entry (the Fock state, the matrix product
+# and the squared moduli with their temporary)
+BLOCK_BYTES = 1 << 20
+RECORD_ROW_BYTES = 48
+# Estimated cost of a Chebyshev block in nanoseconds (see _work_per_step),
+# as measured with numpy's bundled OpenBLAS at one thread on a 2-core
+# x86-64 box: CALL_NS for each recurrence step and each chunk's matrix
+# product, ENTRY_NS per vector entry of a recurrence step, TERM_ENTRY_NS
+# per series term, state and entry of the products, ADD_ENTRY_NS per state
+# and entry to add a chunk's partial sum, and BLOCK_NS to record a block
+CALL_NS = 5_000.0
+ENTRY_NS = 5.0
+TERM_ENTRY_NS = 0.15
+ADD_ENTRY_NS = 1.0
+BLOCK_NS = 40_000.0
 _EPS = float(np.finfo(float).eps)
 # Below this argument the Bessel power series converges in a few terms;
 # above it Miller's recurrence runs, rescaled past _BESSEL_RESCALE
@@ -136,11 +163,14 @@ class Trajectory:
     state_populations at every grid time. states holds one full state per
     requested time, taken at the grid time state_times nearest to it (the
     first on a tie); final_state is the last state recorded. The
-    constructor allocates every array and record fills one grid step.
+    constructor allocates every array and records psi0 at t = 0. record
+    fills a block of later grid steps from working-basis states, which
+    to_fock (the identity when None) maps to the Fock basis a few rows at
+    a time, and checks every recorded norm against psi0's.
     """
 
     def __init__(self, psi0, layout: BasisLayout, dt_record: float, t_final: float,
-                 state_times=()):
+                 state_times=(), tolerance: float = DEFAULT_TOLERANCE, to_fock=None):
         n_t = _resolve_grid(dt_record, t_final) + 1
         self.times = np.arange(n_t) * dt_record
         self.dt_record = dt_record
@@ -161,14 +191,59 @@ class Trajectory:
         self.final_state = None
         self._psi0 = psi0
         self._layout = layout
+        self._tolerance = tolerance
+        self._to_fock = to_fock
+        # a row's Fock state and the temporaries of its reductions take
+        # about RECORD_ROW_BYTES per entry; a sub-block stays within BLOCK_BYTES
+        self._rows = max(1, BLOCK_BYTES // (RECORD_ROW_BYTES * layout.dimension))
+        self._record(0, psi0[None])
+        self._norm0 = math.sqrt(self.norms2[0])
 
-    def record(self, k: int, psi: np.ndarray) -> None:
-        self.autocorr[k] = np.vdot(self._psi0, psi)
-        self.norms2[k] = np.vdot(psi, psi).real
-        self.photon_amp[k] = psi[self._layout.PHOTON]
-        self.p_e1[k], self.p_e2[k], self.photon[k] = state_populations(psi, self._layout)
-        self.states[self._state_steps == k] = psi
-        self.final_state = psi
+    def record(self, start: int, block: np.ndarray) -> None:
+        """Record the working-basis states of block, one per row, at grid
+        steps start, start + 1, ...; raise PropagationError at the first
+        whose norm fails the check of _check_norms."""
+        for lo in range(0, len(block), self._rows):
+            working = block[lo : lo + self._rows]
+            fock = working if self._to_fock is None else self._to_fock(working)
+            self._record(start + lo, fock)
+            self._check_norms(start + lo, working)
+
+    def _record(self, start: int, fock: np.ndarray) -> None:
+        span = slice(start, start + len(fock))
+        self.autocorr[span] = [np.vdot(self._psi0, psi) for psi in fock]
+        self.norms2[span] = [np.vdot(psi, psi).real for psi in fock]
+        self.photon_amp[span] = fock[:, self._layout.PHOTON]
+        self.p_e1[span], self.p_e2[span], self.photon[span] = state_populations(
+            fock, self._layout)
+        kept = (span.start <= self._state_steps) & (self._state_steps < span.stop)
+        self.states[kept] = fock[self._state_steps[kept] - start]
+        self.final_state = fock[-1].copy()
+
+    def _check_norms(self, start: int, working: np.ndarray) -> None:
+        """The generator is dissipative, so the exact norm never grows:
+        allow the tolerance and 64 ulps of rounding per step. A norm that
+        is not finite, or grows past that, raises PropagationError."""
+        steps = np.arange(start, start + len(working))
+        norms = np.sqrt(self.norms2[steps])
+        limits = self._norm0 * (1.0 + 64 * _EPS * steps) + self._tolerance
+        failed = np.flatnonzero(~(norms <= limits))
+        if len(failed) == 0:
+            return
+        row = int(failed[0])
+        k, norm, norm0 = start + row, norms[row], self._norm0
+        t = k * self.dt_record
+        if math.isfinite(norm):
+            raise PropagationError(
+                f"state norm {norm:.6g} at step {k} (t = {t}) exceeds "
+                f"its initial {norm0:.6g}; the model is out of numerical range"
+            )
+        if np.isfinite(working[row]).all():
+            raise PropagationError(
+                f"state norm at step {k} (t = {t}) exceeds its initial {norm0:.6g} "
+                "and is not finite; the model is out of numerical range"
+            )
+        raise PropagationError(f"state at step {k} (t = {t}) is not finite")
 
 
 def _check_budget(budget: float) -> None:
@@ -178,83 +253,159 @@ def _check_budget(budget: float) -> None:
         )
 
 
-def _bessel_j(n_max: int, x: float) -> np.ndarray:
-    """J_0(x), ..., J_n_max(x) for x >= 0, to about 1e-15 absolute.
+def _bessel_j(n_max: int, x) -> np.ndarray:
+    """J_0(x), ..., J_n_max(x) for x >= 0, to about 1e-15 absolute; for an
+    array of x, one row per value.
 
     Tiny x sums the power series (x/2)^k/k! * sum_m (-x^2/4)^m / (m! (k+1)...(k+m)).
     Otherwise Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1},
     started well above max(n_max, x), is normalised by
     J_0 + 2 * sum_k J_2k = 1 (Numerical Recipes, section 6.5); the decaying
-    tail k > x keeps its relative accuracy.
+    tail k > x keeps its relative accuracy. An array runs both for all its
+    values at once, Miller's from above the largest.
     """
+    x = np.asarray(x, dtype=float)
     k = np.arange(n_max + 1)
-    if x < _BESSEL_SERIES_BELOW:
-        half = 0.5 * x
-        lead = np.cumprod(np.concatenate(([1.0], half / k[1:])))
-        term = np.ones(n_max + 1)
+    values = np.empty((*x.shape, n_max + 1))
+    tiny = x < _BESSEL_SERIES_BELOW
+    if tiny.any():
+        half = 0.5 * x[tiny][:, None]
+        lead = np.cumprod(np.concatenate((np.ones_like(half), half / k[1:]), axis=1), axis=1)
+        term = np.ones(lead.shape)
         total = term.copy()
         m = 0
         while np.abs(term).max() > _EPS * _EPS:
             m += 1
             term *= -half * half / (m * (k + m))
             total += term
-        return lead * total
-    reach = max(n_max, math.ceil(x))
+        values[tiny] = lead * total
+    if tiny.all():
+        return values
+    x = x[~tiny]
+    reach = max(n_max, math.ceil(x.max()))
     start = 2 * ((reach + math.isqrt(40 * reach) + 20) // 2)
-    values = np.zeros(n_max + 1)
-    above, current, total = 0.0, 1.0, 0.0
+    miller = np.zeros((len(x), n_max + 1))
+    above, current, total = np.zeros(len(x)), np.ones(len(x)), np.zeros(len(x))
     for j in range(start, 0, -1):
         if j % 2 == 0:
             total += 2.0 * current
         if j <= n_max:
-            values[j] = current
+            miller[:, j] = current
         above, current = current, (2.0 * j / x) * current - above
-        if abs(current) > _BESSEL_RESCALE:
-            values /= _BESSEL_RESCALE
-            above, current = above / _BESSEL_RESCALE, current / _BESSEL_RESCALE
-            total /= _BESSEL_RESCALE
-    values[0] = current
-    return values / (total + current)
+        large = np.abs(current) > _BESSEL_RESCALE
+        if large.any():
+            miller[large] /= _BESSEL_RESCALE
+            above[large] /= _BESSEL_RESCALE
+            current[large] /= _BESSEL_RESCALE
+            total[large] /= _BESSEL_RESCALE
+    miller[:, 0] = current
+    values[~tiny] = miller / (total + current)[:, None]
+    return values
+
+
+def _series_terms(y: float, log_limit: float, max_terms: int) -> int | None:
+    """The least K <= max_terms with sum_{k>K} y^k/k! <= exp(log_limit), or None.
+
+    Once K + 2 > y the sum is at most y^(K+1)/(K+1)! / (1 - y/(K+2)).
+    """
+    for n_terms in range(1, max_terms + 1):
+        if n_terms + 2 <= y:
+            continue
+        log_tail = ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
+                    - math.log1p(-y / (n_terms + 2)))
+        if log_tail <= log_limit:
+            return n_terms
+    return None
+
+
+def _work_per_step(steps: int, n_terms: int, chunk: int, dimension: int) -> float:
+    """Estimated nanoseconds per recorded step of a block of steps states,
+    cut after n_terms, whose series vectors are combined chunk at a time."""
+    n_series = n_terms + 1
+    flushes = -(-n_series // chunk)
+    recurrence = n_terms * (CALL_NS + ENTRY_NS * dimension)
+    products = (flushes * CALL_NS + steps * n_series * dimension * TERM_ENTRY_NS
+                + (flushes - 1) * steps * dimension * ADD_ENTRY_NS)
+    return (recurrence + products + BLOCK_NS) / steps
+
+
+def _block_rows(steps: int, n_terms: int, dimension: int) -> tuple[int, int]:
+    """(rows of the block buffers, series vectors held at once) of a block
+    of steps states cut after n_terms.
+
+    The whole series is held when it fits BLOCK_BYTES beside the states;
+    otherwise as many vectors as fit beside the states and one partial
+    sum of them (three at least, which the recurrence needs).
+    """
+    fit = BLOCK_BYTES // (16 * dimension)
+    if n_terms + 1 + steps <= fit:
+        return n_terms + 1 + steps, n_terms + 1
+    chunk = max(3, fit - 2 * steps)
+    return chunk + 2 * steps, chunk
 
 
 class _ChebyshevStepper:
-    """exp(-i*H*dt) as a truncated Chebyshev series with an a-priori bound.
+    """exp(-i*H*j*dt) psi for the m steps j = 1..m of a block, from one
+    truncated Chebyshev series with an a-priori bound.
 
     With c and R the centre and half-width of an enclosure of the numerical
-    range W(H), exp(-i*H*dt) = exp(-i*c*dt) * sum_k a_k T_k((H - c)/R),
-    a_k = (2 - delta_k0) (-i)^k J_k(R*dt) (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)). The enclosure is the rectangle of the
-    Gershgorin intervals of the Hermitian part (H + H^H)/2 and of the skew
-    part (H - H^H)/2i. On it |T_k| <= rho^k, where rho is the largest
-    Bernstein-ellipse parameter of its corners, and by Crouzeix and
-    Palencia (SIAM J. Matrix Anal. Appl. 38, 649 (2017)) |T_k(...)| <=
-    (1 + sqrt 2) rho^k in the 2-norm. With |J_k(x)| <= (x/2)^k / k!, the
-    series cut after K terms errs by at most
-    (1 + sqrt 2) * sum_{k>K} 2 (x rho/2)^k / k! times the state's norm:
-    a rigorous bound, not an estimate. A step is K mat-vecs and vector
-    updates, with no basis and no dense exponential.
+    range W(H), exp(-i*H*t) = exp(-i*c*t) * sum_k (2 - delta_k0) J_k(R*t) S_k
+    with S_k = (-i)^k T_k((H - c)/R) psi (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)). The vectors S_k do not depend on t, so one
+    recurrence S_{k+1} = -2i (H - c)/R S_k + S_{k-1} of K mat-vecs serves
+    every time of a block (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)):
+    the real (m, K+1) matrix of (2 - delta_k0) J_k(R*j*dt), the same for
+    every block, combines them into the block's m states, as matrix
+    products on their interleaved float view, and the phases exp(-i*c*j*dt)
+    finish them. A block cut short uses the first rows.
+
+    The enclosure is the rectangle of the Gershgorin intervals of the
+    Hermitian part (H + H^H)/2 and of the skew part (H - H^H)/2i. On it
+    |T_k| <= rho^k, where rho is the largest Bernstein-ellipse parameter of
+    its corners, and by Crouzeix and Palencia (SIAM J. Matrix Anal. Appl.
+    38, 649 (2017)) |T_k(...)| <= (1 + sqrt 2) rho^k in the 2-norm. With
+    |J_k(x)| <= (x/2)^k / k!, the series cut after K terms errs at any
+    x <= R*m*dt by at most (1 + sqrt 2) * sum_{k>K} 2 (x rho/2)^k / k!
+    times the state's norm: a rigorous bound, not an estimate, that grows
+    with x, so the block's last time bounds all of them. A block costs K
+    mat-vecs and vector updates and one product per chunk of series
+    vectors, with no basis and no dense exponential. Its buffers hold the
+    m states, the series vectors of _block_rows and, when the series is
+    chunked, one partial sum: 16 bytes per entry each.
     """
 
-    def __init__(self, matrix, center: float, radius: float, coefficients: np.ndarray):
+    def __init__(self, matrix, dimension: int, center: float, radius: float, dt: float,
+                 coefficients: np.ndarray, chunk: int):
         self.matrix = matrix
         self.center = center
         self.radius = radius
         self.coefficients = coefficients
+        self.steps, n_series = coefficients.shape
+        self.phases = np.exp(-1j * center * (np.arange(1, self.steps + 1) * dt))
+        self._series = np.empty((min(chunk, n_series), dimension), dtype=complex)
+        self._states = np.empty((self.steps, dimension), dtype=complex)
+        self._partial = (np.empty((self.steps, 2 * dimension)) if chunk < n_series
+                         else None)
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the corners
-    def plan(cls, ham: EffectiveHamiltonian, dt: float, budget: float, norm: float):
-        """The stepper of ham.matrix whose steps of psi, |psi| <= norm, err
-        by at most CHEBYSHEV_BUDGET_SHARE * budget.
+    def plan(cls, ham: EffectiveHamiltonian, dt: float, n_steps: int, tolerance: float,
+             norm: float):
+        """The stepper of ham.matrix for n_steps steps of dt whose blocks of
+        states of psi, |psi| <= norm, err by at most
+        CHEBYSHEV_BUDGET_SHARE * tolerance / (the number of blocks) each.
 
-        The rectangle is ham.enclosure. None when Krylov is the safer
-        stepper: the plan is not finite, needs MAX_CHEBYSHEV terms or more
-        than the dimension (Arnoldi never needs more than that), or its
-        rounding could grow past MAX_CHEBYSHEV_GROWTH. A budget that is not
-        positive and finite, or a Fock entry that is not finite, raises
-        PropagationError.
+        The rectangle is ham.enclosure. Of the block lengths m whose series
+        is allowed, the least estimated work per recorded step
+        (_work_per_step) wins. A series is allowed when it is finite, has
+        at most MAX_CHEBYSHEV terms and fewer than the dimension (Arnoldi
+        never needs more than that per step), and its rounding cannot grow
+        past MAX_CHEBYSHEV_GROWTH. A longer block of m > 1 must also fit
+        its buffers in BLOCK_BYTES. None when m = 1 is not allowed: Krylov
+        is the safer stepper. A tolerance that is not positive and finite,
+        or a Fock entry that is not finite, raises PropagationError.
         """
-        _check_budget(budget)
+        _check_budget(tolerance)
         if not np.isfinite(ham.entries[2]).all():
             raise PropagationError("the Hamiltonian has entries that are not finite")
         lo, hi, slo, shi = ham.enclosure
@@ -267,43 +418,59 @@ class _ChebyshevStepper:
         corners = np.array([complex(re, im / radius) for re in (-half, half) for im in (slo, shi)])
         root = np.sqrt(corners * corners - 1.0)
         rho = float(np.maximum(np.abs(corners + root), np.abs(corners - root)).max())
-        y = 0.5 * x * rho
-        if not (0.0 < y < math.inf):
+        if not (0.0 < 0.5 * x * rho < math.inf):
             return None
-        log_limit = (math.log(CHEBYSHEV_BUDGET_SHARE * budget)
-                     - math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else math.inf)
-        # sum_{k>K} y^k/k! <= y^(K+1)/(K+1)! / (1 - y/(K+2)) once K + 2 > y
-        for n_terms in range(1, min(MAX_CHEBYSHEV, ham.dimension - 1) + 1):
-            if n_terms + 2 <= y:
-                continue
-            log_tail = ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
-                        - math.log1p(-y / (n_terms + 2)))
-            if log_tail <= log_limit:
+        dimension = ham.dimension
+        log_norm = math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else -math.inf
+        best = None
+        for steps in range(1, n_steps + 1):
+            n_blocks = -(-n_steps // steps)
+            log_limit = math.log(CHEBYSHEV_BUDGET_SHARE * tolerance / n_blocks) - log_norm
+            n_terms = _series_terms(0.5 * x * rho * steps, log_limit,
+                                    min(MAX_CHEBYSHEV, dimension - 1))
+            if n_terms is None or n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
                 break
-        else:
+            rows, chunk = _block_rows(steps, n_terms, dimension)
+            if steps > 1 and 16 * dimension * rows > BLOCK_BYTES:
+                break
+            work = _work_per_step(steps, n_terms, chunk, dimension)
+            if best is None or work < best[0]:
+                best = (work, steps, n_terms, chunk)
+        if best is None:
             return None
-        if n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
-            return None
-        k = np.arange(n_terms + 1)
-        coefficients = 2.0 * (-1j) ** k * _bessel_j(n_terms, x) * np.exp(-1j * center * dt)
-        coefficients[0] *= 0.5
-        return cls(ham.matrix, center, radius, coefficients)
+        _, steps, n_terms, chunk = best
+        coefficients = _bessel_j(n_terms, x * np.arange(1, steps + 1))
+        coefficients[:, 1:] *= 2.0
+        return cls(ham.matrix, dimension, center, radius, dt, coefficients, chunk)
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        """The three-term recurrence T_{k+1} = 2 z T_k - T_{k-1} on (H - c)/R."""
-        a = self.coefficients
-        scale = 1.0 / self.radius
-        shift = self.center * scale
-        previous = psi
-        current = scale * self.matrix.dot(psi) - shift * psi
-        result = a[0] * psi + a[1] * current
-        for a_k in a[2:]:
-            following = (2.0 * scale) * self.matrix.dot(current)
-            following -= (2.0 * shift) * current
-            following -= previous
-            result += a_k * following
-            previous, current = current, following
-        return result
+    def block(self, psi: np.ndarray, n: int) -> np.ndarray:
+        """The states after steps 1..n <= m from psi, as rows of a view of
+        the stepper's buffer that the next block overwrites."""
+        series, states = self._series, self._states[:n]
+        chunk, n_series = len(series), self.coefficients.shape[1]
+        coefficients = self.coefficients[:n]
+        out = states.view(float)
+        series_real = series.view(float)
+        scale = -2j / self.radius
+        series[0] = psi
+        for k in range(1, n_series):
+            current, target = series[(k - 1) % chunk], series[k % chunk]
+            product = self.matrix.dot(current)
+            product -= self.center * current
+            np.multiply(product, scale if k > 1 else 0.5 * scale, out=target)
+            if k > 1:
+                target += series[(k - 2) % chunk]
+            if k % chunk == chunk - 1 or k == n_series - 1:
+                first = k - k % chunk
+                terms = (coefficients[:, first : k + 1], series_real[: k % chunk + 1])
+                if first == 0:
+                    np.matmul(*terms, out=out)
+                else:
+                    partial = self._partial[:n]
+                    np.matmul(*terms, out=partial)
+                    out += partial
+        states *= self.phases[:n, None]
+        return states
 
 
 class _KrylovStepper:
@@ -438,6 +605,15 @@ def _one_blas_thread():
             setter(threads)
 
 
+def _krylov_block(stepper: _KrylovStepper, dt: float, budget: float, psi: np.ndarray,
+                  n: int) -> np.ndarray:
+    """The states after n Krylov steps of dt from psi, one per row."""
+    block = np.empty((n, len(psi)), dtype=complex)
+    for j in range(n):
+        psi = block[j] = stepper.step(psi, dt, budget)
+    return block
+
+
 def propagate(
     ham: EffectiveHamiltonian,
     psi0: np.ndarray,
@@ -449,56 +625,43 @@ def propagate(
     """Evolve psi0 under the assembled Hamiltonian, recording every dt_record.
 
     The state at each grid time matches exp(-i H t) psi0 to within
-    `tolerance` in the vector 2-norm (budgeted uniformly over the steps).
-    psi0 is mapped into ham's working basis once; the steps are Chebyshev
-    steps planned once from the Hamiltonian, dt_record and the step
-    budget, with Krylov steps where that plan is refused (see
-    _ChebyshevStepper.plan), and every step is recorded from its
-    Fock-basis state. Full states are kept at the grid times
-    nearest to `state_times` and at the end. Each step's recorded norm is
-    checked: a norm that is not finite, or grows beyond the tolerance and
-    rounding, which the lossy generator cannot do, raises PropagationError
-    and discards the trajectory. So does a matrix entry that is not finite.
+    `tolerance` in the vector 2-norm (budgeted uniformly over the
+    Chebyshev blocks, or over the Krylov steps). psi0 is mapped into ham's
+    working basis once; the steps are
+    Chebyshev blocks planned once from the Hamiltonian, dt_record, the
+    number of steps and the tolerance, with Krylov steps where that plan
+    is refused (see _ChebyshevStepper.plan), gathered into blocks as
+    well. Every block is recorded, and its norms checked, by
+    Trajectory.record. Full states are kept at the grid times nearest to
+    `state_times` and at the end. A norm that is not finite, or grows
+    beyond the tolerance and rounding, which the lossy generator cannot
+    do, raises PropagationError and discards the trajectory. So does a
+    matrix entry that is not finite.
     """
     check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (ham.dimension,):
         raise ConfigError("initial state dimension does not match Hamiltonian")
-    traj = Trajectory(psi0, ham.layout, dt_record, t_final, state_times)
+    traj = Trajectory(psi0, ham.layout, dt_record, t_final, state_times, tolerance,
+                      ham.to_fock)
     n_steps = len(traj.times) - 1
-    traj.record(0, psi0.copy())
     if n_steps == 0:
         return traj
-    budget = tolerance / n_steps
-    norm0 = math.sqrt(traj.norms2[0])
-    # norms never grow, so a plan for norm0 bounds every step
-    chebyshev = _ChebyshevStepper.plan(ham, dt_record, budget, norm0)
+    # norms never grow, so a plan for the initial norm bounds every block
+    chebyshev = _ChebyshevStepper.plan(ham, dt_record, n_steps, tolerance,
+                                       math.sqrt(traj.norms2[0]))
     if chebyshev is not None:
-        step = chebyshev.step
+        advance, block_steps = chebyshev.block, chebyshev.steps
     else:
-        step = functools.partial(_KrylovStepper(ham.matrix).step, dt=dt_record, budget=budget)
+        advance = functools.partial(_krylov_block, _KrylovStepper(ham.matrix), dt_record,
+                                    tolerance / n_steps)
+        block_steps = max(1, BLOCK_BYTES // (16 * ham.dimension))
     psi = ham.to_working(psi0)
-    # an out-of-range model overflows inside a step; the checks below and
+    # an out-of-range model overflows inside a step; the norm checks and
     # the steppers' own report it, not numpy warnings
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            psi = step(psi)
-            traj.record(k, ham.to_fock(psi))
-            t = k * dt_record
-            norm2 = traj.norms2[k]
-            if not math.isfinite(norm2):
-                if np.isfinite(psi).all():
-                    raise PropagationError(
-                        f"state norm at step {k} (t = {t}) exceeds its initial {norm0:.6g} "
-                        "and is not finite; the model is out of numerical range"
-                    )
-                raise PropagationError(f"state at step {k} (t = {t}) is not finite")
-            # the generator is dissipative, so the exact norm never grows:
-            # allow the error budget and 64 ulps of rounding per step
-            norm = math.sqrt(norm2)
-            if not norm <= norm0 * (1.0 + 64 * _EPS * k) + tolerance:
-                raise PropagationError(
-                    f"state norm {norm:.6g} at step {k} (t = {t}) exceeds "
-                    f"its initial {norm0:.6g}; the model is out of numerical range"
-                )
+        for start in range(1, n_steps + 1, block_steps):
+            block = advance(psi, min(block_steps, n_steps + 1 - start))
+            traj.record(start, block)
+            psi = block[-1]
     return traj

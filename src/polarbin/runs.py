@@ -43,15 +43,27 @@ def write_csv(path, columns: dict) -> None:
     columns maps each name, in order, to an array, list or tuple; all have
     the same length. Floats are written by _fmt, every other value by str.
     Cells holding a comma, quote or line break (a sweep row's error
-    message) are quoted; numeric cells never are.
+    message) are quoted; numeric cells never are. A table of floats only
+    is formatted a row at a time by one '%' operation, as _fmt would.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    rows = zip(*columns.values(), strict=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         # one row formatted at a time: a long column costs no list of strings
-        writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row]
-                         for row in zip(*columns.values(), strict=True))
+        if all(map(_all_floats, columns.values())):
+            row_format = ",".join(["%.16e"] * len(columns)) + "\n"
+            handle.writelines(row_format % row for row in rows)
+        else:
+            writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row]
+                             for row in rows)
+
+
+def _all_floats(column) -> bool:
+    if isinstance(column, np.ndarray):
+        return column.dtype == float
+    return all(isinstance(v, float) for v in column)
 
 
 def write_manifest(cfg: RunConfig, out_dir) -> str:

@@ -295,6 +295,39 @@ class TestRunCommands:
         assert deviations == sorted(deviations, reverse=True)
 
 
+class TestWriteCsv:
+    """A table of floats takes the one-format-per-row path; every table
+    reads as csv.writer writes its cells, floats by _fmt and the rest by str."""
+
+    @staticmethod
+    def by_cell(path, columns):
+        from polarbin.runs import _fmt
+
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row]
+                             for row in zip(*columns.values(), strict=True))
+
+    @pytest.mark.parametrize("table", ["floats", "special floats", "mixed", "empty"])
+    def test_same_bytes_as_cell_by_cell(self, tmp_path, table):
+        from polarbin.runs import write_csv
+
+        rng = np.random.default_rng(3)
+        columns = {
+            "floats": {f"c{i}": rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
+                       for i in range(6)},
+            "special floats": {"a": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]),
+                               "b": [1.0, 1 / 3, -2.5, 1e300, 0.1, np.float64(7.0)]},
+            "mixed": {"n": [1, 2, 4], "x": [0.1, 0.2, 0.3],
+                      "status": ["ok", 'error: a, "b"', ""]},
+            "empty": {"a": np.array([]), "b": []},
+        }[table]
+        write_csv(tmp_path / "fast.csv", columns)
+        self.by_cell(tmp_path / "reference.csv", columns)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestCliEntry:
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.special",
                                         "scipy.sparse", "scipy",

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarbin as pb
 from polarbin.errors import ConfigError
@@ -343,13 +345,15 @@ class TestPropagate:
 class TestBesselJ:
     """The Chebyshev coefficients' Bessel values against scipy.special.jv."""
 
-    @pytest.mark.parametrize("n_max", [1, 12, 64])
-    @pytest.mark.parametrize("x", [1e-300, 1e-9, 1e-3, 0.5, 5.0, 20.0, 45.0, 60.0])
+    # orders up to MAX_CHEBYSHEV, arguments past those its blocks reach
+    @pytest.mark.parametrize("n_max", [1, 12, 64, 128])
+    @pytest.mark.parametrize("x", [1e-300, 1e-9, 1e-3, 0.5, 5.0, 20.0, 45.0, 60.0, 100.0])
     def test_matches_scipy(self, x, n_max):
         from scipy.special import jv
 
-        from polarbin.propagator import _bessel_j
+        from polarbin.propagator import MAX_CHEBYSHEV, _bessel_j
 
+        assert n_max <= MAX_CHEBYSHEV
         k = np.arange(n_max + 1)
         values, reference = _bessel_j(n_max, x), jv(k, x)
         assert np.abs(values - reference).max() <= 4e-15
@@ -359,12 +363,49 @@ class TestBesselJ:
         np.testing.assert_allclose(values[tail], reference[tail], rtol=1e-12, atol=0)
 
 
+def plan_of(ham, dt, n_steps, tolerance, norm=1.0):
+    """(stepper or None, mat-vecs the plan made) of a Chebyshev block plan."""
+    from polarbin.propagator import _ChebyshevStepper
+
+    matrix = CountingMatrix(ham.matrix, limit=0)
+    stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, n_steps, tolerance, norm)
+    return stepper, matrix.calls
+
+
+def block_shape(stepper):
+    """(m, K): the steps of a block and the series length of its plan."""
+    return stepper.steps, stepper.coefficients.shape[1] - 1
+
+
+# (m, K) of every preset point's block plan, in sweep order: the steps of
+# a block and its series length. A small system (sigma = 0, D = 121) takes
+# long blocks, since a mat-vec there costs mostly call overhead
+FIG6_PLAN = (8, 25)
+_FIG3C_PLANS = (
+    [(84, 104), (78, 98), (83, 104), (83, 104), (82, 104)] + [(34, 54)] * 3
+    + [(32, 52), (34, 55)] + [(13, 31)] * 5 + [(10, 27)] * 4 + [(11, 29)]
+    + [(7, 23)] * 4 + [(8, 25)] + [(7, 23)] * 3 + [(6, 22)] * 2 + [(5, 20)] * 3
+    + [(6, 22)] * 2 + [(4, 19)] * 5
+)
+PRESET_PLANS = {
+    "fig3a": [(82, 104), (13, 31), (8, 25), (6, 22)],
+    "fig3c": _FIG3C_PLANS,
+    "fig4a": [(84, 104), (82, 104), (7, 23), (8, 25), (4, 19), (4, 19)],
+    "fig4c": [(83, 104), (82, 105), (7, 23), (8, 25), (4, 19), (4, 19)],
+    "fig6": [FIG6_PLAN],
+    "figS1": [(6, 22)],
+    "figS2": _FIG3C_PLANS,
+    "figS3": [(7, 23)] * 7 + [(8, 25)],
+    "figS4": [(47, 68)],
+}
+
+
 class TestChebyshevStep:
-    # budgets from 1e-12 to 1e-6 on the lossy fig3 system, D = 49
-    @pytest.mark.parametrize("budget", [1e-12, 1e-10, 1e-8, 1e-6])
+    # tolerances from 1e-12 to 1e-6 on the lossy fig3 system, D = 49
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-10, 1e-8, 1e-6])
     @pytest.mark.parametrize("dt", [0.5, 1.0, 8.0])
     @pytest.mark.parametrize("norm", [1.0, 0.3, 7.0])
-    def test_steps_within_budget_of_dense_expm(self, dt, budget, norm):
+    def test_steps_within_budget_of_dense_expm(self, dt, tolerance, norm):
         from polarbin.propagator import _ChebyshevStepper
 
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
@@ -373,26 +414,28 @@ class TestChebyshevStep:
         rng = np.random.default_rng(round(1e3 * dt))
         psi = rng.normal(size=49) + 1j * rng.normal(size=49)
         psi *= norm / np.linalg.norm(psi)
+        n_steps = 60
         matrix = CountingMatrix(ham.matrix)
-        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, budget, norm)
+        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, n_steps, tolerance,
+                                         norm)
         assert stepper is not None and matrix.calls == 0
-        n_terms = len(stepper.coefficients) - 1
+        steps, n_terms = block_shape(stepper)
+        budget = tolerance / -(-n_steps // steps)
         y = ham.to_working(psi)
-        for k in range(1, 4):
-            exact = exact_step @ ham.to_fock(y)
-            y = stepper.step(y)
-            assert matrix.calls == k * n_terms
-            assert np.linalg.norm(ham.to_fock(y) - exact) <= budget
+        for b in range(1, 4):
+            exact = ham.to_fock(y)
+            block = stepper.block(y, steps)
+            assert matrix.calls == b * n_terms
+            for row in block:
+                exact = exact_step @ exact
+                assert np.linalg.norm(ham.to_fock(row) - exact) <= budget
+            y = block[-1].copy()
 
     @pytest.mark.parametrize("budget", [0.0, -1e-12, math.nan, math.inf])
     def test_invalid_budget_raises_before_any_matvec(self, budget):
-        from polarbin.propagator import _ChebyshevStepper
-
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
-        matrix = CountingMatrix(ham.matrix, limit=0)
         with pytest.raises(pb.PropagationError, match="tolerance"):
-            _ChebyshevStepper.plan(replace(ham, matrix=matrix), 1.0, budget, 1.0)
-        assert matrix.calls == 0
+            plan_of(ham, 1.0, 10, budget)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entry_raises_before_any_matvec(self, value):
@@ -408,64 +451,149 @@ class TestChebyshevStep:
 
     @pytest.mark.parametrize("case", ["criterion 2", "kappa 0.5", "s1 4.36e10"])
     def test_krylov_where_chebyshev_cannot_serve(self, case):
-        from polarbin.propagator import _ChebyshevStepper
-
-        budget = 1e-9
+        # the per-step budget of each case as before blocks: a refused
+        # single step refuses every block length
+        n_steps, tolerance = 1, 1e-9
         if case == "criterion 2":  # D = 5 is less than the 7 terms needed
             spec, n_bins, n_vib = fig3_spec(coupling=0.0, omega_c=0.105), 1, 2
-            dt, budget = 200 * pb.FS_TO_AU / 8268, 1e-9 / 8268
+            dt, n_steps = 200 * pb.FS_TO_AU / 8268, 8268
         elif case == "kappa 0.5":  # rounding would grow like 3**K
             spec, n_bins, n_vib, dt = fig3_spec(sigma=0.02, kappa=0.5), 4, 6, 1.0
         else:  # |H|*dt of about 1e11
             spec, n_bins, n_vib, dt = fig3_spec(s1=4.36e10, kappa=0.0), 1, 2, 0.5
         _, ham = small_system(spec, n_bins, n_vib)
-        matrix = CountingMatrix(ham.matrix, limit=0)
-        assert _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, budget, 1.0) is None
+        assert plan_of(ham, dt, n_steps, tolerance) == (None, 0)
 
     def test_fig6_shape_takes_chebyshev(self):
-        from polarbin.propagator import _ChebyshevStepper
-
         bins, ham = small_system(fig3_spec(sigma=0.02), 24, 60)
         assert ham.dimension == 2881
         psi0 = pb.polariton_state(ham.layout, bins, +1)
-        matrix = CountingMatrix(ham.matrix, limit=0)
-        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), 1.0, 1e-9 / 1240,
-                                         np.linalg.norm(psi0))
-        assert stepper is not None
-        assert len(stepper.coefficients) - 1 == 12
-
-    # the series length K of every preset point, in sweep order, as planned
-    # when the enclosure was still taken from scipy's CSR arithmetic
-    PRESET_TERMS = {
-        "fig3a": [11, 12, 12, 12],
-        "fig3c": [11] * 8 + [12] * 32,
-        "fig4a": [11, 11, 12, 12, 12, 12],
-        "fig4c": [11, 12, 12, 12, 12, 12],
-        "fig6": [12],
-        "figS1": [12],
-        "figS2": [11] * 8 + [12] * 32,
-        "figS3": [12] * 8,
-        "figS4": [11],
-    }
+        stepper, calls = plan_of(ham, 1.0, 1240, 1e-9, np.linalg.norm(psi0))
+        assert stepper is not None and calls == 0
+        assert block_shape(stepper) == FIG6_PLAN
 
     def test_every_preset_point_takes_chebyshev(self):
-        # a silent fall-back to Krylov would undo the step's speed-up, and
-        # a longer series would cost mat-vecs
-        from polarbin.propagator import _ChebyshevStepper, _resolve_grid
+        # a silent fall-back to Krylov would undo the blocks' speed-up, and a
+        # shorter block or a longer series would cost mat-vecs
+        from polarbin.propagator import _resolve_grid
 
-        terms = {name: [] for name in self.PRESET_TERMS}
+        plans = {name: [] for name in PRESET_PLANS}
         for name, point, resolved in preset_points():
             bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
             psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
             n_steps = _resolve_grid(resolved.dt_record, resolved.t_final)
-            matrix = CountingMatrix(ham.matrix, limit=0)
-            stepper = _ChebyshevStepper.plan(
-                replace(ham, matrix=matrix), resolved.dt_record, resolved.tolerance / n_steps,
-                np.linalg.norm(psi0),
-            )
-            assert stepper is not None, (name, point)
-            terms[name].append(len(stepper.coefficients) - 1)
-        assert terms == self.PRESET_TERMS
+            stepper, calls = plan_of(ham, resolved.dt_record, n_steps, resolved.tolerance,
+                                     np.linalg.norm(psi0))
+            assert stepper is not None and calls == 0, (name, point)
+            plans[name].append(block_shape(stepper))
+        assert plans == PRESET_PLANS
+
+
+class TestBlockStep:
+    """Every recorded state of a Chebyshev block run against dense expm of
+    the Fock matrix, H stepped as the binned arrowhead or as reference CSR."""
+
+    DT, TOLERANCE = 2.0, 1e-10
+
+    @staticmethod
+    def engine(name):
+        """(ham, dense Fock matrix, initial state) of a lossy fig3 system."""
+        spec = fig3_spec(sigma=0.02)
+        bins = pb.discretize_disorder(spec, 4)
+        if name == "arrowhead":
+            ham = pb.build_effective_hamiltonian(spec, bins, 6)
+            return ham, dense_fock(ham), pb.polariton_state(ham.layout, bins, +1)
+        ham = build_explicit_hamiltonian(spec, ExplicitEnsemble.from_bins(bins, 2, 3,
+                                                                          spec.coupling))
+        return ham, ham.matrix.toarray(), pb.photonic_state(ham.layout)
+
+    def steps_of(self, ham, n_steps):
+        stepper, _ = plan_of(ham, self.DT, n_steps, self.TOLERANCE)
+        return stepper.steps
+
+    @pytest.mark.parametrize("engine", ["arrowhead", "csr"])
+    @pytest.mark.parametrize("grid", ["whole blocks", "cut short", "shorter than a block"])
+    def test_every_recorded_state_matches_dense_expm(self, engine, grid):
+        ham, dense, psi0 = self.engine(engine)
+        long = self.steps_of(ham, 400)
+        assert long > 2
+        if grid == "shorter than a block":
+            n_steps = long - 2
+            assert self.steps_of(ham, n_steps) <= n_steps
+        else:
+            remainder = (lambda n, m: n % m == 0) if grid == "whole blocks" else (
+                lambda n, m: n % m != 0)
+            n_steps = next(n for n in range(2 * long, 4 * long)
+                           if remainder(n, self.steps_of(ham, n)))
+            assert n_steps > self.steps_of(ham, n_steps) > 1
+        traj = pb.propagate(ham, psi0, self.DT, n_steps * self.DT, self.TOLERANCE,
+                            state_times=np.arange(n_steps + 1) * self.DT)
+        step = scipy.linalg.expm(-1j * self.DT * dense)
+        exact = psi0
+        for state in traj.states:
+            assert np.linalg.norm(state - exact) <= self.TOLERANCE
+            exact = step @ exact
+
+    @pytest.mark.parametrize("engine", ["arrowhead", "csr"])
+    def test_every_row_of_a_short_block_matches_dense_expm(self, engine):
+        from polarbin.propagator import _ChebyshevStepper
+
+        ham, dense, psi0 = self.engine(engine)
+        n_steps = 400
+        stepper = _ChebyshevStepper.plan(ham, self.DT, n_steps, self.TOLERANCE, 1.0)
+        budget = self.TOLERANCE / -(-n_steps // stepper.steps)
+        step = scipy.linalg.expm(-1j * self.DT * dense)
+        for n in (1, stepper.steps - 1, stepper.steps):
+            exact = psi0
+            block = stepper.block(ham.to_working(psi0), n)
+            assert block.shape == (n, ham.dimension)
+            for row in block:
+                exact = step @ exact
+                assert np.linalg.norm(ham.to_fock(row) - exact) <= budget
+
+    def test_norm_growth_fails_inside_a_block_at_its_step(self):
+        from polarbin.propagator import CHEBYSHEV_BUDGET_SHARE
+
+        # time-reversed loss is gain: at this rate the norm crosses the
+        # allowed tolerance at step 6, inside the first block, by margins
+        # larger than the block's error bound
+        dt, n_steps, tolerance = 1.0, 40, 1e-6
+        _, ham = small_system(fig3_spec(sigma=0.02, kappa=3.6e-7), 2, 4)
+        gain = negated(ham)
+        stepper, _ = plan_of(gain, dt, n_steps, tolerance)
+        step = scipy.linalg.expm(-1j * dt * gain.matrix.toarray())
+        psi = pb.photonic_state(ham.layout)
+        excess = []
+        for k in range(1, n_steps + 1):
+            psi = step @ psi
+            excess.append(np.linalg.norm(psi) - (1.0 + 64 * np.finfo(float).eps * k + tolerance))
+        first = 1 + next(k for k, value in enumerate(excess) if value > 0)
+        assert 1 < first < stepper.steps
+        bound = CHEBYSHEV_BUDGET_SHARE * tolerance / -(-n_steps // stepper.steps)
+        assert min(abs(excess[first - 2]), excess[first - 1]) > bound
+        with pytest.raises(pb.PropagationError,
+                           match=rf"at step {first} \(t = {first * dt}\) exceeds its initial 1"):
+            pb.propagate(gain, pb.photonic_state(ham.layout), dt, n_steps * dt, tolerance)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 3), n_vib=st.integers(2, 5),
+       dt=st.floats(0.25, 20.0), n_steps=st.integers(1, 40), kappa=st.floats(0.0, 0.05),
+       tolerance=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6]))
+def test_random_lossy_models_stay_within_tolerance(seed, n_bins, n_vib, dt, n_steps, kappa,
+                                                   tolerance):
+    rng = np.random.default_rng(seed)
+    spec = replace(random_small_spec(rng), kappa=kappa)
+    bins, ham = small_system(spec, n_bins if spec.sigma > 0 else 1, n_vib)
+    psi0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+    psi0 /= np.linalg.norm(psi0)
+    traj = pb.propagate(ham, psi0, dt, n_steps * dt, tolerance,
+                        state_times=np.arange(n_steps + 1) * dt)
+    step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
+    exact = psi0
+    for state in traj.states:
+        assert np.linalg.norm(state - exact) <= tolerance
+        exact = step @ exact
 
 
 def scipy_enclosure(matrix):
@@ -554,7 +682,7 @@ class TestStartupBlasThreads:
         "spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)\n"
         "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 1), 2)\n"
         "dt = 200 * pb.FS_TO_AU / 8268\n"
-        "assert _ChebyshevStepper.plan(ham, dt, 1e-9 / 100, 1.0) is None\n"
+        "assert _ChebyshevStepper.plan(ham, dt, 100, 1e-9, 1.0) is None\n"
         "pb.propagate(ham, pb.photonic_state(ham.layout), dt, 100 * dt, 1e-9)\n"
         "loaded.append('scipy.linalg' in sys.modules)\n"
         "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()], loaded]))\n"
