@@ -5,10 +5,11 @@ numpy and scipy at one thread each, unless the caller has set
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: the binned
 problems are small and sparse, and a BLAS thread pool costs them more than
 it saves. The environment is left as it was found. Import loads numpy
-only, and no scipy module: scipy.sparse (the Fock-basis CSR matrices of
-the reference engines), scipy.linalg (the Krylov stepper),
-scipy.integrate (the equations-of-motion engine) and the process pool
-load on first use.
+only, and no scipy module: scipy.sparse (the Fock-basis CSR matrices
+that only the reference engines of polarbin.oracle assemble; the binned
+model is bounded and stepped as a numpy arrowhead), scipy.linalg (the
+Krylov stepper), scipy.integrate (the equations-of-motion engine) and the
+process pool load on first use.
 """
 
 import os as _os
@@ -41,7 +42,6 @@ from .hamiltonian import (
     EffectiveHamiltonian,
     build_effective_hamiltonian,
     displaced_number_operator,
-    fc_overlap,
 )
 from .model import (
     FS_TO_AU,
@@ -102,7 +102,6 @@ __all__ = [
     "default_omega_grid",
     "discretize_disorder",
     "displaced_number_operator",
-    "fc_overlap",
     "make_initial_state",
     "photonic_state",
     "polariton_state",

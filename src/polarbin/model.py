@@ -179,7 +179,6 @@ class BasisLayout:
     """
 
     PHOTON = 0
-    SURFACES = ("e1", "e2")
 
     def __init__(self, n_bins: int, n_vib: int):
         if n_bins < 1 or n_vib < 2:
@@ -227,20 +226,6 @@ class BasisLayout:
     def e1_slice(self, coordinate: int) -> slice:
         start = self.e1(coordinate, 0)
         return slice(start, start + self.vib_dim)
-
-    def e2_slice(self, coordinate: int) -> slice:
-        start = self.e2(coordinate, 0)
-        return slice(start, start + self.vib_dim)
-
-    def describe(self, flat: int):
-        """Inverse map: flat index -> ('photon',) or (surface, coordinate, level)."""
-        if not 0 <= flat < self.dimension:
-            raise IndexError(f"flat index {flat} out of range")
-        if flat < self.photon_dim:
-            return ("photon",)
-        surface, coordinate, level = np.unravel_index(
-            flat - self.photon_dim, (2, self.n_coords, self.vib_dim))
-        return (self.SURFACES[surface], int(coordinate), int(level))
 
     def _check(self, coordinate: int, level: int) -> None:
         if not 0 <= coordinate < self.n_coords:

@@ -1,8 +1,10 @@
-"""Brute-force validation engines.
+"""Reference engines, and the Fock-basis assembly only they use.
 
-Two tensor-product reference constructions, deliberately expensive and
-kept small, built from the binned model's own Fock-basis entries as CSR
-(:func:`polarbin.hamiltonian.assemble_hamiltonian`) on one basis layout:
+:func:`assemble_hamiltonian` places every entry of the model's Fock-basis
+matrix by index arithmetic, for any basis layout, into scipy CSR (a
+:class:`FockHamiltonian`), stepped in the Fock basis under a Gershgorin
+rectangle. Two tensor-product reference constructions, deliberately
+expensive and kept small, are built from it:
 
 * the explicit finite ensemble (every molecule with its own vibrational
   coordinate, single-molecule coupling g = G/sqrt(N), no Franck-Condon
@@ -15,7 +17,9 @@ Both reuse :func:`polarbin.propagator.propagate` and
 :func:`polarbin.observables.populations` verbatim, so the engine under
 test differs only in Hamiltonian assembly and in the basis it is stepped
 in: these CSR matrices step in the Fock basis, the binned one as an
-arrowhead in its vibronic eigenbasis.
+arrowhead in its vibronic eigenbasis. On the binned layout the same
+placement gives the binned model's own Fock matrix, which the tests
+compare the arrowhead against.
 
 :func:`propagate_eom` is an independent integrator for the binned model
 itself: it solves the amplitude equations of motion in the displaced
@@ -28,18 +32,19 @@ disagreement beyond integrator tolerances is a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, PropagationError
 from .hamiltonian import (
     DEFAULT_DIMENSION_CAP,
-    EffectiveHamiltonian,
-    assemble_hamiltonian,
     build_effective_hamiltonian,
     check_dimension,
+    check_finite,
     displaced_number_operator,
+    vibronic_block,
 )
 from .model import BasisLayout, BinSet, ModelSpec
 from .observables import populations
@@ -53,6 +58,148 @@ from .propagator import (
 
 EXPLICIT_DIMENSION_CAP = 50_000
 MAX_EXPLICIT_MOLECULES = 4
+
+
+@dataclass(frozen=True)
+class FockHamiltonian:
+    """A Fock-basis Hamiltonian as scipy CSR, stepped in the Fock basis.
+
+    Its CSR arrays hold each structural entry once, sorted by row and then
+    column, in a symmetric pattern that holds the whole diagonal.
+    """
+
+    matrix: object
+    layout: BasisLayout
+    gershgorin: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # taken here, while the memory the assembly just freed can hold its
+        # temporaries, and again whenever dataclasses.replace changes matrix
+        object.__setattr__(self, "gershgorin", _gershgorin(self.matrix, self.dimension))
+
+    @property
+    def dimension(self) -> int:
+        return self.layout.dimension
+
+    def to_working(self, psi: np.ndarray) -> np.ndarray:
+        return psi
+
+    def to_fock(self, y: np.ndarray) -> np.ndarray:
+        return y
+
+    def enclosure(self) -> tuple[float, float, float, float]:
+        """The gershgorin rectangle; an entry of matrix that is not finite
+        raises PropagationError."""
+        check_finite(self.matrix.data)
+        return self.gershgorin
+
+
+# a huge finite entry overflows the rectangle; the step plan then takes Krylov
+@np.errstate(over="ignore", invalid="ignore")
+def _gershgorin(matrix, dimension: int) -> tuple[float, float, float, float]:
+    """(lo, hi, slo, shi): Gershgorin intervals of the Hermitian part
+    (H + H^H)/2 and of the skew part (H - H^H)/2i of CSR H, whose rectangle
+    holds its numerical range; each row's radius is summed in column order.
+    """
+    values = matrix.data
+    rows = np.repeat(np.arange(dimension, dtype=matrix.indices.dtype),
+                     np.diff(matrix.indptr))
+    # the pattern is symmetric, so a stable sort of the row-sorted entries
+    # by column lists the transposes
+    adjoint = values[np.argsort(matrix.indices, kind="stable")]
+    np.conjugate(adjoint, out=adjoint)
+    off = rows != matrix.indices
+    off_rows = rows[off]
+
+    def interval(part):
+        radius = np.bincount(off_rows, np.abs(part)[off], minlength=dimension)
+        centre = part[~off].real
+        return [float((centre - radius).min()), float((centre + radius).max())]
+
+    # in place, one part at a time, so the large reference matrices add
+    # little to the peak memory
+    part = values + adjoint
+    part *= 0.5
+    bounds = interval(part)
+    del part
+    skew = np.subtract(values, adjoint, out=adjoint)
+    skew *= -0.5j
+    return tuple(bounds + interval(skew))
+
+
+def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
+                         links) -> FockHamiltonian:
+    """Assemble the Fock-basis Hamiltonian of any layout as CSR.
+
+    An excited block spans the vibrational configurations of layout.n_modes
+    modes, and coordinate j vibrates along its own mode: mode j when every
+    coordinate has one, else the single mode. Coordinate j carries the
+    vibronic block K on its own mode, shifted by omegas[j] (plus delta2 on
+    the product surface), and omega_nu*n of every other mode. The photon
+    block holds omega_c - i*kappa/2 plus the same oscillators on its
+    photon_dim configurations, and links[j] couples photon configuration c
+    to reactant configuration c of coordinate j. The triplets are laid out
+    by index arithmetic and converted to CSR once. All structural entries
+    are stored even when numerically zero, so the sparsity pattern is
+    independent of the parameter values.
+    """
+    import scipy.sparse as sp  # production runs step the arrowhead and never load it
+
+    # the triplets are freed before the rectangle takes its temporaries
+    matrix = sp.csr_matrix(_triplets(spec, layout, omegas, links), shape=(layout.dimension,) * 2)
+    return FockHamiltonian(matrix=matrix, layout=layout)
+
+
+# a huge finite parameter overflows to inf here; the step plan refuses it
+@np.errstate(over="ignore", invalid="ignore")
+def _triplets(spec: ModelSpec, layout: BasisLayout, omegas, links):
+    """(values, (rows, cols)) of every structural entry, the COO form that
+    scipy.sparse takes; see assemble_hamiltonian.
+
+    The one definition of every Fock-basis matrix: each entry once, in a
+    symmetric pattern.
+    """
+    n_vib, n_modes, vib_dim = layout.n_vib, layout.n_modes, layout.vib_dim
+    coords = np.arange(layout.n_coords)
+    own = coords % n_modes  # mode j, or mode 0 of a one-mode layout
+    levels = np.indices((n_vib,) * n_modes).reshape(n_modes, vib_dim)
+    own_levels = levels[own]  # (n_coords, vib_dim)
+    k = vibronic_block(spec, n_vib)
+    # diagonal terms per mode, surface, coordinate and configuration; the
+    # own mode's term is K_aa, and the modes are summed in order after the
+    # shift: (omega_j + offset) + ((t_0 + t_1) + ...)
+    oscillators = spec.omega_nu * levels
+    is_own = (np.arange(n_modes)[:, None] == own)[:, None, :, None]
+    k_diagonal = np.diag(k).reshape(2, n_vib)[:, own_levels]
+    terms = np.where(is_own, k_diagonal, oscillators[:, None, None, :])
+    shift = np.asarray(omegas)[None, :, None] + np.array([0.0, spec.delta2])[:, None, None]
+    diagonal = np.empty(layout.dimension, dtype=complex)
+    photon_block, excited = layout.blocks(diagonal)
+    photon_block[:] = (spec.omega_c - 0.5j * spec.kappa) + reduce(
+        np.add, oscillators[:, : layout.photon_dim])
+    excited[:] = shift + reduce(np.add, terms)
+    # K's structural off-diagonal: the two surface ladders and the v12 identity
+    eye = np.eye(n_vib)
+    ladder = np.eye(n_vib, k=1) + np.eye(n_vib, k=-1)
+    local_rows, local_cols = np.nonzero(np.block([[ladder, eye], [eye, ladder]]))
+    surface_r, level_r = np.divmod(local_rows, n_vib)
+    surface_c, level_c = np.divmod(local_cols, n_vib)
+    # K_rc moves the own mode from level_r to level_c in every configuration
+    # of the other modes; base holds those configurations at own level 0
+    base = np.nonzero(own_levels == 0)[1].reshape(layout.n_coords, 1, -1)
+    stride = (n_vib ** (n_modes - 1 - own))[:, None, None]
+    coord = coords[:, None, None]
+    off_rows = layout.index(surface_r[:, None], coord, base + stride * level_r[:, None])
+    off_cols = layout.index(surface_c[:, None], coord, base + stride * level_c[:, None])
+    off_values = np.broadcast_to(k[local_rows, local_cols][:, None], off_rows.shape)
+    photon = np.arange(layout.photon_dim)
+    link_photon = np.tile(photon, layout.n_coords)
+    link_reactant = layout.index(0, coords[:, None], photon).ravel()
+    link_values = np.repeat(links, layout.photon_dim)
+    flat = np.arange(layout.dimension)
+    return (np.concatenate((diagonal, link_values, link_values, off_values.ravel())),
+            (np.concatenate((flat, link_photon, link_reactant, off_rows.ravel())),
+             np.concatenate((flat, link_reactant, link_photon, off_cols.ravel()))))
 
 
 def apportion_molecules(bins: BinSet, n_molecules: int) -> np.ndarray:
@@ -123,7 +270,7 @@ def build_explicit_hamiltonian(
     spec: ModelSpec,
     ensemble: ExplicitEnsemble,
     dimension_cap: int = EXPLICIT_DIMENSION_CAP,
-) -> EffectiveHamiltonian:
+) -> FockHamiltonian:
     """Assemble the explicit-ensemble Hamiltonian, first excitation manifold.
 
     Ground-state molecules keep their undisplaced oscillators, so spectator
@@ -147,7 +294,7 @@ def build_multibin_hamiltonian(
     bins: BinSet,
     n_vib: int,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> EffectiveHamiltonian:
+) -> FockHamiltonian:
     """Assemble the multi-coordinate form, one vibrational mode per bin.
 
     Reference engine for cross-validation; its Hilbert space grows as

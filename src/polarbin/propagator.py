@@ -11,10 +11,11 @@ coefficient matrix, planned once, combines them into the block's states
 by real matrix products. It costs only mat-vecs, vector updates and those
 products, and serves whenever that plan is finite, short and
 well-conditioned; the plan takes the block length of least estimated
-work whose buffers fit BLOCK_BYTES. The enclosure comes from H's
-Fock-basis entries; it is unitarily invariant, so it serves every basis.
-Otherwise an adaptive Arnoldi (Krylov) approximation steps the run, a
-step at a time with a per-step error estimate, into blocks as well.
+work whose buffers fit BLOCK_BYTES. The enclosure comes from the operator
+stepped, by ham.enclosure(): Weyl's inequality on the arrowhead, or
+Gershgorin's on a reference engine's CSR. Otherwise an adaptive Arnoldi
+(Krylov) approximation steps the run, a step at a time with a per-step
+error estimate, into blocks as well.
 Either way the total 2-norm error stays within the requested tolerance.
 A :class:`Trajectory` records each block while the state is propagated:
 it maps a few states at a time to the Fock basis, reduces their
@@ -38,7 +39,6 @@ import os
 import numpy as np
 
 from .errors import ConfigError, PropagationError
-from .hamiltonian import EffectiveHamiltonian
 from .model import BasisLayout, BinSet
 from .observables import state_populations
 
@@ -359,8 +359,10 @@ class _ChebyshevStepper:
     products on their interleaved float view, and the phases exp(-i*c*j*dt)
     finish them. A block cut short uses the first rows.
 
-    The enclosure is the rectangle of the Gershgorin intervals of the
-    Hermitian part (H + H^H)/2 and of the skew part (H - H^H)/2i. On it
+    The enclosure is the rectangle of ham.enclosure(): intervals holding
+    the spectra of the Hermitian part (H + H^H)/2 and of the skew part
+    (H - H^H)/2i of the operator stepped, by Weyl's inequality on the
+    arrowhead or Gershgorin's on a reference engine's CSR. On it
     |T_k| <= rho^k, where rho is the largest Bernstein-ellipse parameter of
     its corners, and by Crouzeix and Palencia (SIAM J. Matrix Anal. Appl.
     38, 649 (2017)) |T_k(...)| <= (1 + sqrt 2) rho^k in the 2-norm. With
@@ -389,13 +391,12 @@ class _ChebyshevStepper:
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the corners
-    def plan(cls, ham: EffectiveHamiltonian, dt: float, n_steps: int, tolerance: float,
-             norm: float):
+    def plan(cls, ham, dt: float, n_steps: int, tolerance: float, norm: float):
         """The stepper of ham.matrix for n_steps steps of dt whose blocks of
         states of psi, |psi| <= norm, err by at most
         CHEBYSHEV_BUDGET_SHARE * tolerance / (the number of blocks) each.
 
-        The rectangle is ham.enclosure. Of the block lengths m whose series
+        The rectangle is ham.enclosure(). Of the block lengths m whose series
         is allowed, the least estimated work per recorded step
         (_work_per_step) wins. A series is allowed when it is finite, has
         at most MAX_CHEBYSHEV terms and fewer than the dimension (Arnoldi
@@ -403,12 +404,10 @@ class _ChebyshevStepper:
         past MAX_CHEBYSHEV_GROWTH. A longer block of m > 1 must also fit
         its buffers in BLOCK_BYTES. None when m = 1 is not allowed: Krylov
         is the safer stepper. A tolerance that is not positive and finite,
-        or a Fock entry that is not finite, raises PropagationError.
+        or an entry of ham.matrix that is not finite, raises PropagationError.
         """
         _check_budget(tolerance)
-        if not np.isfinite(ham.entries[2]).all():
-            raise PropagationError("the Hamiltonian has entries that are not finite")
-        lo, hi, slo, shi = ham.enclosure
+        lo, hi, slo, shi = ham.enclosure()
         radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
         x = radius * dt
         if not (math.isfinite(x) and math.isfinite(norm)):
@@ -615,7 +614,7 @@ def _krylov_block(stepper: _KrylovStepper, dt: float, budget: float, psi: np.nda
 
 
 def propagate(
-    ham: EffectiveHamiltonian,
+    ham,
     psi0: np.ndarray,
     dt_record: float,
     t_final: float,
@@ -624,6 +623,8 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under the assembled Hamiltonian, recording every dt_record.
 
+    ham is the binned :class:`~polarbin.hamiltonian.EffectiveHamiltonian`
+    or a reference engine's :class:`~polarbin.oracle.FockHamiltonian`.
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the
     Chebyshev blocks, or over the Krylov steps). psi0 is mapped into ham's

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 
 import polarbin as pb
+from polarbin.hamiltonian import ArrowheadOperator
+from polarbin.oracle import assemble_hamiltonian
 
 FIG3 = dict(
     omega0=0.10, omega_nu=0.01, s1=-1.0, s2=-4.0, v12=0.0025,
@@ -32,8 +34,23 @@ def random_small_spec(rng: np.random.Generator) -> pb.ModelSpec:
     )
 
 
+def binned_fock(spec, bins, n_vib):
+    """The binned model's Fock-basis Hamiltonian (a FockHamiltonian), placed
+    by the reference module's assembly, independently of the arrowhead."""
+    return assemble_hamiltonian(spec, pb.BasisLayout(bins.n_bins, n_vib), bins.centers,
+                                spec.coupling * np.sqrt(bins.weights))
+
+
+def hermiticity_defect(fock):
+    """Max |H - H'| of a FockHamiltonian over all entries except the lossy
+    photon-block diagonal."""
+    defect = (fock.matrix - fock.matrix.conjugate().transpose()).tocoo()
+    mask = ~((defect.row == defect.col) & (defect.row < fock.layout.photon_dim))
+    if not mask.any():
+        return 0.0
+    return float(np.abs(defect.data[mask]).max())
+
+
 def negated(ham):
-    """-H, the time-reversed Hamiltonian, stepped as Fock-basis CSR."""
-    rows, cols, values = ham.entries
-    return replace(ham, matrix=-ham.fock_matrix(), entries=(rows, cols, -values),
-                   basis=None)
+    """-H, the time-reversed Hamiltonian, as an arrowhead in the same basis."""
+    return replace(ham, matrix=ArrowheadOperator(-ham.matrix.diagonal, -ham.matrix.arm))

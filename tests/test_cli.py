@@ -22,6 +22,8 @@ from polarbin.config import (
 from polarbin.errors import ConfigError
 from polarbin.runs import run_converge, run_dynamics, run_oracle, run_spectrum, run_sweep
 
+from conftest import binned_fock, fig3_spec
+
 MINIMAL = """
 [model]
 omega0 = 0.10
@@ -355,6 +357,21 @@ class TestCliEntry:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-1] == "loaded:"
 
+    @pytest.mark.parametrize("command", ["dynamics", "spectrum"])
+    def test_production_run_builds_no_fock_matrix(self, tmp_path, monkeypatch, command):
+        # the reference module's placement is the only Fock assembly; a
+        # production run bounds and steps the arrowhead without it
+        from polarbin import oracle
+
+        def refuse(*args):
+            raise AssertionError("Fock-basis triplets assembled")
+
+        monkeypatch.setattr(oracle, "_triplets", refuse)
+        spec = fig3_spec()
+        with pytest.raises(AssertionError, match="triplets"):
+            binned_fock(spec, pb.discretize_disorder(spec, 1), 2)
+        cfg = self._write(tmp_path, MINIMAL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def _write(self, tmp_path, text):
         path = tmp_path / "run.cfg"

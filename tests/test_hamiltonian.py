@@ -9,12 +9,30 @@ from polarbin.errors import ConfigError
 from polarbin.hamiltonian import vibronic_block
 from polarbin.oracle import ExplicitLayout, build_multibin_hamiltonian
 
-from conftest import fig3_spec
+from conftest import binned_fock, fig3_spec, hermiticity_defect
 
 
-def hermitian_part(ham):
-    dense = ham.fock_matrix().toarray()
+def hermitian_part(fock):
+    dense = fock.matrix.toarray()
     return 0.5 * (dense + dense.conj().T)
+
+
+def fc_overlap(s: float, level: int) -> float:
+    """Overlap of the undisplaced ground state with displaced level l.
+
+    <0|D(s)|l> = exp(-s^2/2) (-s)^l / sqrt(l!), the sign convention that
+    matches displaced_number_operator (displaced eigenstates are D(s)|l>).
+    """
+    if s == 0.0:
+        return 1.0 if level == 0 else 0.0
+    sign = 1.0 if (level % 2 == 0 or s < 0) else -1.0
+    log_mag = -0.5 * s * s + level * math.log(abs(s)) - 0.5 * math.lgamma(level + 1)
+    return sign * math.exp(log_mag)
+
+
+def e2_slice(layout, coordinate):
+    start = layout.e2(coordinate, 0)
+    return slice(start, start + layout.vib_dim)
 
 
 class TestDisplacedNumberOperator:
@@ -46,57 +64,56 @@ class TestDisplacedNumberOperator:
 
 class TestFranckCondonOverlap:
     def test_zero_displacement_is_delta(self):
-        assert pb.fc_overlap(0.0, 0) == 1.0
-        assert all(pb.fc_overlap(0.0, l) == 0.0 for l in range(1, 6))
+        assert fc_overlap(0.0, 0) == 1.0
+        assert all(fc_overlap(0.0, l) == 0.0 for l in range(1, 6))
 
     def test_ground_overlap_closed_form(self):
-        assert pb.fc_overlap(1.0, 0) == pytest.approx(math.exp(-0.5), rel=1e-14)
+        assert fc_overlap(1.0, 0) == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_completeness(self):
-        total = sum(pb.fc_overlap(-1.0, l) ** 2 for l in range(41))
+        total = sum(fc_overlap(-1.0, l) ** 2 for l in range(41))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_convention(self):
         # <0|D(s)|l> carries (-s)^l
-        assert pb.fc_overlap(0.5, 1) < 0
-        assert pb.fc_overlap(-0.5, 1) > 0
-        assert pb.fc_overlap(0.5, 2) > 0
+        assert fc_overlap(0.5, 1) < 0
+        assert fc_overlap(-0.5, 1) > 0
+        assert fc_overlap(0.5, 2) > 0
 
     def test_matches_truncated_eigenvectors(self):
         # ground row of the displaced-operator eigenbasis reproduces the
         # analytic overlaps once the truncation is converged
         s = -1.0
         _, vecs = np.linalg.eigh(pb.displaced_number_operator(s, 60))
-        analytic = np.array([pb.fc_overlap(s, l) for l in range(8)])
+        analytic = np.array([fc_overlap(s, l) for l in range(8)])
         # eigenvector columns have arbitrary sign; compare magnitudes and
         # sign-fixed values
         fixed = vecs[0, :8] * np.sign(vecs[0, :8]) * np.sign(analytic)
         np.testing.assert_allclose(fixed, analytic, atol=1e-10)
 
-    def test_negative_level_rejected(self):
-        with pytest.raises(ConfigError):
-            pb.fc_overlap(1.0, -1)
-
 
 class TestEffectiveHamiltonian:
+    """The binned model's Fock-basis matrix; TestArrowhead ties the stepped
+    arrowhead to it."""
+
     def test_decoupled_limit_structure(self):
         spec = fig3_spec(coupling=0.0, kappa=0.0, v12=0.0)
         bins = pb.discretize_disorder(spec, 1)
-        ham = pb.build_effective_hamiltonian(spec, bins, 8)
-        assert ham.hermiticity_defect() == 0.0
-        assert ham.fock_matrix()[0, 0] == spec.omega_c
-        dense = ham.fock_matrix().toarray()
+        fock = binned_fock(spec, bins, 8)
+        assert hermiticity_defect(fock) == 0.0
+        assert fock.matrix[0, 0] == spec.omega_c
+        dense = fock.matrix.toarray()
         # no photon-matter or e1-e2 mixing beyond stored structural zeros
         assert np.all(dense[0, 1:] == 0)
-        layout = ham.layout
-        e1 = dense[layout.e1_slice(0), layout.e2_slice(0)]
+        layout = fock.layout
+        e1 = dense[layout.e1_slice(0), e2_slice(layout, 0)]
         assert np.all(e1 == 0)
 
     def test_jaynes_cummings_block_eigenvalues(self):
         spec = fig3_spec(s1=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
         bins = pb.discretize_disorder(spec, 1)
-        ham = pb.build_effective_hamiltonian(spec, bins, 4)
-        sub = ham.fock_matrix().toarray()[np.ix_([0, 1], [0, 1])].real
+        fock = binned_fock(spec, bins, 4)
+        sub = fock.matrix.toarray()[np.ix_([0, 1], [0, 1])].real
         eigs = np.linalg.eigvalsh(sub)
         np.testing.assert_allclose(
             eigs, [0.10 - 0.03, 0.10 + 0.03], atol=1e-14
@@ -106,53 +123,48 @@ class TestEffectiveHamiltonian:
         spec = fig3_spec(sigma=0.0)
         bins = pb.discretize_disorder(spec, 1)
         n_vib = 60
-        ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
+        fock = binned_fock(spec, bins, n_vib)
         n_bins = 1
         expected_nnz = (
             1 + 2 * n_bins * (3 * n_vib - 2) + 2 * n_bins + 2 * n_bins * n_vib
         )
-        assert ham.fock_matrix().nnz == expected_nnz
-        scale = np.abs(ham.fock_matrix().data).max()
-        assert ham.hermiticity_defect() <= 1e-12 * scale
-        assert ham.fock_matrix()[0, 0] == spec.omega_c - 0.5j * spec.kappa
+        assert fock.matrix.nnz == expected_nnz
+        scale = np.abs(fock.matrix.data).max()
+        assert hermiticity_defect(fock) <= 1e-12 * scale
+        assert fock.matrix[0, 0] == spec.omega_c - 0.5j * spec.kappa
 
     def test_photon_row_touches_only_fc_components(self):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 5)
-        ham = pb.build_effective_hamiltonian(spec, bins, 12)
-        layout = ham.layout
-        row = ham.fock_matrix().getrow(0).tocoo()
+        fock = binned_fock(spec, bins, 12)
+        layout = fock.layout
+        row = fock.matrix.getrow(0).tocoo()
         allowed = {0} | {layout.e1(i, 0) for i in range(5)}
         assert set(row.col) == allowed
         for i in range(5):
-            assert ham.fock_matrix()[0, layout.e1(i, 0)] == pytest.approx(
+            assert fock.matrix[0, layout.e1(i, 0)] == pytest.approx(
                 spec.coupling * math.sqrt(bins.weights[i])
             )
 
     def test_gauge_translation_shifts_spectrum(self):
         spec = fig3_spec(sigma=0.01, kappa=0.0)
         bins = pb.discretize_disorder(spec, 2)
-        ham = pb.build_effective_hamiltonian(spec, bins, 10)
         delta = 0.013
         shifted_spec = fig3_spec(
             sigma=0.01, kappa=0.0,
             omega0=spec.omega0 + delta, omega_c=spec.omega_c + delta,
         )
         shifted_bins = pb.discretize_disorder(shifted_spec, 2)
-        shifted = pb.build_effective_hamiltonian(shifted_spec, shifted_bins, 10)
-        eigs = np.linalg.eigvalsh(hermitian_part(ham))
-        eigs_shifted = np.linalg.eigvalsh(hermitian_part(shifted))
+        eigs = np.linalg.eigvalsh(hermitian_part(binned_fock(spec, bins, 10)))
+        eigs_shifted = np.linalg.eigvalsh(
+            hermitian_part(binned_fock(shifted_spec, shifted_bins, 10)))
         np.testing.assert_allclose(eigs_shifted, eigs + delta, atol=1e-12)
 
     def test_truncation_adequacy_at_production_size(self):
         spec = fig3_spec(sigma=0.0)
         bins = pb.discretize_disorder(spec, 1)
-        eigs_60 = np.linalg.eigvalsh(
-            hermitian_part(pb.build_effective_hamiltonian(spec, bins, 60))
-        )
-        eigs_70 = np.linalg.eigvalsh(
-            hermitian_part(pb.build_effective_hamiltonian(spec, bins, 70))
-        )
+        eigs_60 = np.linalg.eigvalsh(hermitian_part(binned_fock(spec, bins, 60)))
+        eigs_70 = np.linalg.eigvalsh(hermitian_part(binned_fock(spec, bins, 70)))
         np.testing.assert_allclose(eigs_70[:10], eigs_60[:10], atol=1e-8)
 
     def test_dimension_cap(self):
@@ -173,8 +185,9 @@ class TestArrowhead:
     ])
     def test_operator_equals_fock_matrix(self, overrides, n_bins, n_vib):
         spec = fig3_spec(**overrides)
-        ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, n_bins), n_vib)
-        fock = ham.fock_matrix()
+        bins = pb.discretize_disorder(spec, n_bins)
+        ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
+        fock = binned_fock(spec, bins, n_vib).matrix
         scale = abs(fock).sum(axis=1).max()  # |H| in the infinity norm
         rng = np.random.default_rng(n_bins)
         for _ in range(3):
@@ -190,7 +203,7 @@ class TestMultibinHamiltonian:
         spec = fig3_spec(sigma=0.0, kappa=0.0)
         bins = pb.discretize_disorder(spec, 1)
         multi = build_multibin_hamiltonian(spec, bins, 9)
-        effective = pb.build_effective_hamiltonian(spec, bins, 9)
+        effective = binned_fock(spec, bins, 9)
         eigs_multi = np.linalg.eigvalsh(hermitian_part(multi))
         eigs_eff = np.linalg.eigvalsh(hermitian_part(effective))
         np.testing.assert_allclose(eigs_multi, eigs_eff, atol=1e-12)
@@ -255,7 +268,7 @@ class TestVibronicBlockAssembly:
     def test_bitwise_equal_to_entrywise_assembly(self, overrides):
         spec = fig3_spec(**overrides)
         bins = pb.discretize_disorder(spec, 1 if spec.sigma == 0 else 4)
-        have = pb.build_effective_hamiltonian(spec, bins, self.N_VIB).fock_matrix()
+        have = binned_fock(spec, bins, self.N_VIB).matrix
         want = entrywise_reference(spec, bins, self.N_VIB)
         for name in ("indptr", "indices", "data"):
             assert getattr(have, name).tobytes() == getattr(want, name).tobytes(), name
@@ -266,10 +279,8 @@ class TestVibronicBlockAssembly:
         values = fig3_spec(sigma=0.02, delta2=0.02)
         zeros = fig3_spec(sigma=0.02, s1=0.0, s2=0.0, v12=0.0, coupling=0.0,
                           kappa=0.0, delta2=0.0)
-        a = pb.build_effective_hamiltonian(
-            values, pb.discretize_disorder(values, 3), self.N_VIB).fock_matrix()
-        b = pb.build_effective_hamiltonian(
-            zeros, pb.discretize_disorder(zeros, 3), self.N_VIB).fock_matrix()
+        a = binned_fock(values, pb.discretize_disorder(values, 3), self.N_VIB).matrix
+        b = binned_fock(zeros, pb.discretize_disorder(zeros, 3), self.N_VIB).matrix
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         assert np.count_nonzero(b.data) < b.nnz
@@ -277,12 +288,12 @@ class TestVibronicBlockAssembly:
     def test_bin_blocks_are_the_shifted_vibronic_block(self):
         spec = fig3_spec(sigma=0.02, delta2=0.02)
         bins = pb.discretize_disorder(spec, 3)
-        ham = pb.build_effective_hamiltonian(spec, bins, self.N_VIB)
-        dense = ham.fock_matrix().toarray()
+        fock = binned_fock(spec, bins, self.N_VIB)
+        dense = fock.matrix.toarray()
         block = vibronic_block(spec, self.N_VIB)
         assert np.array_equal(block, block.T)
         for i in range(3):
-            index = np.r_[ham.layout.e1_slice(i), ham.layout.e2_slice(i)]
+            index = np.r_[fock.layout.e1_slice(i), e2_slice(fock.layout, i)]
             shift = np.repeat([bins.centers[i], bins.centers[i] + spec.delta2],
                               self.N_VIB)
             np.testing.assert_array_equal(

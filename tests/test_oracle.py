@@ -16,7 +16,7 @@ from polarbin.oracle import (
     compare_to_cute,
 )
 
-from conftest import fig3_spec
+from conftest import fig3_spec, hermiticity_defect
 
 
 class TestApportionment:
@@ -57,7 +57,7 @@ class TestExplicitHamiltonian:
         ensemble = ExplicitEnsemble.from_bins(bins, 2, 3, spec.coupling)
         ham = build_explicit_hamiltonian(spec, ensemble)
         assert spec.kappa > 0
-        assert ham.hermiticity_defect() == 0.0
+        assert hermiticity_defect(ham) == 0.0
 
     def test_two_molecule_dark_state_decoupled(self):
         spec = fig3_spec(s1=0.0, s2=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
@@ -224,3 +224,29 @@ class TestTensorPlacement:
         np.testing.assert_array_equal(a.indptr, b.indptr)
         np.testing.assert_array_equal(a.indices, b.indices)
         assert np.count_nonzero(b.data) < b.nnz
+
+
+def scipy_enclosure(matrix):
+    """The plan's Gershgorin rectangle, by scipy's sparse arithmetic."""
+    h = matrix.tocsr()
+    adjoint = h.conj().T
+    bounds = []
+    for part in ((h + adjoint) * 0.5, (h - adjoint) * -0.5j):
+        coo = part.tocoo()
+        off = coo.row != coo.col
+        radius = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=coo.shape[0])
+        centre = part.diagonal().real
+        bounds += [float((centre - radius).min()), float((centre + radius).max())]
+    return tuple(bounds)
+
+
+class TestEnclosure:
+    """The rectangle taken from the CSR arrays equals scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("n_molecules", [1, 2, 4])
+    def test_explicit_ensembles(self, n_molecules):
+        spec = fig3_spec(sigma=0.02, delta2=0.004)
+        bins = pb.discretize_disorder(spec, 2)
+        ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, 4, spec.coupling)
+        ham = build_explicit_hamiltonian(spec, ensemble)
+        assert ham.enclosure() == scipy_enclosure(ham.matrix)

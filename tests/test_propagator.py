@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import polarbin as pb
 from polarbin.errors import ConfigError
+from polarbin.hamiltonian import ArrowheadOperator
 from polarbin.observables import populations
 from polarbin.oracle import ExplicitEnsemble, ExplicitLayout, build_explicit_hamiltonian
 from polarbin.propagator import _openblas_thread_controls
 
-from conftest import fig3_spec, negated, random_small_spec
+from conftest import binned_fock, fig3_spec, negated, random_small_spec
 
 
 def small_system(spec, n_bins, n_vib):
@@ -28,8 +29,8 @@ def small_system(spec, n_bins, n_vib):
     return bins, ham
 
 
-def dense_fock(ham):
-    return ham.fock_matrix().toarray()
+def dense_fock(spec, bins, n_vib):
+    return binned_fock(spec, bins, n_vib).matrix.toarray()
 
 
 def preset_points():
@@ -164,7 +165,7 @@ class TestPropagate:
         layout = ham.layout
         psi0 = np.zeros(layout.dimension, dtype=complex)
         psi0[layout.e1(0, 2)] = 1.0
-        energy = ham.fock_matrix()[layout.e1(0, 2), layout.e1(0, 2)].real
+        energy = binned_fock(spec, bins, 5).matrix[layout.e1(0, 2), layout.e1(0, 2)].real
         traj = pb.propagate(ham, psi0, 2.0, 200.0, 1e-10)
         expected = np.exp(-1j * energy * traj.times)
         np.testing.assert_allclose(traj.autocorr, expected, atol=1e-9)
@@ -203,7 +204,7 @@ class TestPropagate:
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
         traj = pb.propagate(ham, psi0, 5.0, 50.0, 1e-10)
-        dense = dense_fock(ham)
+        dense = dense_fock(spec, bins, 6)
         for k, t in enumerate(traj.times):
             exact = scipy.linalg.expm(-1j * dense * t) @ psi0
             assert abs(np.vdot(psi0, exact) - traj.autocorr[k]) < 1e-9
@@ -289,14 +290,15 @@ class TestPropagate:
     def test_valid_step_budget_matches_dense_expm(self, dt):
         from polarbin.propagator import _KrylovStepper
 
-        bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
+        spec = fig3_spec(sigma=0.01)
+        bins, ham = small_system(spec, 2, 4)
         psi0 = pb.photonic_state(ham.layout)
         matrix = CountingMatrix(ham.matrix)
         psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), dt, 1e-12))
         if dt == 50.0:
             # no estimate fits below m = D: the invariant-subspace return
             assert matrix.calls == ham.dimension
-        exact = scipy.linalg.expm(-1j * dt * dense_fock(ham)) @ psi0
+        exact = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 4)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
 
     # budgets from 1e-12 to 1e-6 on the lossy fig3 system, D = 49 > MAX_KRYLOV
@@ -305,9 +307,10 @@ class TestPropagate:
     def test_steps_within_budget_of_dense_expm(self, dt, budget):
         from polarbin.propagator import MAX_KRYLOV, _KrylovStepper
 
-        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        spec = fig3_spec(sigma=0.02)
+        bins, ham = small_system(spec, 4, 6)
         assert ham.dimension == 49 > MAX_KRYLOV
-        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
+        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 6))
         stepper = _KrylovStepper(ham.matrix)
         y = ham.to_working(pb.polariton_state(ham.layout, bins, +1))
         for _ in range(4):  # later steps start the estimate from the previous m
@@ -319,13 +322,14 @@ class TestPropagate:
         from polarbin.propagator import _KrylovStepper
 
         # four basis vectors cannot carry a 30 au step: it must be split
-        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        spec = fig3_spec(sigma=0.02)
+        bins, ham = small_system(spec, 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
         psi = ham.to_fock(_KrylovStepper(matrix, m_max=4).step(ham.to_working(psi0), 30.0,
                                                                1e-10))
         assert matrix.calls > 4
-        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(ham)) @ psi0
+        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(spec, bins, 6)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-10
 
     def test_invariant_subspace_step_within_budget(self):
@@ -333,12 +337,13 @@ class TestPropagate:
 
         # an empty lossy cavity: the photonic state is an eigenvector, so
         # Arnoldi stops after one mat-vec
-        bins, ham = small_system(fig3_spec(sigma=0.02, coupling=0.0), 4, 6)
+        spec = fig3_spec(sigma=0.02, coupling=0.0)
+        bins, ham = small_system(spec, 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
         psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), 30.0, 1e-12))
         assert matrix.calls == 1
-        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(ham)) @ psi0
+        exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(spec, bins, 6)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
 
 
@@ -380,23 +385,23 @@ def block_shape(stepper):
 # (m, K) of every preset point's block plan, in sweep order: the steps of
 # a block and its series length. A small system (sigma = 0, D = 121) takes
 # long blocks, since a mat-vec there costs mostly call overhead
-FIG6_PLAN = (8, 25)
+FIG6_PLAN = (7, 23)
 _FIG3C_PLANS = (
-    [(84, 104), (78, 98), (83, 104), (83, 104), (82, 104)] + [(34, 54)] * 3
-    + [(32, 52), (34, 55)] + [(13, 31)] * 5 + [(10, 27)] * 4 + [(11, 29)]
-    + [(7, 23)] * 4 + [(8, 25)] + [(7, 23)] * 3 + [(6, 22)] * 2 + [(5, 20)] * 3
-    + [(6, 22)] * 2 + [(4, 19)] * 5
+    [(85, 101), (84, 101), (84, 102), (83, 102), (84, 103)]
+    + [(35, 53), (33, 51), (35, 54), (35, 54), (31, 50)]
+    + [(13, 30)] * 4 + [(13, 31)] + [(11, 28)] * 5
+    + [(7, 23)] * 5 + [(6, 21)] + [(7, 23)] * 4 + [(5, 20)] * 5 + [(4, 19)] * 5
 )
 PRESET_PLANS = {
-    "fig3a": [(82, 104), (13, 31), (8, 25), (6, 22)],
+    "fig3a": [(84, 103), (13, 31), (7, 23), (5, 20)],
     "fig3c": _FIG3C_PLANS,
-    "fig4a": [(84, 104), (82, 104), (7, 23), (8, 25), (4, 19), (4, 19)],
-    "fig4c": [(83, 104), (82, 105), (7, 23), (8, 25), (4, 19), (4, 19)],
+    "fig4a": [(85, 101), (84, 103), (7, 23), (7, 23), (4, 19), (4, 19)],
+    "fig4c": [(84, 101), (83, 104), (7, 23), (7, 23), (4, 19), (4, 19)],
     "fig6": [FIG6_PLAN],
-    "figS1": [(6, 22)],
+    "figS1": [(5, 20)],
     "figS2": _FIG3C_PLANS,
-    "figS3": [(7, 23)] * 7 + [(8, 25)],
-    "figS4": [(47, 68)],
+    "figS3": [(7, 23)] * 8,
+    "figS4": [(43, 63)],
 }
 
 
@@ -408,9 +413,10 @@ class TestChebyshevStep:
     def test_steps_within_budget_of_dense_expm(self, dt, tolerance, norm):
         from polarbin.propagator import _ChebyshevStepper
 
-        bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
+        spec = fig3_spec(sigma=0.02)
+        bins, ham = small_system(spec, 4, 6)
         assert ham.dimension == 49
-        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
+        exact_step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 6))
         rng = np.random.default_rng(round(1e3 * dt))
         psi = rng.normal(size=49) + 1j * rng.normal(size=49)
         psi *= norm / np.linalg.norm(psi)
@@ -440,13 +446,25 @@ class TestChebyshevStep:
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_entry_raises_before_any_matvec(self, value):
         bins, ham = small_system(fig3_spec(sigma=0.02), 4, 6)
-        rows, cols, values = ham.entries
-        broken = values.copy()
-        broken[7] = value
-        matrix = CountingMatrix(ham.matrix, limit=0)
+        for broken in ("diagonal", "arm"):
+            parts = {"diagonal": ham.matrix.diagonal.copy(), "arm": ham.matrix.arm.copy()}
+            parts[broken][7] = value
+            matrix = CountingMatrix(ArrowheadOperator(**parts), limit=0)
+            with pytest.raises(pb.PropagationError, match="not finite"):
+                pb.propagate(replace(ham, matrix=matrix), pb.photonic_state(ham.layout),
+                             1.0, 10.0, 1e-9)
+            assert matrix.calls == 0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_csr_entry_raises_before_any_matvec(self, value):
+        spec = fig3_spec(sigma=0.02)
+        fock = binned_fock(spec, pb.discretize_disorder(spec, 4), 6)
+        broken = fock.matrix.copy()
+        broken.data[7] = value
+        matrix = CountingMatrix(broken, limit=0)
         with pytest.raises(pb.PropagationError, match="not finite"):
-            pb.propagate(replace(ham, matrix=matrix, entries=(rows, cols, broken)),
-                         pb.photonic_state(ham.layout), 1.0, 10.0, 1e-9)
+            pb.propagate(replace(fock, matrix=matrix), pb.photonic_state(fock.layout),
+                         1.0, 10.0, 1e-9)
         assert matrix.calls == 0
 
     @pytest.mark.parametrize("case", ["criterion 2", "kappa 0.5", "s1 4.36e10"])
@@ -502,7 +520,7 @@ class TestBlockStep:
         bins = pb.discretize_disorder(spec, 4)
         if name == "arrowhead":
             ham = pb.build_effective_hamiltonian(spec, bins, 6)
-            return ham, dense_fock(ham), pb.polariton_state(ham.layout, bins, +1)
+            return ham, dense_fock(spec, bins, 6), pb.polariton_state(ham.layout, bins, +1)
         ham = build_explicit_hamiltonian(spec, ExplicitEnsemble.from_bins(bins, 2, 3,
                                                                           spec.coupling))
         return ham, ham.matrix.toarray(), pb.photonic_state(ham.layout)
@@ -558,10 +576,11 @@ class TestBlockStep:
         # allowed tolerance at step 6, inside the first block, by margins
         # larger than the block's error bound
         dt, n_steps, tolerance = 1.0, 40, 1e-6
-        _, ham = small_system(fig3_spec(sigma=0.02, kappa=3.6e-7), 2, 4)
+        spec = fig3_spec(sigma=0.02, kappa=3.6e-7)
+        bins, ham = small_system(spec, 2, 4)
         gain = negated(ham)
         stepper, _ = plan_of(gain, dt, n_steps, tolerance)
-        step = scipy.linalg.expm(-1j * dt * gain.matrix.toarray())
+        step = scipy.linalg.expm(1j * dt * dense_fock(spec, bins, 4))
         psi = pb.photonic_state(ham.layout)
         excess = []
         for k in range(1, n_steps + 1):
@@ -589,42 +608,40 @@ def test_random_lossy_models_stay_within_tolerance(seed, n_bins, n_vib, dt, n_st
     psi0 /= np.linalg.norm(psi0)
     traj = pb.propagate(ham, psi0, dt, n_steps * dt, tolerance,
                         state_times=np.arange(n_steps + 1) * dt)
-    step = scipy.linalg.expm(-1j * dt * dense_fock(ham))
+    step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, n_vib))
     exact = psi0
     for state in traj.states:
         assert np.linalg.norm(state - exact) <= tolerance
         exact = step @ exact
 
 
-def scipy_enclosure(matrix):
-    """The plan's Gershgorin rectangle, by scipy's sparse arithmetic."""
-    h = matrix.tocsr()
-    adjoint = h.conj().T
-    bounds = []
-    for part in ((h + adjoint) * 0.5, (h - adjoint) * -0.5j):
-        coo = part.tocoo()
-        off = coo.row != coo.col
-        radius = np.bincount(coo.row[off], np.abs(coo.data[off]), minlength=coo.shape[0])
-        centre = part.diagonal().real
-        bounds += [float((centre - radius).min()), float((centre + radius).max())]
-    return tuple(bounds)
-
-
 class TestEnclosure:
-    """The rectangle taken from the Fock entries equals the CSR one, bit for bit."""
+    """The plan's rectangle, by Weyl's inequality on the stepped arrowhead."""
 
     def test_every_preset_point(self):
+        # never wider than the Gershgorin rectangle of the Fock matrix
         for name, point, resolved in preset_points():
-            _, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
-            assert ham.enclosure == scipy_enclosure(ham.fock_matrix()), (name, point)
+            bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
+            lo, hi, slo, shi = ham.enclosure()
+            fock = binned_fock(resolved.spec, bins, resolved.n_vib).enclosure()
+            assert hi - lo <= fock[1] - fock[0], (name, point)
+            assert shi - slo <= fock[3] - fock[2], (name, point)
 
-    @pytest.mark.parametrize("n_molecules", [1, 2, 4])
-    def test_explicit_ensembles(self, n_molecules):
-        spec = fig3_spec(sigma=0.02, delta2=0.004)
-        bins = pb.discretize_disorder(spec, 2)
-        ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, 4, spec.coupling)
-        ham = build_explicit_hamiltonian(spec, ensemble)
-        assert ham.enclosure == scipy_enclosure(ham.matrix)
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dimension=st.integers(1, 12),
+           loss=st.floats(0.0, 2.0), arm_scale=st.floats(0.0, 3.0))
+    def test_holds_the_spectra_of_both_parts(self, seed, dimension, loss, arm_scale):
+        rng = np.random.default_rng(seed)
+        diagonal = rng.normal(size=dimension) - 1j * loss * rng.random(dimension)
+        arm = arm_scale * (rng.normal(size=dimension - 1) + 1j * rng.normal(size=dimension - 1))
+        lo, hi, slo, shi = ArrowheadOperator(diagonal, arm).enclosure()
+        dense = np.diag(diagonal)
+        dense[0, 1:] = dense[1:, 0] = arm
+        slack = 1e-13 * (1.0 + np.abs(diagonal).max() + np.linalg.norm(arm))
+        for (a, b), part in (((lo, hi), 0.5 * (dense + dense.conj().T)),
+                             ((slo, shi), -0.5j * (dense - dense.conj().T))):
+            eigenvalues = np.linalg.eigvalsh(part)
+            assert a - slack <= eigenvalues.min() and eigenvalues.max() <= b + slack
 
 
 class TestBlasThreadScope:
