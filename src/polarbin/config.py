@@ -16,7 +16,7 @@ from importlib import resources
 
 from .errors import ConfigError
 from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
-from .model import ModelSpec, bin_count_rule, time_to_au
+from .model import BasisLayout, ModelSpec, bin_count_rule, time_to_au
 from .propagator import DEFAULT_TOLERANCE, INITIAL_STATE_NAMES, check_tolerance
 
 # one key per ModelSpec field; None marks a required key. omega_c defaults
@@ -124,7 +124,7 @@ class RunConfig:
         if n_bins is None:
             n_bins = bin_count_rule(spec.sigma, self.t_final)
         # refuse before binning: the rule grows without bound with sigma
-        check_dimension(1 + 2 * n_bins * self.n_vib, DEFAULT_DIMENSION_CAP)
+        check_dimension(BasisLayout(n_bins, self.n_vib).dimension, DEFAULT_DIMENSION_CAP)
         n_steps = max(1, round(self.t_final / self.dt_record))
         return replace(self, spec=spec, n_bins=n_bins,
                        dt_record=self.t_final / n_steps, sweep={})

@@ -164,7 +164,6 @@ def build_effective_hamiltonian(
     spec: ModelSpec,
     bins: BinSet,
     n_vib: int,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> EffectiveHamiltonian:
     """Assemble the single-coordinate effective Hamiltonian as an arrowhead.
 
@@ -177,7 +176,7 @@ def build_effective_hamiltonian(
     """
     bins.validate()
     layout = BasisLayout(bins.n_bins, n_vib)
-    check_dimension(layout.dimension, dimension_cap)
+    check_dimension(layout.dimension, DEFAULT_DIMENSION_CAP)
     links = spec.coupling * np.sqrt(bins.weights)
     energies, basis = _shared_eigenbasis(spec, n_vib)
     diagonal = np.empty(layout.dimension, dtype=complex)

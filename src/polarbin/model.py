@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -188,7 +189,10 @@ class BasisLayout:
         self.photon_dim = 1
         self.n_coords = n_bins
         self.n_modes = 1
-        self.block_bins = np.arange(n_bins)
+
+    @cached_property  # built on first use: a layout too large to run has a dimension
+    def block_bins(self) -> np.ndarray:
+        return np.arange(self.n_bins)
 
     @property
     def vib_dim(self) -> int:

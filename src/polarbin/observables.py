@@ -139,12 +139,12 @@ class PopulationRecord:
         return self.p_e2.sum(axis=1)
 
     def normalized(self, values: np.ndarray) -> np.ndarray:
-        """values (time along the first axis) over the surviving norm."""
+        """values, one per recorded time, over the surviving norm."""
         if not self.norms2.all():  # norms are >= 0: the first minimum is the first zero
             raise ZeroPopulationError(
                 f"the state leaked completely by t = {self.times[self.norms2.argmin()]:.6g} au; "
                 "no population to normalize")
-        return values / self.norms2.reshape((-1,) + (1,) * (values.ndim - 1))
+        return values / self.norms2
 
     def completeness_defect(self) -> float:
         """Max deviation of photon + populations + leakage from one."""
@@ -216,12 +216,11 @@ def rabi_splitting(spectrum: Spectrum) -> float:
 
 @dataclass(frozen=True)
 class YieldReport:
-    """Final-time product populations, raw and leakage-normalized."""
+    """Final-time product populations, per bin and in total, and the normalized total."""
 
     t_final: float
     per_bin: np.ndarray
     total: float
-    per_bin_normalized: np.ndarray
     total_normalized: float
     gamma: float
 
@@ -233,7 +232,6 @@ def reaction_yield(record: PopulationRecord) -> YieldReport:
         t_final=float(record.times[-1]),
         per_bin=p.copy(),
         total=float(p.sum()),
-        per_bin_normalized=record.normalized(record.p_e2)[-1],
         total_normalized=float(record.normalized(record.p_e2_total)[-1]),
         gamma=float(record.gamma[-1]),
     )

@@ -269,7 +269,6 @@ class ExplicitLayout(BasisLayout):
 def build_explicit_hamiltonian(
     spec: ModelSpec,
     ensemble: ExplicitEnsemble,
-    dimension_cap: int = EXPLICIT_DIMENSION_CAP,
 ) -> FockHamiltonian:
     """Assemble the explicit-ensemble Hamiltonian, first excitation manifold.
 
@@ -284,7 +283,7 @@ def build_explicit_hamiltonian(
         raise ConfigError(f"explicit ensemble capped at {MAX_EXPLICIT_MOLECULES} molecules")
     layout = ExplicitLayout(ensemble.molecule_bins, ensemble.bins.n_bins,
                             n_vib, n_vib**n)
-    check_dimension(layout.dimension, dimension_cap)
+    check_dimension(layout.dimension, EXPLICIT_DIMENSION_CAP)
     return assemble_hamiltonian(spec, layout, ensemble.bins.centers[ensemble.molecule_bins],
                                 np.full(n, ensemble.g_single))
 
@@ -293,7 +292,6 @@ def build_multibin_hamiltonian(
     spec: ModelSpec,
     bins: BinSet,
     n_vib: int,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> FockHamiltonian:
     """Assemble the multi-coordinate form, one vibrational mode per bin.
 
@@ -307,7 +305,7 @@ def build_multibin_hamiltonian(
     if bins.n_bins > 2:
         raise ConfigError("multibin form is capped at two bins")
     layout = ExplicitLayout(np.arange(bins.n_bins), bins.n_bins, n_vib, 1)
-    check_dimension(layout.dimension, dimension_cap)
+    check_dimension(layout.dimension, DEFAULT_DIMENSION_CAP)
     # the photon state is the all-ground configuration: the Franck-Condon projector
     return assemble_hamiltonian(spec, layout, bins.centers,
                                 spec.coupling * np.sqrt(bins.weights))

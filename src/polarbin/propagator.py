@@ -3,19 +3,18 @@
 :func:`propagate` steps the assembled Hamiltonian H = A - i*Gamma on the
 recording grid, in its working basis (the arrowhead of the binned model,
 or the Fock-basis CSR of a reference engine), a block of grid steps at a
-time, with one of two steppers chosen once per run. A Chebyshev series,
-cut where a rigorous bound over an enclosure of H's numerical range meets
-the block's share of the tolerance, gives every state of a block from one
-three-term recurrence: its vectors do not depend on time, so one
-coefficient matrix, planned once, combines them into the block's states
-by real matrix products. It costs only mat-vecs, vector updates and those
-products, and serves whenever that plan is finite, short and
-well-conditioned; the plan takes the block length of least estimated
-work whose buffers fit BLOCK_BYTES. The enclosure comes from the operator
-stepped, by ham.enclosure(): Weyl's inequality on the arrowhead, or
-Gershgorin's on a reference engine's CSR. Otherwise an adaptive Arnoldi
-(Krylov) approximation steps the run, a step at a time with a per-step
-error estimate, into blocks as well.
+time, by one of two steppers with the same block interface, chosen once
+per run. A Chebyshev series, cut where a rigorous bound over an enclosure
+of H's numerical range meets the block's share of the tolerance, gives
+every state of a block from one three-term recurrence: its vectors do not
+depend on time, so one coefficient matrix, planned once, combines them
+into the block's states by real matrix products. It serves at any
+dimension whenever that plan is finite, short and well-conditioned, with
+the block length of least estimated work whose buffers fit BLOCK_BYTES.
+The enclosure comes from ham.enclosure(): Weyl's inequality on the
+arrowhead, or Gershgorin's on a reference engine's CSR. A plan refused
+for stiff loss or overflow leaves the run to adaptive Arnoldi (Krylov)
+steps with a per-step error estimate, gathered into blocks as well.
 Either way the total 2-norm error stays within the requested tolerance.
 A :class:`Trajectory` records each block while the state is propagated:
 it maps a few states at a time to the Fock basis, reduces their
@@ -165,12 +164,12 @@ class Trajectory:
     first on a tie); final_state is the last state recorded. The
     constructor allocates every array and records psi0 at t = 0. record
     fills a block of later grid steps from working-basis states, which
-    to_fock (the identity when None) maps to the Fock basis a few rows at
-    a time, and checks every recorded norm against psi0's.
+    to_fock maps to the Fock basis a few rows at a time, and checks every
+    recorded norm against psi0's.
     """
 
     def __init__(self, psi0, layout: BasisLayout, dt_record: float, t_final: float,
-                 state_times=(), tolerance: float = DEFAULT_TOLERANCE, to_fock=None):
+                 state_times, tolerance: float, to_fock):
         n_t = _resolve_grid(dt_record, t_final) + 1
         self.times = np.arange(n_t) * dt_record
         self.dt_record = dt_record
@@ -205,8 +204,7 @@ class Trajectory:
         whose norm fails the check of _check_norms."""
         for lo in range(0, len(block), self._rows):
             working = block[lo : lo + self._rows]
-            fock = working if self._to_fock is None else self._to_fock(working)
-            self._record(start + lo, fock)
+            self._record(start + lo, self._to_fock(working))
             self._check_norms(start + lo, working)
 
     def _record(self, start: int, fock: np.ndarray) -> None:
@@ -399,12 +397,13 @@ class _ChebyshevStepper:
         The rectangle is ham.enclosure(). Of the block lengths m whose series
         is allowed, the least estimated work per recorded step
         (_work_per_step) wins. A series is allowed when it is finite, has
-        at most MAX_CHEBYSHEV terms and fewer than the dimension (Arnoldi
-        never needs more than that per step), and its rounding cannot grow
-        past MAX_CHEBYSHEV_GROWTH. A longer block of m > 1 must also fit
-        its buffers in BLOCK_BYTES. None when m = 1 is not allowed: Krylov
-        is the safer stepper. A tolerance that is not positive and finite,
-        or an entry of ham.matrix that is not finite, raises PropagationError.
+        at most MAX_CHEBYSHEV terms and its rounding cannot grow past
+        MAX_CHEBYSHEV_GROWTH; the bound holds at any dimension, so a small
+        system takes long blocks as well. A longer block of m > 1 must also
+        fit its buffers in BLOCK_BYTES. None when m = 1 is not allowed, for
+        stiff loss or overflow: Krylov is the safer stepper. A tolerance
+        that is not positive and finite, or an entry of ham.matrix that is
+        not finite, raises PropagationError.
         """
         _check_budget(tolerance)
         lo, hi, slo, shi = ham.enclosure()
@@ -425,8 +424,7 @@ class _ChebyshevStepper:
         for steps in range(1, n_steps + 1):
             n_blocks = -(-n_steps // steps)
             log_limit = math.log(CHEBYSHEV_BUDGET_SHARE * tolerance / n_blocks) - log_norm
-            n_terms = _series_terms(0.5 * x * rho * steps, log_limit,
-                                    min(MAX_CHEBYSHEV, dimension - 1))
+            n_terms = _series_terms(0.5 * x * rho * steps, log_limit, MAX_CHEBYSHEV)
             if n_terms is None or n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
                 break
             rows, chunk = _block_rows(steps, n_terms, dimension)
@@ -475,6 +473,9 @@ class _ChebyshevStepper:
 class _KrylovStepper:
     """exp(-i*H*dt) applied repeatedly, with an a-posteriori error estimate.
 
+    block takes steps of the run's dt and per-step budget, as many to a
+    block as fit BLOCK_BYTES; step takes one of any dt and budget.
+
     Arnoldi with block classical Gram-Schmidt and one reorthogonalization
     pass: each new column is projected out against the whole basis at
     once, twice. The per-step error is estimated from the (m+1, 1) entry
@@ -494,13 +495,23 @@ class _KrylovStepper:
     left to propagate's norm check.
     """
 
-    def __init__(self, matrix, m_max: int = MAX_KRYLOV):
+    def __init__(self, matrix, dt: float, budget: float, m_max: int = MAX_KRYLOV):
         from scipy.linalg import expm  # only this stepper needs it
 
         self.expm = expm
         self.matrix = matrix
+        self.dt = dt
+        self.budget = budget
+        self.steps = max(1, BLOCK_BYTES // (16 * matrix.shape[0]))
         self.m_max = m_max
         self.m_previous = 0
+
+    def block(self, psi: np.ndarray, n: int) -> np.ndarray:
+        """The states after steps 1..n <= m from psi, one per row."""
+        states = np.empty((n, len(psi)), dtype=complex)
+        for j in range(n):
+            psi = states[j] = self.step(psi, self.dt, self.budget)
+        return states
 
     def step(self, psi: np.ndarray, dt: float, budget: float, depth: int = 0) -> np.ndarray:
         _check_budget(budget)
@@ -604,15 +615,6 @@ def _one_blas_thread():
             setter(threads)
 
 
-def _krylov_block(stepper: _KrylovStepper, dt: float, budget: float, psi: np.ndarray,
-                  n: int) -> np.ndarray:
-    """The states after n Krylov steps of dt from psi, one per row."""
-    block = np.empty((n, len(psi)), dtype=complex)
-    for j in range(n):
-        psi = block[j] = stepper.step(psi, dt, budget)
-    return block
-
-
 def propagate(
     ham,
     psi0: np.ndarray,
@@ -628,16 +630,15 @@ def propagate(
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the
     Chebyshev blocks, or over the Krylov steps). psi0 is mapped into ham's
-    working basis once; the steps are
-    Chebyshev blocks planned once from the Hamiltonian, dt_record, the
-    number of steps and the tolerance, with Krylov steps where that plan
-    is refused (see _ChebyshevStepper.plan), gathered into blocks as
-    well. Every block is recorded, and its norms checked, by
-    Trajectory.record. Full states are kept at the grid times nearest to
-    `state_times` and at the end. A norm that is not finite, or grows
-    beyond the tolerance and rounding, which the lossy generator cannot
-    do, raises PropagationError and discards the trajectory. So does a
-    matrix entry that is not finite.
+    working basis once; the steps are Chebyshev blocks planned once from
+    the Hamiltonian, dt_record, the number of steps and the tolerance, or
+    blocks of Krylov steps where that plan is refused (see
+    _ChebyshevStepper.plan). Every block is recorded, and its norms
+    checked, by Trajectory.record. Full states are kept at the grid times
+    nearest to `state_times` and at the end. A norm that is not finite, or
+    grows beyond the tolerance and rounding, which the lossy generator
+    cannot do, raises PropagationError and discards the trajectory. So
+    does a matrix entry that is not finite.
     """
     check_tolerance(tolerance)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -649,20 +650,15 @@ def propagate(
     if n_steps == 0:
         return traj
     # norms never grow, so a plan for the initial norm bounds every block
-    chebyshev = _ChebyshevStepper.plan(ham, dt_record, n_steps, tolerance,
-                                       math.sqrt(traj.norms2[0]))
-    if chebyshev is not None:
-        advance, block_steps = chebyshev.block, chebyshev.steps
-    else:
-        advance = functools.partial(_krylov_block, _KrylovStepper(ham.matrix), dt_record,
-                                    tolerance / n_steps)
-        block_steps = max(1, BLOCK_BYTES // (16 * ham.dimension))
+    stepper = (_ChebyshevStepper.plan(ham, dt_record, n_steps, tolerance,
+                                      math.sqrt(traj.norms2[0]))
+               or _KrylovStepper(ham.matrix, dt_record, tolerance / n_steps))
     psi = ham.to_working(psi0)
     # an out-of-range model overflows inside a step; the norm checks and
     # the steppers' own report it, not numpy warnings
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, n_steps + 1, block_steps):
-            block = advance(psi, min(block_steps, n_steps + 1 - start))
+        for start in range(1, n_steps + 1, stepper.steps):
+            block = stepper.block(psi, min(stepper.steps, n_steps + 1 - start))
             traj.record(start, block)
             psi = block[-1]
     return traj

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import polarbin as pb
+from polarbin import hamiltonian
 from polarbin.errors import ConfigError
 from polarbin.hamiltonian import vibronic_block
 from polarbin.oracle import ExplicitLayout, build_multibin_hamiltonian
@@ -167,11 +168,12 @@ class TestEffectiveHamiltonian:
         eigs_70 = np.linalg.eigvalsh(hermitian_part(binned_fock(spec, bins, 70)))
         np.testing.assert_allclose(eigs_70[:10], eigs_60[:10], atol=1e-8)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 10)
+        monkeypatch.setattr(hamiltonian, "DEFAULT_DIMENSION_CAP", 100)
         with pytest.raises(pb.DimensionCapError):
-            pb.build_effective_hamiltonian(spec, bins, 60, dimension_cap=100)
+            pb.build_effective_hamiltonian(spec, bins, 60)
 
 
 class TestArrowhead:

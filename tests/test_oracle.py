@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polarbin as pb
+from polarbin import oracle
 from polarbin.errors import ConfigError, DimensionCapError
 from polarbin.oracle import (
     ExplicitEnsemble,
@@ -84,7 +85,7 @@ class TestExplicitHamiltonian:
             block, ensemble.g_single * np.eye(layout.vib_dim)
         )
 
-    def test_dimension_and_caps(self):
+    def test_dimension_and_caps(self, monkeypatch):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 2)
         layout = ExplicitLayout([0, 0, 1, 1], 2, 5, 5**4)
@@ -93,11 +94,10 @@ class TestExplicitHamiltonian:
             build_explicit_hamiltonian(
                 spec, ExplicitEnsemble.from_bins(bins, 5, 3, spec.coupling)
             )
+        monkeypatch.setattr(oracle, "EXPLICIT_DIMENSION_CAP", 1000)
         with pytest.raises(DimensionCapError):
             build_explicit_hamiltonian(
-                spec,
-                ExplicitEnsemble.from_bins(bins, 4, 6, spec.coupling),
-                dimension_cap=1000,
+                spec, ExplicitEnsemble.from_bins(bins, 4, 6, spec.coupling)
             )
 
 

@@ -254,7 +254,7 @@ class TestPropagate:
 
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
         psi0 = pb.photonic_state(ham.layout)
-        stepper = _KrylovStepper(ham.matrix)
+        stepper = _KrylovStepper(ham.matrix, 1.0, 0.0)
         with pytest.raises(pb.PropagationError, match="tolerance"):
             stepper.step(psi0, 1.0, 0.0)
 
@@ -280,7 +280,7 @@ class TestPropagate:
         bins, ham = small_system(fig3_spec(sigma=0.01), n_bins, n_vib)
         assert ham.dimension == dim and 17 < MAX_KRYLOV < 37
         matrix = CountingMatrix(ham.matrix, limit=0)
-        stepper = _KrylovStepper(matrix)
+        stepper = _KrylovStepper(matrix, 1.0, budget)
         psi0 = pb.photonic_state(ham.layout)
         with pytest.raises(pb.PropagationError, match="tolerance"):
             stepper.step(psi0, 1.0, budget)
@@ -294,7 +294,8 @@ class TestPropagate:
         bins, ham = small_system(spec, 2, 4)
         psi0 = pb.photonic_state(ham.layout)
         matrix = CountingMatrix(ham.matrix)
-        psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), dt, 1e-12))
+        psi = ham.to_fock(_KrylovStepper(matrix, dt, 1e-12).step(ham.to_working(psi0), dt,
+                                                                 1e-12))
         if dt == 50.0:
             # no estimate fits below m = D: the invariant-subspace return
             assert matrix.calls == ham.dimension
@@ -311,7 +312,7 @@ class TestPropagate:
         bins, ham = small_system(spec, 4, 6)
         assert ham.dimension == 49 > MAX_KRYLOV
         exact_step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 6))
-        stepper = _KrylovStepper(ham.matrix)
+        stepper = _KrylovStepper(ham.matrix, dt, budget)
         y = ham.to_working(pb.polariton_state(ham.layout, bins, +1))
         for _ in range(4):  # later steps start the estimate from the previous m
             exact = exact_step @ ham.to_fock(y)
@@ -326,8 +327,8 @@ class TestPropagate:
         bins, ham = small_system(spec, 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
-        psi = ham.to_fock(_KrylovStepper(matrix, m_max=4).step(ham.to_working(psi0), 30.0,
-                                                               1e-10))
+        stepper = _KrylovStepper(matrix, 30.0, 1e-10, m_max=4)
+        psi = ham.to_fock(stepper.step(ham.to_working(psi0), 30.0, 1e-10))
         assert matrix.calls > 4
         exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(spec, bins, 6)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-10
@@ -341,7 +342,8 @@ class TestPropagate:
         bins, ham = small_system(spec, 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
-        psi = ham.to_fock(_KrylovStepper(matrix).step(ham.to_working(psi0), 30.0, 1e-12))
+        stepper = _KrylovStepper(matrix, 30.0, 1e-12)
+        psi = ham.to_fock(stepper.step(ham.to_working(psi0), 30.0, 1e-12))
         assert matrix.calls == 1
         exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(spec, bins, 6)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
@@ -380,6 +382,11 @@ def plan_of(ham, dt, n_steps, tolerance, norm=1.0):
 def block_shape(stepper):
     """(m, K): the steps of a block and the series length of its plan."""
     return stepper.steps, stepper.coefficients.shape[1] - 1
+
+
+# criterion 2's system (D = 5) over 200 fs: (dt, steps) and its (m, K)
+CRITERION_2_GRID = (200 * pb.FS_TO_AU / 8268, 8268)
+CRITERION_2_PLAN = (127, 39)
 
 
 # (m, K) of every preset point's block plan, in sweep order: the steps of
@@ -467,20 +474,69 @@ class TestChebyshevStep:
                          1.0, 10.0, 1e-9)
         assert matrix.calls == 0
 
-    @pytest.mark.parametrize("case", ["criterion 2", "kappa 0.5", "s1 4.36e10"])
+    @pytest.mark.parametrize("case", ["kappa 0.5", "kappa 1000", "s1 4.36e10"])
     def test_krylov_where_chebyshev_cannot_serve(self, case):
         # the per-step budget of each case as before blocks: a refused
         # single step refuses every block length
         n_steps, tolerance = 1, 1e-9
-        if case == "criterion 2":  # D = 5 is less than the 7 terms needed
-            spec, n_bins, n_vib = fig3_spec(coupling=0.0, omega_c=0.105), 1, 2
-            dt, n_steps = 200 * pb.FS_TO_AU / 8268, 8268
-        elif case == "kappa 0.5":  # rounding would grow like 3**K
+        if case == "kappa 0.5":  # rounding would grow like 3**K
             spec, n_bins, n_vib, dt = fig3_spec(sigma=0.02, kappa=0.5), 4, 6, 1.0
+        elif case == "kappa 1000":  # stiff loss on the fig6 shape, D = 241
+            from polarbin.config import load_preset
+
+            spec, n_bins, n_vib, dt = replace(load_preset("fig6").spec, kappa=1000.0), 2, 60, 1.0
         else:  # |H|*dt of about 1e11
             spec, n_bins, n_vib, dt = fig3_spec(s1=4.36e10, kappa=0.0), 1, 2, 0.5
         _, ham = small_system(spec, n_bins, n_vib)
         assert plan_of(ham, dt, n_steps, tolerance) == (None, 0)
+
+    def test_small_systems_take_long_blocks(self):
+        # the bound holds at any dimension: a series longer than D serves
+        # a long block of a small system
+        spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)
+        _, ham = small_system(spec, 1, 2)
+        assert ham.dimension == 5
+        stepper, calls = plan_of(ham, *CRITERION_2_GRID, 1e-9)
+        assert calls == 0 and block_shape(stepper) == CRITERION_2_PLAN
+        # the oracle-n4 benchmark point: the binned model and N = 1
+        spec = fig3_spec(coupling=0.01, sigma=0.02)
+        bins = pb.discretize_disorder(spec, 2)
+        dt, n_steps = 4 * pb.FS_TO_AU / 17, 17
+        explicit = build_explicit_hamiltonian(spec, ExplicitEnsemble.from_bins(bins, 1, 6,
+                                                                               spec.coupling))
+        plans = {}
+        for ham in (pb.build_effective_hamiltonian(spec, bins, 6), explicit):
+            stepper, calls = plan_of(ham, dt, n_steps, 1e-9)
+            assert calls == 0
+            plans[ham.dimension] = block_shape(stepper)
+        assert plans == {25: (12, 52), 18: (12, 53)}
+
+    @pytest.mark.parametrize("case", ["criterion 2 photonic", "criterion 2 random",
+                                      "kappa 0.5"])
+    def test_small_and_stiff_runs_match_dense_expm(self, case):
+        # criterion 2's system takes one Chebyshev plan, kappa 0.5 Krylov blocks
+        rng = np.random.default_rng(5)
+        if case.startswith("criterion 2"):
+            spec, n_bins, n_vib = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0), 1, 2
+            (dt, n_steps), plan = CRITERION_2_GRID, CRITERION_2_PLAN
+        else:
+            spec, n_bins, n_vib = fig3_spec(sigma=0.02, kappa=0.5), 4, 6
+            dt, n_steps, plan = 1.0, 100, None
+        bins, ham = small_system(spec, n_bins, n_vib)
+        stepper, _ = plan_of(ham, dt, n_steps, 1e-9)
+        assert (None if stepper is None else block_shape(stepper)) == plan
+        if case == "criterion 2 photonic":
+            psi0 = pb.photonic_state(ham.layout)
+        else:
+            psi0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            psi0 /= np.linalg.norm(psi0)
+        traj = pb.propagate(ham, psi0, dt, n_steps * dt, 1e-9,
+                            state_times=np.arange(n_steps + 1) * dt)
+        step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, n_vib))
+        exact = psi0
+        for state in traj.states:
+            assert np.linalg.norm(state - exact) <= 1e-9
+            exact = step @ exact
 
     def test_fig6_shape_takes_chebyshev(self):
         bins, ham = small_system(fig3_spec(sigma=0.02), 24, 60)
@@ -573,10 +629,10 @@ class TestBlockStep:
         from polarbin.propagator import CHEBYSHEV_BUDGET_SHARE
 
         # time-reversed loss is gain: at this rate the norm crosses the
-        # allowed tolerance at step 6, inside the first block, by margins
+        # allowed tolerance at step 3, inside the first block, by margins
         # larger than the block's error bound
-        dt, n_steps, tolerance = 1.0, 40, 1e-6
-        spec = fig3_spec(sigma=0.02, kappa=3.6e-7)
+        dt, n_steps, tolerance = 3.0, 40, 1e-6
+        spec = fig3_spec(sigma=0.02, kappa=2.75e-7)
         bins, ham = small_system(spec, 2, 4)
         gain = negated(ham)
         stepper, _ = plan_of(gain, dt, n_steps, tolerance)
@@ -688,19 +744,18 @@ class TestStartupBlasThreads:
         if (cores or 1) < 2:
             pytest.skip("one core: the default thread count is already 1")
 
-    # the criterion-2 system (D = 5) takes the Krylov stepper, which loads
-    # scipy.linalg only then; its OpenBLAS must still run at one thread
+    # the stiff kappa = 0.5 system (D = 49) takes the Krylov stepper, which
+    # loads scipy.linalg only then; its OpenBLAS must still run at one thread
     KRYLOV = (
         "import json, sys\n"
         "import polarbin as pb\n"
         "from conftest import fig3_spec\n"
         "from polarbin.propagator import _ChebyshevStepper, _openblas_thread_controls\n"
         "loaded = ['scipy.linalg' in sys.modules]\n"
-        "spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)\n"
-        "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 1), 2)\n"
-        "dt = 200 * pb.FS_TO_AU / 8268\n"
-        "assert _ChebyshevStepper.plan(ham, dt, 100, 1e-9, 1.0) is None\n"
-        "pb.propagate(ham, pb.photonic_state(ham.layout), dt, 100 * dt, 1e-9)\n"
+        "spec = fig3_spec(sigma=0.02, kappa=0.5)\n"
+        "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 4), 6)\n"
+        "assert _ChebyshevStepper.plan(ham, 1.0, 100, 1e-9, 1.0) is None\n"
+        "pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 100.0, 1e-9)\n"
         "loaded.append('scipy.linalg' in sys.modules)\n"
         "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()], loaded]))\n"
     )
