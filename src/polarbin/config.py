@@ -17,7 +17,7 @@ from importlib import resources
 from .errors import ConfigError
 from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import BasisLayout, ModelSpec, bin_count_rule, time_to_au
-from .propagator import DEFAULT_TOLERANCE, INITIAL_STATE_NAMES, check_tolerance
+from .propagator import DEFAULT_TOLERANCE, INITIAL_STATES, check_tolerance
 
 # one key per ModelSpec field; None marks a required key. omega_c defaults
 # to "resonant", which means omega0 + omega_nu
@@ -214,7 +214,7 @@ def load_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     if n_bins is not None and n_bins < 1:
         raise ConfigError("n_bins must be >= 1 or 'auto'")
     initial_state = run["initial_state"].strip()
-    if initial_state not in INITIAL_STATE_NAMES:
+    if initial_state not in INITIAL_STATES:
         raise ConfigError(f"unknown initial_state {initial_state!r}")
     vib_times = tuple(
         parse_time(tok.strip())

@@ -218,21 +218,3 @@ class BasisLayout:
         return (vector[..., : self.photon_dim],
                 vector[..., self.photon_dim :].reshape(
                     *vector.shape[:-1], 2, self.n_coords, self.vib_dim))
-
-    def e1(self, coordinate: int, level: int) -> int:
-        self._check(coordinate, level)
-        return self.index(0, coordinate, level)
-
-    def e2(self, coordinate: int, level: int) -> int:
-        self._check(coordinate, level)
-        return self.index(1, coordinate, level)
-
-    def e1_slice(self, coordinate: int) -> slice:
-        start = self.e1(coordinate, 0)
-        return slice(start, start + self.vib_dim)
-
-    def _check(self, coordinate: int, level: int) -> None:
-        if not 0 <= coordinate < self.n_coords:
-            raise IndexError(f"coordinate {coordinate} out of range")
-        if not 0 <= level < self.vib_dim:
-            raise IndexError(f"vibrational level {level} out of range")

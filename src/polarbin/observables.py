@@ -164,54 +164,45 @@ def populations(traj: Trajectory) -> PopulationRecord:
     )
 
 
-def vibrational_energy(
-    psi: np.ndarray,
-    layout: BasisLayout,
-    spec: ModelSpec,
-    bin_index: int,
-) -> float:
-    """Mean vibrational energy of the reactant wavepacket of one bin.
+def vibrational_energy(psi: np.ndarray, layout: BasisLayout, spec: ModelSpec) -> np.ndarray:
+    """Mean vibrational energy of the reactant wavepacket of every bin of a
+    binned state.
 
     Measured above the displaced-surface minimum and conditioned on the
-    bin population, so differences between bins reflect wavepacket motion
-    rather than the Franck-Condon offset or absorption differences.
+    bin's reactant population p_e1 of :func:`state_populations`, so
+    differences between bins reflect wavepacket motion rather than the
+    Franck-Condon offset or absorption differences. A bin whose population
+    is at or below MIN_CONDITIONING_POPULATION has no conditional energy:
+    its entry is nan.
     """
-    block = psi[layout.e1_slice(bin_index)]
-    population = float(np.vdot(block, block).real)
-    if population <= MIN_CONDITIONING_POPULATION:
-        raise ZeroPopulationError(
-            f"bin {bin_index} population {population:g} too small for a "
-            "conditional vibrational energy"
-        )
-    op = displaced_number_operator(spec.s1, layout.n_vib)
-    return spec.omega_nu * float(np.vdot(block, op @ block).real) / population
+    reactant = layout.blocks(psi)[1][0]  # one row of n_vib amplitudes per bin
+    number = displaced_number_operator(spec.s1, layout.n_vib)  # real symmetric
+    quanta = (reactant.conj() * (reactant @ number)).sum(axis=-1).real
+    p_e1 = state_populations(psi, layout)[0]
+    conditioned = p_e1 > MIN_CONDITIONING_POPULATION
+    energy = np.full(layout.n_bins, np.nan)
+    energy[conditioned] = spec.omega_nu * quanta[conditioned] / p_e1[conditioned]
+    return energy
 
 
 def rabi_splitting(spectrum: Spectrum) -> float:
     """Distance between the two largest strict local maxima of a spectrum.
 
     Evaluated on the raw grid with no interpolation; amplitude ties are
-    broken toward the wider pair.
+    broken toward the wider pair. With v1 >= v2 the two largest maximum
+    amplitudes, a pair holds one maximum at v1 and another at or above v2;
+    the widest runs from the first v1 maximum to the last such candidate,
+    or from the first candidate to the last v1 maximum.
     """
     a = spectrum.values
     interior = np.arange(1, len(a) - 1)
-    mask = (a[interior] > a[interior - 1]) & (a[interior] > a[interior + 1])
-    maxima = interior[mask]
+    maxima = interior[(a[interior] > a[interior - 1]) & (a[interior] > a[interior + 1])]
     if len(maxima) < 2:
         raise NoSplittingError(f"found {len(maxima)} local maxima, need two")
-    amps = a[maxima]
-    order = np.argsort(-amps, kind="stable")
-    v1, v2 = amps[order[0]], amps[order[1]]
-    candidates = maxima[amps >= v2]
-    best = None
-    for p in candidates:
-        for q in candidates:
-            if q <= p or (a[p] < v1 and a[q] < v1):
-                continue
-            sep = spectrum.omega[q] - spectrum.omega[p]
-            if best is None or sep > best:
-                best = sep
-    return float(best)
+    omega, amps = spectrum.omega[maxima], a[maxima]
+    v2, v1 = np.sort(amps)[-2:]
+    top, pair = omega[amps == v1], omega[amps >= v2]
+    return float(max(pair[-1] - top[0], top[-1] - pair[0]))
 
 
 @dataclass(frozen=True)

@@ -491,8 +491,6 @@ def propagate_eom(
     )
     if not sol.success:
         raise PropagationError(f"EoM integration failed: {sol.message}")
-    if not np.isfinite(sol.y).all():
-        raise PropagationError("non-finite amplitudes in EoM integration")
     # the first column is psi0, which the Trajectory recorded when made
     traj.record(1, sol.y[:, 1:].T)
     return traj

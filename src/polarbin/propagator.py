@@ -86,8 +86,6 @@ _BESSEL_RESCALE = 1e250
 # Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
 _CROUZEIX = 1.0 + math.sqrt(2.0)
 
-INITIAL_STATE_NAMES = ("photonic", "bright", "upper_polariton", "lower_polariton")
-
 # (package, library file pattern inside <package>.libs, getter, setter) of
 # the OpenBLAS copies that numpy and scipy bundle
 _OPENBLAS_THREAD_CONTROLS = (
@@ -120,16 +118,19 @@ def polariton_state(layout: BasisLayout, bins: BinSet, sign: int) -> np.ndarray:
     return psi
 
 
+# each initial state by name, built as builder(layout, bins)
+INITIAL_STATES = {
+    "photonic": lambda layout, bins: photonic_state(layout),
+    "bright": bright_state,
+    "upper_polariton": functools.partial(polariton_state, sign=+1),
+    "lower_polariton": functools.partial(polariton_state, sign=-1),
+}
+
+
 def make_initial_state(name: str, layout: BasisLayout, bins: BinSet) -> np.ndarray:
-    if name == "photonic":
-        return photonic_state(layout)
-    if name == "bright":
-        return bright_state(layout, bins)
-    if name == "upper_polariton":
-        return polariton_state(layout, bins, +1)
-    if name == "lower_polariton":
-        return polariton_state(layout, bins, -1)
-    raise ConfigError(f"unknown initial state {name!r}")
+    if name not in INITIAL_STATES:
+        raise ConfigError(f"unknown initial state {name!r}")
+    return INITIAL_STATES[name](layout, bins)
 
 
 def _resolve_grid(dt_record: float, t_final: float) -> int:

@@ -154,29 +154,20 @@ def _dynamics_point(cfg: RunConfig, pair) -> str:
 
 
 def _write_vib_energy(resolved, bins, ham, traj, directory) -> None:
-    """Per-bin populations and energies of every kept state, one row per bin."""
+    """Per-bin populations and energies of every kept state, one row per bin;
+    a bin too empty to condition an energy has an empty cell, status no_population."""
     n_states, n_bins = len(traj.states), bins.n_bins
-    energies = [
-        _vib_energy_cells(psi, ham.layout, resolved.spec, i)
-        for psi in traj.states for i in range(n_bins)
-    ]
+    energies = np.concatenate(
+        [vibrational_energy(psi, ham.layout, resolved.spec) for psi in traj.states])
     write_csv(os.path.join(directory, "vib_energy.csv"), {
         "t_au": np.repeat(traj.state_times, n_bins),
         "bin": list(range(n_bins)) * n_states,
         "omega0_bin": np.tile(bins.centers, n_states),
         "p_e1_bin": np.concatenate(
             [state_populations(psi, ham.layout)[0] for psi in traj.states]),
-        "e_vib_au": [energy for energy, _ in energies],
-        "status": [status for _, status in energies],
+        "e_vib_au": ["" if np.isnan(energy) else energy for energy in energies],
+        "status": np.where(np.isnan(energies), "no_population", "ok"),
     })
-
-
-def _vib_energy_cells(psi, layout, spec, i) -> tuple:
-    """(energy, status) of one bin; an empty bin has no conditional energy."""
-    try:
-        return vibrational_energy(psi, layout, spec, i), "ok"
-    except ZeroPopulationError:
-        return "", "no_population"
 
 
 SWEEP_RESULTS = ("n_bins", "p_e2_final", "p_e2_final_normalized", "gamma_final", "status")
@@ -229,8 +220,7 @@ class ConvergenceStep:
 
 
 def _converge_worker(cfg: RunConfig, n_bins: int):
-    point = replace(cfg.resolve_point(), n_bins=n_bins, initial_state="photonic",
-                    vib_energy_times=())
+    point = replace(cfg.resolve_point(), n_bins=n_bins, vib_energy_times=())
     _, _, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
     record = populations(traj)
@@ -255,6 +245,8 @@ def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceS
         raise ConfigError("convergence study needs sigma > 0")
     if cfg.sweep:
         raise ConfigError("convergence study takes a single-point config")
+    if cfg.initial_state != "photonic":
+        raise ConfigError("convergence studies require initial_state = photonic")
     write_manifest(cfg, out_dir)
     counts = converge_bin_counts(cfg.spec.sigma, cfg.t_final)
     results = _parallel_map(partial(_converge_worker, cfg), counts, threads)

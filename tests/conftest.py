@@ -41,6 +41,13 @@ def binned_fock(spec, bins, n_vib):
                                 spec.coupling * np.sqrt(bins.weights))
 
 
+def block_slice(layout, surface, coordinate):
+    """The levels of one coordinate on surface 0 (e1) or 1 (e2), as a slice
+    of the state vector."""
+    start = layout.index(surface, coordinate, 0)
+    return slice(start, start + layout.vib_dim)
+
+
 def hermiticity_defect(fock):
     """Max |H - H'| of a FockHamiltonian over all entries except the lossy
     photon-block diagonal."""

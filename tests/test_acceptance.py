@@ -269,10 +269,7 @@ def test_criterion_10_vibrational_energy_gradient():
     dt, t_final = grid(5, 207)
     traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
                         1e-9)
-    energies = np.array([
-        pb.vibrational_energy(traj.final_state, ham.layout, spec, i)
-        for i in range(n_bins)
-    ])
+    energies = pb.vibrational_energy(traj.final_state, ham.layout, spec)
     window = energies[central_half(n_bins)]
     trending, rho = increasing_trend(window)
     elapsed = time.time() - start

@@ -218,6 +218,23 @@ class TestRunCommands:
         for t, i, _, p_e1, *_ in vib[1:]:
             assert p_e1 == at_time[t][pops[0].index(f"p_e1_bin{int(i):02d}")]
 
+    def test_photonic_start_leaves_every_bin_without_energy(self, tmp_path):
+        # at t = 0 the photonic state holds no reactant population anywhere
+        cfg = load_config(
+            MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+            .replace("n_bins = auto", "n_bins = 3")
+            + "vib_energy_times = 0 au\n"
+        )
+        out = tmp_path / "dyn"
+        run_dynamics(cfg, str(out))
+        vib = read_csv(out / "vib_energy.csv")
+        header = vib[0]
+        assert len(vib) == 1 + 3
+        for row in vib[1:]:
+            assert row[header.index("p_e1_bin")] == f"{0.0:.16e}"
+            assert row[header.index("e_vib_au")] == ""
+            assert row[header.index("status")] == "no_population"
+
     def test_sweep_single_point_matches_dynamics(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nsigma = 0.0\n"
         cfg = load_config(text)
@@ -488,6 +505,18 @@ class TestCliEntry:
         )
         out = tmp_path / "orc"
         code = main(["oracle", "--config", cfg, "--out", str(out),
+                     "--override", f"run.initial_state={state}"])
+        assert code == 1
+        assert "initial_state = photonic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("state", ["bright", "upper_polariton", "lower_polariton"])
+    def test_converge_refuses_non_photonic_start(self, tmp_path, capsys, state):
+        # the bin-count ladder always propagates the photonic state; it used
+        # to run anyway and record the requested state in manifest.cfg
+        cfg = self._write(tmp_path, MINIMAL.replace("sigma = 0.0", "sigma = 0.01"))
+        out = tmp_path / "cv"
+        code = main(["converge", "--config", cfg, "--out", str(out),
                      "--override", f"run.initial_state={state}"])
         assert code == 1
         assert "initial_state = photonic" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from polarbin.errors import ConfigError
 from polarbin.hamiltonian import vibronic_block
 from polarbin.oracle import ExplicitLayout, build_multibin_hamiltonian
 
-from conftest import binned_fock, fig3_spec, hermiticity_defect
+from conftest import binned_fock, block_slice, fig3_spec, hermiticity_defect
 
 
 def hermitian_part(fock):
@@ -29,11 +30,6 @@ def fc_overlap(s: float, level: int) -> float:
     sign = 1.0 if (level % 2 == 0 or s < 0) else -1.0
     log_mag = -0.5 * s * s + level * math.log(abs(s)) - 0.5 * math.lgamma(level + 1)
     return sign * math.exp(log_mag)
-
-
-def e2_slice(layout, coordinate):
-    start = layout.e2(coordinate, 0)
-    return slice(start, start + layout.vib_dim)
 
 
 class TestDisplacedNumberOperator:
@@ -107,7 +103,7 @@ class TestEffectiveHamiltonian:
         # no photon-matter or e1-e2 mixing beyond stored structural zeros
         assert np.all(dense[0, 1:] == 0)
         layout = fock.layout
-        e1 = dense[layout.e1_slice(0), e2_slice(layout, 0)]
+        e1 = dense[block_slice(layout, 0, 0), block_slice(layout, 1, 0)]
         assert np.all(e1 == 0)
 
     def test_jaynes_cummings_block_eigenvalues(self):
@@ -140,10 +136,10 @@ class TestEffectiveHamiltonian:
         fock = binned_fock(spec, bins, 12)
         layout = fock.layout
         row = fock.matrix.getrow(0).tocoo()
-        allowed = {0} | {layout.e1(i, 0) for i in range(5)}
+        allowed = {0} | {layout.index(0, i, 0) for i in range(5)}
         assert set(row.col) == allowed
         for i in range(5):
-            assert fock.matrix[0, layout.e1(i, 0)] == pytest.approx(
+            assert fock.matrix[0, layout.index(0, i, 0)] == pytest.approx(
                 spec.coupling * math.sqrt(bins.weights[i])
             )
 
@@ -222,7 +218,7 @@ class TestMultibinHamiltonian:
         # inside the bin-0 reactant block, the spectator coordinate only
         # contributes a diagonal ladder: states differing in the spectator
         # index are uncoupled
-        block = dense[layout.e1_slice(0), layout.e1_slice(0)].reshape(5, 5, 5, 5)
+        block = dense[block_slice(layout, 0, 0), block_slice(layout, 0, 0)].reshape(5, 5, 5, 5)
         off_spectator = block.copy()
         for n2 in range(5):
             off_spectator[:, n2, :, n2] = 0
@@ -242,18 +238,19 @@ def entrywise_reference(spec, bins, n_vib):
     n1 = pb.displaced_number_operator(spec.s1, n_vib)
     n2 = pb.displaced_number_operator(spec.s2, n_vib)
     for i in range(bins.n_bins):
-        for at, op, shift in ((layout.e1, n1, bins.centers[i]),
-                              (layout.e2, n2, bins.centers[i] + spec.delta2)):
+        for surface, op, shift in ((0, n1, bins.centers[i]),
+                                   (1, n2, bins.centers[i] + spec.delta2)):
+            at = partial(layout.index, surface)
             for n in range(n_vib):
                 entries[at(i, n), at(i, n)] = shift + spec.omega_nu * op[n, n]
                 if n + 1 < n_vib:
                     entries[at(i, n), at(i, n + 1)] = spec.omega_nu * op[n, n + 1]
                     entries[at(i, n + 1), at(i, n)] = spec.omega_nu * op[n + 1, n]
         for n in range(n_vib):
-            entries[layout.e1(i, n), layout.e2(i, n)] = spec.v12
-            entries[layout.e2(i, n), layout.e1(i, n)] = spec.v12
+            entries[layout.index(0, i, n), layout.index(1, i, n)] = spec.v12
+            entries[layout.index(1, i, n), layout.index(0, i, n)] = spec.v12
         fc = spec.coupling * math.sqrt(bins.weights[i])
-        entries[0, layout.e1(i, 0)] = entries[layout.e1(i, 0), 0] = fc
+        entries[0, layout.index(0, i, 0)] = entries[layout.index(0, i, 0), 0] = fc
     rows, cols = zip(*entries)
     return sp.csr_matrix((np.array(list(entries.values()), dtype=complex),
                           (rows, cols)), shape=(layout.dimension,) * 2)
@@ -295,7 +292,7 @@ class TestVibronicBlockAssembly:
         block = vibronic_block(spec, self.N_VIB)
         assert np.array_equal(block, block.T)
         for i in range(3):
-            index = np.r_[fock.layout.e1_slice(i), e2_slice(fock.layout, i)]
+            index = np.r_[block_slice(fock.layout, 0, i), block_slice(fock.layout, 1, i)]
             shift = np.repeat([bins.centers[i], bins.centers[i] + spec.delta2],
                               self.N_VIB)
             np.testing.assert_array_equal(

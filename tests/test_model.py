@@ -180,10 +180,10 @@ class TestBasisLayout:
     def test_photon_first_then_e1_then_e2(self):
         layout = pb.BasisLayout(n_bins=2, n_vib=4)
         assert layout.PHOTON == 0
-        assert layout.e1(0, 0) == 1
-        assert layout.e1(1, 0) == 5
-        assert layout.e2(0, 0) == 9
-        assert layout.e2(1, 3) == 16
+        assert layout.index(0, 0, 0) == 1
+        assert layout.index(0, 1, 0) == 5
+        assert layout.index(1, 0, 0) == 9
+        assert layout.index(1, 1, 3) == 16
 
     @pytest.mark.parametrize("layout", [
         pytest.param(pb.BasisLayout(1, 2), id="1-2"),
@@ -198,7 +198,7 @@ class TestBasisLayout:
                 assert flat < layout.photon_dim
             else:
                 kind, i, n = desc
-                back = layout.e1(i, n) if kind == "e1" else layout.e2(i, n)
+                back = layout.index(0 if kind == "e1" else 1, i, n)
                 assert back == flat
 
     @pytest.mark.parametrize("layout", [
@@ -210,10 +210,3 @@ class TestBasisLayout:
         np.testing.assert_array_equal(photon, np.arange(layout.photon_dim))
         surface, coordinate, level = np.indices(excited.shape)
         np.testing.assert_array_equal(excited, layout.index(surface, coordinate, level))
-
-    def test_out_of_range(self):
-        layout = pb.BasisLayout(2, 3)
-        with pytest.raises(IndexError):
-            layout.e1(2, 0)
-        with pytest.raises(IndexError):
-            layout.e2(0, 3)

@@ -139,30 +139,59 @@ class TestPopulations:
 class TestVibrationalEnergy:
     def _single_level_state(self, layout, i):
         psi = np.zeros(layout.dimension, dtype=complex)
-        psi[layout.e1(i, 0)] = 1.0
+        psi[layout.index(0, i, 0)] = 1.0
         return psi
 
     def test_undisplaced_ground_level_zero(self):
         spec = fig3_spec(s1=0.0, sigma=0.01)
         layout = pb.BasisLayout(2, 6)
         psi = self._single_level_state(layout, 0)
-        assert pb.vibrational_energy(psi, layout, spec, 0) == pytest.approx(0.0)
+        assert pb.vibrational_energy(psi, layout, spec)[0] == pytest.approx(0.0)
 
     def test_displaced_ground_level_offset(self):
         # Franck-Condon point sits s^2 quanta above the displaced minimum
         spec = fig3_spec(sigma=0.01)
         layout = pb.BasisLayout(2, 6)
         psi = self._single_level_state(layout, 1)
-        energy = pb.vibrational_energy(psi, layout, spec, 1)
+        energy = pb.vibrational_energy(psi, layout, spec)[1]
         assert energy == pytest.approx(spec.omega_nu * spec.s1**2)
         assert energy == pytest.approx(0.01)
 
-    def test_zero_population_raises(self):
+    def test_zero_population_is_nan(self):
+        # bin 0 holds nothing, bin 1 its ground level: only bin 0 has no energy
         spec = fig3_spec(sigma=0.01)
         layout = pb.BasisLayout(2, 6)
-        psi = pb.photonic_state(layout)
-        with pytest.raises(ZeroPopulationError):
-            pb.vibrational_energy(psi, layout, spec, 0)
+        energies = pb.vibrational_energy(self._single_level_state(layout, 1), layout, spec)
+        assert np.isnan(energies[0])
+        assert energies[1] == pytest.approx(spec.omega_nu * spec.s1**2)
+        assert np.isnan(pb.vibrational_energy(pb.photonic_state(layout), layout, spec)).all()
+
+    def test_matches_per_bin_quadratic_forms(self):
+        # reference: <psi_i|n_s1|psi_i> / <psi_i|psi_i> bin by bin, by vdot
+        spec = fig3_spec(sigma=0.01)
+        layout = pb.BasisLayout(5, 7)
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        op = pb.displaced_number_operator(spec.s1, layout.n_vib)
+        expected = []
+        for i in range(layout.n_bins):
+            block = psi[layout.index(0, i, np.arange(layout.n_vib))]
+            expected.append(spec.omega_nu * np.vdot(block, op @ block).real
+                            / np.vdot(block, block).real)
+        np.testing.assert_allclose(pb.vibrational_energy(psi, layout, spec), expected,
+                                   rtol=1e-13, atol=0.0)
+
+
+def _widest_top_pair(w, a):
+    """Widest pair of strict local maxima that holds a maximum of the largest
+    amplitude v1 and another at or above the second largest v2, or None."""
+    maxima = [i for i in range(1, len(a) - 1) if a[i - 1] < a[i] > a[i + 1]]
+    if len(maxima) < 2:
+        return None
+    v1, v2 = sorted((a[i] for i in maxima), reverse=True)[:2]
+    candidates = [i for i in maxima if a[i] >= v2]
+    return max(w[q] - w[p] for p in candidates for q in candidates
+               if p < q and v1 in (a[p], a[q]))
 
 
 class TestRabiSplitting:
@@ -195,6 +224,25 @@ class TestRabiSplitting:
         for center in (0.2, 0.5, 0.8):
             a += self._lorentzian(w, center, 0.01)
         assert pb.rabi_splitting(Spectrum(w, a)) == pytest.approx(0.3, abs=2e-3)
+
+    def test_closed_form_matches_every_pair(self):
+        # seeded random spectra, half of them integer-valued so that tied
+        # amplitudes are common, against the search over every pair of maxima
+        rng = np.random.default_rng(20)
+        checked = 0
+        for case in range(400):
+            n = int(rng.integers(3, 40))
+            w = np.cumsum(rng.uniform(0.1, 1.0, n))
+            a = (rng.integers(0, 4, n).astype(float) if case % 2
+                 else rng.normal(size=n))
+            expected = _widest_top_pair(w, a)
+            if expected is None:
+                with pytest.raises(NoSplittingError):
+                    pb.rabi_splitting(Spectrum(w, a))
+            else:
+                assert pb.rabi_splitting(Spectrum(w, a)) == expected
+                checked += 1
+        assert checked > 200
 
     def test_monotone_spectrum_has_no_maxima(self):
         w = np.linspace(0.0, 1.0, 101)

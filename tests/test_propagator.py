@@ -138,7 +138,7 @@ class TestInitialStates:
         psi = pb.bright_state(ham.layout, bins)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         for i in range(4):
-            assert psi[ham.layout.e1(i, 0)] == pytest.approx(
+            assert psi[ham.layout.index(0, i, 0)] == pytest.approx(
                 math.sqrt(bins.weights[i])
             )
 
@@ -164,8 +164,9 @@ class TestPropagate:
         bins, ham = small_system(spec, 1, 5)
         layout = ham.layout
         psi0 = np.zeros(layout.dimension, dtype=complex)
-        psi0[layout.e1(0, 2)] = 1.0
-        energy = binned_fock(spec, bins, 5).matrix[layout.e1(0, 2), layout.e1(0, 2)].real
+        level = layout.index(0, 0, 2)
+        psi0[level] = 1.0
+        energy = binned_fock(spec, bins, 5).matrix[level, level].real
         traj = pb.propagate(ham, psi0, 2.0, 200.0, 1e-10)
         expected = np.exp(-1j * energy * traj.times)
         np.testing.assert_allclose(traj.autocorr, expected, atol=1e-9)
@@ -838,7 +839,7 @@ class TestPropagateEom:
         bins = pb.discretize_disorder(spec, 3)
         layout = pb.BasisLayout(3, 5)
         psi0 = np.zeros(layout.dimension, dtype=complex)
-        psi0[layout.e1(1, 2)] = 1.0
+        psi0[layout.index(0, 1, 2)] = 1.0
         traj = pb.propagate_eom(spec, bins, 5, psi0, 2.0, 100.0, 1e-10)
         energy = bins.centers[1] + 2 * spec.omega_nu
         np.testing.assert_allclose(
@@ -853,6 +854,25 @@ class TestPropagateEom:
         traj = pb.propagate_eom(spec, bins, 4, psi0, 1.0, 0.0, 1e-9)
         assert len(traj.times) == 1
         assert traj.autocorr[0] == pytest.approx(1.0)
+
+    def test_non_finite_solution_fails_at_its_step(self, monkeypatch):
+        # a successful integration with a nan column is caught by the
+        # recorder's norm check, which names the step
+        import scipy.integrate
+
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def with_nan_column(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            sol.y[:, 3] = np.nan
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", with_nan_column)
+        spec = fig3_spec(sigma=0.0)
+        bins = pb.discretize_disorder(spec, 1)
+        psi0 = pb.photonic_state(pb.BasisLayout(1, 4))
+        with pytest.raises(pb.PropagationError, match="at step 3 "):
+            pb.propagate_eom(spec, bins, 4, psi0, 1.0, 10.0, 1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_method_independence_random_models(self, seed):
