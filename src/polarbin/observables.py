@@ -31,11 +31,18 @@ MAX_OMEGA_POINTS = 1_000_000
 PHOTONIC_START_TOLERANCE = 1e-12
 # a bin population at or below this cannot condition a vibrational energy
 MIN_CONDITIONING_POPULATION = 1e-12
+# absorption's grid may stray this many ulps of its largest |w| from uniform
+UNIFORM_GRID_ULPS = 8
+# The FFT length of a short trajectory. The chunk of frequencies is this
+# minus n_t plus one: on the widest grid default_omega_grid allows, that
+# is about 2000 loop passes, and a chirp phase step*dt*j^2/2 below the
+# largest w*t of the direct sum, which sets the rounding of both.
+MIN_FFT_LENGTH = 512
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Absorption samples on a strictly increasing frequency grid."""
+    """Absorption samples on a uniform, strictly increasing frequency grid."""
 
     omega: np.ndarray
     values: np.ndarray
@@ -67,7 +74,20 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     quadrature on the recorded grid with plain truncation (no window).
     The recorded t = 0 state must be the photonic state up to a phase:
     its photon population and its squared norm both one to within
-    PHOTONIC_START_TOLERANCE, or InitialStateError is raised.
+    PHOTONIC_START_TOLERANCE, or InitialStateError is raised. The grid
+    must be 1d, non-empty, finite, strictly increasing and uniform to
+    rounding, or ConfigError is raised.
+
+    The sum C~(w_j) = sum_k w_k C_k exp(i w_j t_k) is a chirp-z transform
+    (Bluestein): on w_j = lo + j*step and t_k = k*dt, jk = (j^2 + k^2 -
+    (j - k)^2)/2 turns it into one convolution with the chirp
+    exp(-i step*dt m^2/2), done by FFT in O(n log n) time. The grid is
+    taken in chunks of about n_t frequencies (MIN_FFT_LENGTH sets a floor
+    for short runs), each with its own lo, so memory stays O(n_t) and the
+    chirp phases step*dt*j^2/2, whose rounding the result carries, stay
+    near the size of the direct sum's w*t. The grid's own rounding off
+    lo + j*step is corrected to first order by the transform of t_k w_k C_k,
+    the frequency derivative, which leaves an error of its square.
     """
     photon0, norm0 = abs(traj.photon_amp[0]) ** 2, traj.norms2[0]
     if not (abs(photon0 - 1.0) <= PHOTONIC_START_TOLERANCE
@@ -77,23 +97,51 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
             f"got |a0(0)|^2 = {photon0!r} and |psi(0)|^2 = {norm0!r}"
         )
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or np.any(np.diff(omega_grid) <= 0):
-        raise ConfigError("omega grid must be 1d and strictly increasing")
-    t = traj.times
-    weights = np.full(len(t), traj.dt_record)
-    if len(t) > 1:
+    step = _uniform_step(omega_grid)
+    t, dt, n_t = traj.times, traj.dt_record, len(traj.times)
+    weights = np.full(n_t, dt)
+    if n_t > 1:
         weights[0] *= 0.5
         weights[-1] *= 0.5
-    weighted = traj.autocorr * weights
+    n_fft = max(MIN_FFT_LENGTH, 1 << (2 * n_t - 2).bit_length())
+    chunk = n_fft - n_t + 1  # no lag of the convolution wraps onto a kept frequency
+    j = np.arange(chunk)
+    chirp = np.exp(1j * (0.5 * step * dt * (j * j)))
+    # the chirp at lags 0 .. chunk-1, then at lags -(n_t-1) .. -1
+    kernel = np.fft.fft(np.concatenate([chirp, chirp[n_t - 1 : 0 : -1]]).conj())
+    source = traj.autocorr * weights * chirp[:n_t]
     ct = np.empty(len(omega_grid), dtype=complex)
-    chunk = 512  # bound the phase-matrix memory
     for start in range(0, len(omega_grid), chunk):
         block = omega_grid[start : start + chunk]
-        ct[start : start + len(block)] = np.exp(1j * np.outer(block, t)) @ weighted
+        n = len(block)
+        shifted = source * np.exp(1j * block[0] * t)
+        plain, slope = [np.fft.ifft(np.fft.fft(x, n_fft) * kernel)[:n]
+                        for x in (shifted, t * shifted)]
+        rounding = (block - block[0]) - step * j[:n]
+        ct[start : start + n] = chirp[:n] * (plain + 1j * rounding * slope)
     values = kappa * ct.real - 0.5 * (kappa * kappa) * np.abs(ct) ** 2
     if not np.isfinite(values).all():
         raise PropagationError(f"absorption overflows at kappa = {kappa!r}")
     return Spectrum(omega=omega_grid, values=values)
+
+
+def _uniform_step(omega_grid: np.ndarray) -> float:
+    """The step of a 1d, non-empty, finite, strictly increasing grid that
+    is uniform to rounding; 0 for a single frequency. ConfigError otherwise."""
+    if omega_grid.ndim != 1 or omega_grid.size == 0:
+        raise ConfigError(f"omega grid must be 1d and non-empty, got shape {omega_grid.shape}")
+    if not np.isfinite(omega_grid).all():
+        raise ConfigError("omega grid must hold finite frequencies only")
+    if np.any(np.diff(omega_grid) <= 0):
+        raise ConfigError("omega grid must be strictly increasing")
+    n = len(omega_grid)
+    step = (omega_grid[-1] - omega_grid[0]) / max(n - 1, 1)
+    off = np.abs(omega_grid - (omega_grid[0] + step * np.arange(n))).max()
+    # lo + step*j and linspace grids stray at most 3 ulps from this line
+    if off > UNIFORM_GRID_ULPS * np.spacing(np.abs(omega_grid[[0, -1]]).max()):
+        raise ConfigError(f"omega grid must be uniform, but a frequency is {off!r} au "
+                          f"off the line through its ends")
+    return float(step)
 
 
 def state_populations(psi: np.ndarray, layout: BasisLayout):

@@ -76,12 +76,12 @@ def write_manifest(cfg: RunConfig, out_dir) -> str:
     return path
 
 
-def _propagate_point(point: RunConfig):
+def _propagate_point(point: RunConfig, state_times=()):
     bins = discretize_disorder(point.spec, point.n_bins)
     ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
     psi0 = make_initial_state(point.initial_state, ham.layout, bins)
     traj = propagate(ham, psi0, point.dt_record, point.t_final, point.tolerance,
-                     state_times=point.vib_energy_times)
+                     state_times=state_times)
     return bins, ham, traj
 
 
@@ -133,7 +133,8 @@ def run_dynamics(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
 def _dynamics_point(cfg: RunConfig, pair) -> str:
     point, directory = pair
     resolved = cfg.resolve_point(point)
-    bins, ham, traj = _propagate_point(resolved)
+    # the one command that writes vibrational energies keeps their states
+    bins, ham, traj = _propagate_point(resolved, resolved.vib_energy_times)
     record = populations(traj)
     nb = bins.n_bins
     write_csv(os.path.join(directory, "populations.csv"), {
@@ -220,7 +221,7 @@ class ConvergenceStep:
 
 
 def _converge_worker(cfg: RunConfig, n_bins: int):
-    point = replace(cfg.resolve_point(), n_bins=n_bins, vib_energy_times=())
+    point = replace(cfg.resolve_point(), n_bins=n_bins)
     _, _, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
     record = populations(traj)

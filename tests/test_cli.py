@@ -235,6 +235,26 @@ class TestRunCommands:
             assert row[header.index("e_vib_au")] == ""
             assert row[header.index("status")] == "no_population"
 
+    @pytest.mark.parametrize("run, keeps", [(run_spectrum, False), (run_sweep, False),
+                                            (run_converge, False), (run_dynamics, True)])
+    def test_only_dynamics_keeps_states(self, tmp_path, monkeypatch, run, keeps):
+        # vibrational energies are written by dynamics alone: no other
+        # command keeps a full state per vib_energy_times entry
+        from polarbin import runs
+
+        asked = []
+
+        def recording_propagate(*args, state_times=(), **kwargs):
+            asked.append(tuple(state_times))
+            return pb.propagate(*args, state_times=state_times, **kwargs)
+
+        monkeypatch.setattr(runs, "propagate", recording_propagate)
+        text = MINIMAL.replace("sigma = 0.0", "sigma = 0.01") + "vib_energy_times = 20 au\n"
+        if run is run_sweep:
+            text += "\n[sweep]\nkappa = 0.006, 0.01\n"
+        run(load_config(text), str(tmp_path / "out"))
+        assert asked and all(times == ((20.0,) if keeps else ()) for times in asked)
+
     def test_sweep_single_point_matches_dynamics(self, tmp_path):
         text = MINIMAL + "\n[sweep]\nsigma = 0.0\n"
         cfg = load_config(text)
@@ -359,10 +379,12 @@ class TestCliEntry:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    @pytest.mark.parametrize("command", ["dynamics", "spectrum"])
+    @pytest.mark.parametrize("command", ["dynamics", "spectrum", "converge"])
     def test_production_run_loads_no_scipy(self, tmp_path, command):
-        # MINIMAL takes Chebyshev steps of the numpy arrowhead
-        cfg, out = self._write(tmp_path, MINIMAL), str(tmp_path / "out")
+        # MINIMAL takes Chebyshev steps of the numpy arrowhead; converge
+        # needs disorder, and computes four spectra
+        text = MINIMAL.replace("sigma = 0.0", "sigma = 0.01") if command == "converge" else MINIMAL
+        cfg, out = self._write(tmp_path, text), str(tmp_path / "out")
         code = ("import sys\n"
                 "from polarbin.cli import main\n"
                 f"assert main([{command!r}, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"

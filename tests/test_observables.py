@@ -1,4 +1,7 @@
 import math
+import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from polarbin.errors import (
     NoSplittingError,
     ZeroPopulationError,
 )
-from polarbin.observables import Spectrum
+from polarbin.observables import MAX_OMEGA_POINTS, Spectrum
 
 from conftest import fig3_spec
 
@@ -22,6 +25,119 @@ def photonic_run(spec, n_bins, n_vib, t_final, dt=1.0):
         ham, pb.photonic_state(ham.layout), dt, t_final, 1e-9,
     )
     return bins, ham, traj
+
+
+def _weighted_autocorr(traj):
+    """Trapezoidal weights times the autocorrelation, as absorption sums it."""
+    weights = np.full(len(traj.times), traj.dt_record)
+    if len(weights) > 1:
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    return traj.autocorr * weights
+
+
+def _absorption_values(ct, kappa):
+    return kappa * ct.real - 0.5 * (kappa * kappa) * np.abs(ct) ** 2
+
+
+def phase_matrix_absorption(traj, kappa, omega_grid):
+    """Reference: the direct float64 sum, exp(i w t) applied to the
+    weighted autocorrelation 512 frequencies at a time."""
+    weighted = _weighted_autocorr(traj)
+    ct = np.empty(len(omega_grid), dtype=complex)
+    for start in range(0, len(omega_grid), 512):
+        block = omega_grid[start : start + 512]
+        ct[start : start + len(block)] = np.exp(1j * np.outer(block, traj.times)) @ weighted
+    return _absorption_values(ct, kappa)
+
+
+def longdouble_absorption(traj, kappa, omega_grid):
+    """Reference: the direct sum with phases and products in long double."""
+    weighted = _weighted_autocorr(traj)
+    phase = np.outer(np.asarray(omega_grid, np.longdouble),
+                     np.asarray(traj.times, np.longdouble))
+    re, im = (np.asarray(part, np.longdouble) for part in (weighted.real, weighted.imag))
+    ct = ((np.cos(phase) * re - np.sin(phase) * im).sum(axis=1).astype(float)
+          + 1j * (np.sin(phase) * re + np.cos(phase) * im).sum(axis=1).astype(float))
+    return _absorption_values(ct, kappa)
+
+
+def synthetic_run(n_t, dt):
+    """A photonic-start record: a damped polariton doublet decaying to
+    e^-3 over the run, with a little seeded noise."""
+    t = np.arange(n_t) * dt
+    decay = 3.0 / max(t[-1], dt)
+    c = 0.5 * (np.exp(-0.07j * t) + np.exp(-0.13j * t)) * np.exp(-decay * t)
+    c[1:] += 1e-3 * np.random.default_rng(n_t).standard_normal(n_t - 1)
+    return SimpleNamespace(times=t, dt_record=dt, autocorr=c, norms2=np.ones(n_t),
+                           photon_amp=c)
+
+
+def widest_default_grid():
+    """default_omega_grid at the most points it allows."""
+    # window width omega_nu + 6*sigma + 6*coupling = 99.99985 au: 999,999 points
+    spec = fig3_spec(sigma=(99.99985 - 0.01 - 0.18) / 6)
+    grid = pb.default_omega_grid(spec)
+    assert len(grid) == MAX_OMEGA_POINTS - 1
+    return grid
+
+
+KAPPA = fig3_spec().kappa
+FIG3_GRID = pb.default_omega_grid(fig3_spec())
+
+
+class TestAbsorptionTransform:
+    @pytest.mark.parametrize("n_t, dt, grid", [
+        (40, 31.0, 0.04 + 1e-4 * np.arange(20_000)),   # n_omega >> n_t
+        (20_001, 1.0, 0.05 + 1e-4 * np.arange(7)),     # n_omega << n_t
+        (1241, 1.0, np.array([0.1])),                  # one frequency
+        (1, 1.0, FIG3_GRID),                           # one recorded time
+        (156, 8.0, FIG3_GRID),
+        (1241, 1.0, np.linspace(-0.3, 0.5, 1001)),
+    ])
+    def test_matches_phase_matrix_sum(self, n_t, dt, grid):
+        traj = synthetic_run(n_t, dt)
+        spectrum = pb.absorption(traj, KAPPA, grid)
+        np.testing.assert_allclose(spectrum.values, phase_matrix_absorption(traj, KAPPA, grid),
+                                   rtol=0, atol=1e-12)
+
+    def test_widest_window_of_a_two_step_run(self):
+        # omega*t reaches 6e4 rad: the float64 direct sum's own rounding
+        # is the yardstick, measured against a long double sum
+        grid = widest_default_grid()
+        traj = synthetic_run(2, 1240.0)
+        start = time.perf_counter()
+        spectrum = pb.absorption(traj, KAPPA, grid)
+        assert time.perf_counter() - start < 1.0
+        sample = slice(3, None, 97)
+        exact = longdouble_absorption(traj, KAPPA, grid[sample])
+        direct_error = np.abs(phase_matrix_absorption(traj, KAPPA, grid[sample]) - exact).max()
+        assert np.abs(spectrum.values[sample] - exact).max() <= 2.0 * direct_error
+
+    # the direct sum's 512 x n_t phase chunk and its exponential peak at
+    # 20 MB for n_t = 1241; at n_t = 20,000 allow 25 complex numbers per time
+    @pytest.mark.parametrize("n_t, limit", [(1241, 2e6), (20_000, 25 * 16 * 20_000)])
+    def test_working_memory_is_linear_in_record_length(self, n_t, limit):
+        traj = synthetic_run(n_t, 1.0)
+        grid = 0.04 + 1e-4 * np.arange(3701)
+        tracemalloc.start()
+        try:
+            pb.absorption(traj, KAPPA, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+    @pytest.mark.parametrize("grid", [
+        np.array([]),
+        np.array([0.1, np.nan, 0.3]),
+        np.array([0.1, 0.2, 0.4]),
+        0.1 + 1e-4 * np.arange(100) ** 1.001,
+        np.zeros((2, 3)),
+    ], ids=["empty", "nan", "uneven", "drifting", "2d"])
+    def test_rejects_grid_that_is_not_uniform(self, grid):
+        with pytest.raises(ConfigError):
+            pb.absorption(synthetic_run(10, 1.0), KAPPA, grid)
 
 
 class TestAbsorption:
