@@ -1,32 +1,22 @@
 """Ultrafast dynamics of disordered molecular polaritons via disorder binning.
 
-Importing polarbin before numpy loads the OpenBLAS copies bundled with
-numpy and scipy at one thread each, unless the caller has set
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS: the binned
-problems are small and sparse, and a BLAS thread pool costs them more than
-it saves. The environment is left as it was found. Import loads numpy
-only, and no scipy module: scipy.sparse (the Fock-basis CSR matrices
-that only the reference engines of polarbin.oracle assemble; the binned
-model is bounded and stepped as a numpy arrowhead), scipy.linalg (the
-Krylov stepper), scipy.integrate (the equations-of-motion engine) and the
-process pool load on first use.
+Importing polarbin before numpy loads numpy's bundled OpenBLAS at one
+thread, and so does the first load of scipy's copy, by scipy.linalg,
+unless the caller has set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS: the binned problems are small and sparse, and a BLAS
+thread pool costs them more than it saves (see :mod:`polarbin.blas`). The
+environment is left as it was found. Import loads numpy only, and no scipy
+module or scipy's OpenBLAS: scipy.linalg (the Krylov stepper),
+scipy.integrate (the equations-of-motion engine) and the process pool
+load on first use. scipy.sparse never loads: the reference engines of
+polarbin.oracle step a numpy CSR operator, and the binned model is bounded
+and stepped as a numpy arrowhead.
 """
 
-import os as _os
-import sys as _sys
+from .blas import loading_at_one_thread as _loading_at_one_thread
 
-if "numpy" not in _sys.modules and not any(
-    name in _os.environ
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
-    # OpenBLAS reads its thread count from the environment once, when it loads
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        from .propagator import _openblas_thread_controls
-
-        _openblas_thread_controls()  # loads numpy's and scipy's OpenBLAS
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
+with _loading_at_one_thread():
+    import numpy as _numpy  # loads numpy's bundled OpenBLAS
 
 from .errors import (
     ConfigError,

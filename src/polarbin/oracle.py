@@ -1,10 +1,10 @@
 """Reference engines, and the Fock-basis assembly only they use.
 
 :func:`assemble_hamiltonian` places every entry of the model's Fock-basis
-matrix by index arithmetic, for any basis layout, into scipy CSR (a
-:class:`FockHamiltonian`), stepped in the Fock basis under a Gershgorin
-rectangle. Two tensor-product reference constructions, deliberately
-expensive and kept small, are built from it:
+matrix by index arithmetic, for any basis layout, into a numpy CSR
+operator (a :class:`FockHamiltonian`), stepped in the Fock basis under a
+Gershgorin rectangle. Two tensor-product reference constructions,
+deliberately expensive and kept small, are built from it:
 
 * the explicit finite ensemble (every molecule with its own vibrational
   coordinate, single-molecule coupling g = G/sqrt(N), no Franck-Condon
@@ -37,6 +37,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, PropagationError
 from .hamiltonian import (
     DEFAULT_DIMENSION_CAP,
@@ -60,9 +61,45 @@ EXPLICIT_DIMENSION_CAP = 50_000
 MAX_EXPLICIT_MOLECULES = 4
 
 
+class CsrOperator:
+    """A sparse matrix in compressed sparse row form.
+
+    Row r holds data[indptr[r]:indptr[r + 1]] in the columns of the same
+    slice of indices. Every row must store at least one entry, so that
+    dot's reduceat meets no empty row (it would copy the next row's first
+    product there instead of a zero). dot is all the steppers ask of a
+    matrix; shape and nnz (the stored entries) serve reports.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = (len(indptr) - 1,) * 2
+        self.nnz = len(data)
+
+    @classmethod
+    def from_triplets(cls, values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                      dimension: int) -> CsrOperator:
+        """The dimension-square matrix with entry values[i] at (rows[i],
+        cols[i]), no two at the same place, sorted by row and then column.
+
+        Indices and row pointers are int32, as scipy stores them: the
+        dimension caps keep the entry count far below 2**31.
+        """
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(dimension + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=dimension), out=indptr[1:])
+        return cls(values[order], cols[order].astype(np.int32), indptr)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+
+
 @dataclass(frozen=True)
 class FockHamiltonian:
-    """A Fock-basis Hamiltonian as scipy CSR, stepped in the Fock basis.
+    """A Fock-basis Hamiltonian as a :class:`CsrOperator`, stepped in the
+    Fock basis.
 
     Its CSR arrays hold each structural entry once, sorted by row and then
     column, in a symmetric pattern that holds the whole diagonal.
@@ -129,7 +166,7 @@ def _gershgorin(matrix, dimension: int) -> tuple[float, float, float, float]:
 
 def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
                          links) -> FockHamiltonian:
-    """Assemble the Fock-basis Hamiltonian of any layout as CSR.
+    """Assemble the Fock-basis Hamiltonian of any layout as a CsrOperator.
 
     An excited block spans the vibrational configurations of layout.n_modes
     modes, and coordinate j vibrates along its own mode: mode j when every
@@ -139,22 +176,21 @@ def assemble_hamiltonian(spec: ModelSpec, layout: BasisLayout, omegas,
     block holds omega_c - i*kappa/2 plus the same oscillators on its
     photon_dim configurations, and links[j] couples photon configuration c
     to reactant configuration c of coordinate j. The triplets are laid out
-    by index arithmetic and converted to CSR once. All structural entries
-    are stored even when numerically zero, so the sparsity pattern is
-    independent of the parameter values.
+    by index arithmetic, each entry once, and sorted into CSR order. All
+    structural entries are stored even when numerically zero, so the
+    sparsity pattern is independent of the parameter values.
     """
-    import scipy.sparse as sp  # production runs step the arrowhead and never load it
-
     # the triplets are freed before the rectangle takes its temporaries
-    matrix = sp.csr_matrix(_triplets(spec, layout, omegas, links), shape=(layout.dimension,) * 2)
+    matrix = CsrOperator.from_triplets(*_triplets(spec, layout, omegas, links),
+                                       layout.dimension)
     return FockHamiltonian(matrix=matrix, layout=layout)
 
 
 # a huge finite parameter overflows to inf here; the step plan refuses it
 @np.errstate(over="ignore", invalid="ignore")
 def _triplets(spec: ModelSpec, layout: BasisLayout, omegas, links):
-    """(values, (rows, cols)) of every structural entry, the COO form that
-    scipy.sparse takes; see assemble_hamiltonian.
+    """(values, rows, cols) of every structural entry, in no particular
+    order; see assemble_hamiltonian.
 
     The one definition of every Fock-basis matrix: each entry once, in a
     symmetric pattern.
@@ -198,8 +234,8 @@ def _triplets(spec: ModelSpec, layout: BasisLayout, omegas, links):
     link_values = np.repeat(links, layout.photon_dim)
     flat = np.arange(layout.dimension)
     return (np.concatenate((diagonal, link_values, link_values, off_values.ravel())),
-            (np.concatenate((flat, link_photon, link_reactant, off_rows.ravel())),
-             np.concatenate((flat, link_reactant, link_photon, off_cols.ravel()))))
+            np.concatenate((flat, link_photon, link_reactant, off_rows.ravel())),
+            np.concatenate((flat, link_reactant, link_photon, off_cols.ravel())))
 
 
 def apportion_molecules(bins: BinSet, n_molecules: int) -> np.ndarray:
@@ -468,7 +504,8 @@ def propagate_eom(
     integrated with an adaptive high-order Runge-Kutta scheme. Every grid
     state is mapped back to the Fock basis and recorded like propagate's.
     """
-    from scipy.integrate import solve_ivp  # only this engine needs it
+    with blas.loading_at_one_thread():
+        from scipy.integrate import solve_ivp  # only this engine needs it
 
     check_tolerance(tolerance)
     model = _EigenbasisModel(spec, bins, n_vib)

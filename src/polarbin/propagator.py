@@ -27,16 +27,12 @@ for and at the end. The independent cross-validation engine,
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import glob
-import importlib.util
 import math
-import os
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, PropagationError
 from .model import BasisLayout, BinSet
 from .observables import state_populations
@@ -85,15 +81,6 @@ _BESSEL_SERIES_BELOW = 1e-2
 _BESSEL_RESCALE = 1e250
 # Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
 _CROUZEIX = 1.0 + math.sqrt(2.0)
-
-# (package, library file pattern inside <package>.libs, getter, setter) of
-# the OpenBLAS copies that numpy and scipy bundle
-_OPENBLAS_THREAD_CONTROLS = (
-    ("numpy", "libscipy_openblas64_*.so",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*.so",
-     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
 
 
 def photonic_state(layout: BasisLayout) -> np.ndarray:
@@ -497,7 +484,8 @@ class _KrylovStepper:
     """
 
     def __init__(self, matrix, dt: float, budget: float, m_max: int = MAX_KRYLOV):
-        from scipy.linalg import expm  # only this stepper needs it
+        with blas.loading_at_one_thread():
+            from scipy.linalg import expm  # only this stepper needs it
 
         self.expm = expm
         self.matrix = matrix
@@ -565,57 +553,6 @@ class _KrylovStepper:
         return self.step(half, dt / 2.0, budget / 2.0, depth + 1)
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(getter, setter) pairs of the bundled OpenBLAS copies that export them.
-
-    Empty when numpy and scipy link another BLAS. Looking them up loads
-    both copies: the package calls this at import, under a one-thread
-    environment, so that scipy's copy starts at one thread before
-    scipy.linalg (loaded only by the Krylov stepper) ever needs it.
-    """
-    controls = []
-    for package, pattern, get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
-        # find_spec locates a package without importing it: scipy stays unloaded
-        spec = importlib.util.find_spec(package)
-        if spec is None or spec.origin is None:
-            continue
-        libs_dir = os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
-                                f"{package}.libs")
-        for path in sorted(glob.glob(os.path.join(libs_dir, pattern))):
-            library = ctypes.CDLL(path)
-            getter = getattr(library, get_name, None)
-            setter = getattr(library, set_name, None)
-            if getter is None or setter is None:
-                continue
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            controls.append((getter, setter))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with every bundled OpenBLAS on one thread, then restore.
-
-    A Krylov step makes dozens of BLAS calls on vectors of a few thousand
-    entries and matrices of a few dozen; handing each to a thread pool
-    costs more than the arithmetic. The thread count is process-wide.
-    A process that imported polarbin before numpy already runs at one
-    thread (see the package docstring); this scope serves callers that
-    loaded numpy first.
-    """
-    controls = _openblas_thread_controls()
-    saved = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (_, setter), threads in zip(controls, saved):
-            setter(threads)
-
-
 def propagate(
     ham,
     psi0: np.ndarray,
@@ -657,7 +594,7 @@ def propagate(
     psi = ham.to_working(psi0)
     # an out-of-range model overflows inside a step; the norm checks and
     # the steppers' own report it, not numpy warnings
-    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+    with blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, stepper.steps):
             block = stepper.block(psi, min(stepper.steps, n_steps + 1 - start))
             traj.record(start, block)

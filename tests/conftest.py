@@ -41,6 +41,14 @@ def binned_fock(spec, bins, n_vib):
                                 spec.coupling * np.sqrt(bins.weights))
 
 
+def scipy_csr(matrix):
+    """A reference engine's CSR operator as scipy CSR, sharing its arrays,
+    for the tests' dense and sparse arithmetic."""
+    import scipy.sparse  # here, so that children importing conftest load no scipy
+
+    return scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def block_slice(layout, surface, coordinate):
     """The levels of one coordinate on surface 0 (e1) or 1 (e2), as a slice
     of the state vector."""
@@ -51,7 +59,8 @@ def block_slice(layout, surface, coordinate):
 def hermiticity_defect(fock):
     """Max |H - H'| of a FockHamiltonian over all entries except the lossy
     photon-block diagonal."""
-    defect = (fock.matrix - fock.matrix.conjugate().transpose()).tocoo()
+    matrix = scipy_csr(fock.matrix)
+    defect = (matrix - matrix.conjugate().transpose()).tocoo()
     mask = ~((defect.row == defect.col) & (defect.row < fock.layout.photon_dim))
     if not mask.any():
         return 0.0

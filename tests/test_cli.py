@@ -379,22 +379,45 @@ class TestCliEntry:
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    @pytest.mark.parametrize("command", ["dynamics", "spectrum", "converge"])
+    def test_explicit_assembly_leaves_scipy_sparse_unloaded(self):
+        # the reference engines sort their CSR arrays with numpy
+        code = ("import sys\n"
+                "import polarbin as pb\n"
+                "from conftest import fig3_spec\n"
+                "from polarbin.oracle import ExplicitEnsemble, build_explicit_hamiltonian\n"
+                "spec = fig3_spec(sigma=0.02)\n"
+                "bins = pb.discretize_disorder(spec, 2)\n"
+                "build_explicit_hamiltonian(spec, ExplicitEnsemble.from_bins(bins, 2, 3, 0.03))\n"
+                "sys.exit('scipy.sparse' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    @pytest.mark.parametrize("command", ["dynamics", "spectrum", "converge", "oracle", "sweep"])
     def test_production_run_loads_no_scipy(self, tmp_path, command):
-        # MINIMAL takes Chebyshev steps of the numpy arrowhead; converge
-        # needs disorder, and computes four spectra
-        text = MINIMAL.replace("sigma = 0.0", "sigma = 0.01") if command == "converge" else MINIMAL
+        # MINIMAL takes Chebyshev steps of the numpy arrowhead, and the
+        # oracle's explicit ensembles those of a numpy CSR operator; converge
+        # and oracle need disorder, and converge computes four spectra. No
+        # scipy module loads, and so scipy's bundled OpenBLAS is never mapped
+        # (numpy's is libscipy_openblas64_)
+        text = {"converge": MINIMAL.replace("sigma = 0.0", "sigma = 0.01"),
+                "oracle": MINIMAL.replace("sigma = 0.0", "sigma = 0.01")
+                .replace("n_vib = 6", "n_vib = 3").replace("n_bins = auto", "n_bins = 2"),
+                "sweep": MINIMAL + "\n[sweep]\nkappa = 0.006, 0.01\n"}.get(command, MINIMAL)
         cfg, out = self._write(tmp_path, text), str(tmp_path / "out")
         code = ("import sys\n"
                 "from polarbin.cli import main\n"
-                f"assert main([{command!r}, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+                f"assert main([{command!r}, '--config', {cfg!r}, '--out', {out!r},\n"
+                "             '--threads', '1']) == 0\n"
+                "with open('/proc/self/maps') as maps:\n"
+                "    print('mapped:', 'libscipy_openblas-' in maps.read())\n"
                 "print('loaded:', *(name for name in sys.modules\n"
                 "                   if name == 'scipy' or name.startswith('scipy.')))\n")
         src = os.path.dirname(os.path.dirname(pb.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout.splitlines()[-1] == "loaded:"
+        assert result.stdout.splitlines()[-2:] == ["mapped: False", "loaded:"]
 
     @pytest.mark.parametrize("command", ["dynamics", "spectrum"])
     def test_production_run_builds_no_fock_matrix(self, tmp_path, monkeypatch, command):

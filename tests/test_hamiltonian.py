@@ -11,11 +11,11 @@ from polarbin.errors import ConfigError
 from polarbin.hamiltonian import vibronic_block
 from polarbin.oracle import ExplicitLayout, build_multibin_hamiltonian
 
-from conftest import binned_fock, block_slice, fig3_spec, hermiticity_defect
+from conftest import binned_fock, block_slice, fig3_spec, hermiticity_defect, scipy_csr
 
 
 def hermitian_part(fock):
-    dense = fock.matrix.toarray()
+    dense = scipy_csr(fock.matrix).toarray()
     return 0.5 * (dense + dense.conj().T)
 
 
@@ -98,8 +98,8 @@ class TestEffectiveHamiltonian:
         bins = pb.discretize_disorder(spec, 1)
         fock = binned_fock(spec, bins, 8)
         assert hermiticity_defect(fock) == 0.0
-        assert fock.matrix[0, 0] == spec.omega_c
-        dense = fock.matrix.toarray()
+        assert scipy_csr(fock.matrix)[0, 0] == spec.omega_c
+        dense = scipy_csr(fock.matrix).toarray()
         # no photon-matter or e1-e2 mixing beyond stored structural zeros
         assert np.all(dense[0, 1:] == 0)
         layout = fock.layout
@@ -110,7 +110,7 @@ class TestEffectiveHamiltonian:
         spec = fig3_spec(s1=0.0, v12=0.0, kappa=0.0, omega_c=0.10)
         bins = pb.discretize_disorder(spec, 1)
         fock = binned_fock(spec, bins, 4)
-        sub = fock.matrix.toarray()[np.ix_([0, 1], [0, 1])].real
+        sub = scipy_csr(fock.matrix).toarray()[np.ix_([0, 1], [0, 1])].real
         eigs = np.linalg.eigvalsh(sub)
         np.testing.assert_allclose(
             eigs, [0.10 - 0.03, 0.10 + 0.03], atol=1e-14
@@ -128,18 +128,18 @@ class TestEffectiveHamiltonian:
         assert fock.matrix.nnz == expected_nnz
         scale = np.abs(fock.matrix.data).max()
         assert hermiticity_defect(fock) <= 1e-12 * scale
-        assert fock.matrix[0, 0] == spec.omega_c - 0.5j * spec.kappa
+        assert scipy_csr(fock.matrix)[0, 0] == spec.omega_c - 0.5j * spec.kappa
 
     def test_photon_row_touches_only_fc_components(self):
         spec = fig3_spec(sigma=0.02)
         bins = pb.discretize_disorder(spec, 5)
         fock = binned_fock(spec, bins, 12)
         layout = fock.layout
-        row = fock.matrix.getrow(0).tocoo()
+        row = scipy_csr(fock.matrix).getrow(0).tocoo()
         allowed = {0} | {layout.index(0, i, 0) for i in range(5)}
         assert set(row.col) == allowed
         for i in range(5):
-            assert fock.matrix[0, layout.index(0, i, 0)] == pytest.approx(
+            assert scipy_csr(fock.matrix)[0, layout.index(0, i, 0)] == pytest.approx(
                 spec.coupling * math.sqrt(bins.weights[i])
             )
 
@@ -185,7 +185,7 @@ class TestArrowhead:
         spec = fig3_spec(**overrides)
         bins = pb.discretize_disorder(spec, n_bins)
         ham = pb.build_effective_hamiltonian(spec, bins, n_vib)
-        fock = binned_fock(spec, bins, n_vib).matrix
+        fock = scipy_csr(binned_fock(spec, bins, n_vib).matrix)
         scale = abs(fock).sum(axis=1).max()  # |H| in the infinity norm
         rng = np.random.default_rng(n_bins)
         for _ in range(3):
@@ -212,7 +212,7 @@ class TestMultibinHamiltonian:
         multi = build_multibin_hamiltonian(spec, bins, 5)
         layout = multi.layout
         assert isinstance(layout, ExplicitLayout)
-        dense = multi.matrix.toarray()
+        dense = scipy_csr(multi.matrix).toarray()
         # photon state touches nothing else
         assert np.all(dense[layout.PHOTON, 1:] == 0)
         # inside the bin-0 reactant block, the spectator coordinate only
@@ -288,7 +288,7 @@ class TestVibronicBlockAssembly:
         spec = fig3_spec(sigma=0.02, delta2=0.02)
         bins = pb.discretize_disorder(spec, 3)
         fock = binned_fock(spec, bins, self.N_VIB)
-        dense = fock.matrix.toarray()
+        dense = scipy_csr(fock.matrix).toarray()
         block = vibronic_block(spec, self.N_VIB)
         assert np.array_equal(block, block.T)
         for i in range(3):

@@ -1,13 +1,16 @@
 import math
+from dataclasses import fields, replace
 from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import polarbin as pb
 from polarbin import oracle
 from polarbin.errors import ConfigError, DimensionCapError
 from polarbin.oracle import (
+    DeviationReport,
     ExplicitEnsemble,
     ExplicitLayout,
     apportion_molecules,
@@ -17,7 +20,7 @@ from polarbin.oracle import (
     compare_to_cute,
 )
 
-from conftest import block_slice, fig3_spec, hermiticity_defect
+from conftest import binned_fock, block_slice, fig3_spec, hermiticity_defect, scipy_csr
 
 
 class TestApportionment:
@@ -44,7 +47,7 @@ class TestExplicitHamiltonian:
         bins = pb.discretize_disorder(spec, 1)
         ensemble = ExplicitEnsemble.from_bins(bins, 1, 4, spec.coupling)
         ham = build_explicit_hamiltonian(spec, ensemble)
-        dense = ham.matrix.toarray()
+        dense = scipy_csr(ham.matrix).toarray()
         eigs = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
         g = ensemble.g_single
         assert g == spec.coupling  # N = 1
@@ -69,7 +72,7 @@ class TestExplicitHamiltonian:
         dark = np.zeros(layout.dimension, dtype=complex)
         dark[layout.index(0, 0, 0)] = 1 / math.sqrt(2)
         dark[layout.index(0, 1, 0)] = -1 / math.sqrt(2)
-        image = ham.matrix @ dark
+        image = ham.matrix.dot(dark)
         # antisymmetric vibrationless combination is an eigenstate at omega0
         np.testing.assert_allclose(image, bins.centers[0] * dark, atol=1e-14)
 
@@ -79,7 +82,7 @@ class TestExplicitHamiltonian:
         ensemble = ExplicitEnsemble.from_bins(bins, 2, 3, spec.coupling)
         ham = build_explicit_hamiltonian(spec, ensemble)
         layout = ham.layout
-        dense = ham.matrix.toarray()
+        dense = scipy_csr(ham.matrix).toarray()
         block = dense[: layout.photon_dim, block_slice(layout, 0, 0)]
         np.testing.assert_array_equal(
             block, ensemble.g_single * np.eye(layout.vib_dim)
@@ -194,7 +197,7 @@ class TestTensorPlacement:
         bins = pb.discretize_disorder(spec, 2)
         ensemble = ExplicitEnsemble(bins=bins, molecule_bins=np.array(molecule_bins),
                                     n_vib=n_vib, coupling=spec.coupling)
-        have = build_explicit_hamiltonian(spec, ensemble).matrix.toarray()
+        have = scipy_csr(build_explicit_hamiltonian(spec, ensemble).matrix).toarray()
         n = len(molecule_bins)
         want = kron_reference(spec, bins.centers[molecule_bins], [ensemble.g_single] * n,
                               n_vib, n_vib**n)
@@ -204,7 +207,7 @@ class TestTensorPlacement:
     def test_multibin_matches_kron(self, n_bins):
         spec = fig3_spec(sigma=0.02, delta2=0.004)
         bins = pb.discretize_disorder(spec, n_bins)
-        have = build_multibin_hamiltonian(spec, bins, 4).matrix.toarray()
+        have = scipy_csr(build_multibin_hamiltonian(spec, bins, 4).matrix).toarray()
         want = kron_reference(spec, bins.centers, spec.coupling * np.sqrt(bins.weights),
                               4, 1)
         np.testing.assert_allclose(have, want, rtol=0, atol=1e-15)
@@ -228,7 +231,7 @@ class TestTensorPlacement:
 
 def scipy_enclosure(matrix):
     """The plan's Gershgorin rectangle, by scipy's sparse arithmetic."""
-    h = matrix.tocsr()
+    h = scipy_csr(matrix)
     adjoint = h.conj().T
     bounds = []
     for part in ((h + adjoint) * 0.5, (h - adjoint) * -0.5j):
@@ -250,3 +253,64 @@ class TestEnclosure:
         ensemble = ExplicitEnsemble.from_bins(bins, n_molecules, 4, spec.coupling)
         ham = build_explicit_hamiltonian(spec, ensemble)
         assert ham.enclosure() == scipy_enclosure(ham.matrix)
+
+
+def built_with_triplets(monkeypatch, build):
+    """build()'s FockHamiltonian, and the triplets it was assembled from."""
+    triplets = []
+    place = oracle._triplets
+
+    def capture(*args):
+        triplets.append(place(*args))
+        return triplets[-1]
+
+    monkeypatch.setattr(oracle, "_triplets", capture)
+    ham = build()
+    (values, rows, cols), = triplets
+    return ham, values, rows, cols
+
+
+class TestCsrOperator:
+    """The numpy CSR operator against scipy's CSR of the same triplets."""
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(lambda spec, bins, n=n: build_explicit_hamiltonian(
+            spec, ExplicitEnsemble.from_bins(bins, n, 4, spec.coupling)), id=f"explicit N={n}")
+          for n in (1, 2, 4)),
+        pytest.param(lambda spec, bins: build_multibin_hamiltonian(spec, bins, 5),
+                     id="multibin"),
+        pytest.param(lambda spec, bins: binned_fock(spec, bins, 6), id="binned Fock"),
+    ])
+    def test_equals_scipy_csr(self, monkeypatch, build):
+        spec = fig3_spec(sigma=0.02, delta2=0.004)
+        bins = pb.discretize_disorder(spec, 2)
+        ham, values, rows, cols = built_with_triplets(monkeypatch, lambda: build(spec, bins))
+        want = scipy.sparse.csr_matrix((values, (rows, cols)), shape=ham.matrix.shape)
+        # bit-equal, so no two triplets shared a place for scipy to sum
+        for name in ("data", "indices", "indptr"):
+            assert getattr(ham.matrix, name).tobytes() == getattr(want, name).tobytes(), name
+        assert ham.matrix.nnz == want.nnz == len(values)
+        scale = abs(want).sum(axis=1).max()  # |H| in the infinity norm
+        rng = np.random.default_rng(len(values))
+        for _ in range(3):
+            x = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            error = np.linalg.norm(ham.matrix.dot(x) - want.dot(x))
+            assert error <= 1e-15 * scale * np.linalg.norm(x)
+
+    def test_compare_to_cute_agrees_with_scipy_matvec(self, monkeypatch):
+        spec = fig3_spec(sigma=0.02)
+        bins = pb.discretize_disorder(spec, 2)
+        args = (spec, bins, 4, 2, 1.0, 40.0)
+        ours = compare_to_cute(*args)
+        build, swapped = oracle.build_explicit_hamiltonian, []
+
+        def with_scipy_csr(*build_args):
+            ham = build(*build_args)
+            swapped.append(replace(ham, matrix=scipy_csr(ham.matrix)))
+            return swapped[-1]
+
+        monkeypatch.setattr(oracle, "build_explicit_hamiltonian", with_scipy_csr)
+        theirs = compare_to_cute(*args)
+        assert len(swapped) == 1 and isinstance(swapped[0].matrix, scipy.sparse.csr_matrix)
+        for field in fields(DeviationReport):
+            assert abs(getattr(ours, field.name) - getattr(theirs, field.name)) <= 1e-13

@@ -14,13 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarbin as pb
+from polarbin.blas import bundled_openblas
 from polarbin.errors import ConfigError
 from polarbin.hamiltonian import ArrowheadOperator
 from polarbin.observables import populations
-from polarbin.oracle import ExplicitEnsemble, ExplicitLayout, build_explicit_hamiltonian
-from polarbin.propagator import _openblas_thread_controls
+from polarbin.oracle import (
+    CsrOperator,
+    ExplicitEnsemble,
+    ExplicitLayout,
+    build_explicit_hamiltonian,
+)
 
-from conftest import binned_fock, fig3_spec, negated, random_small_spec
+from conftest import binned_fock, fig3_spec, negated, random_small_spec, scipy_csr
 
 
 def small_system(spec, n_bins, n_vib):
@@ -30,7 +35,7 @@ def small_system(spec, n_bins, n_vib):
 
 
 def dense_fock(spec, bins, n_vib):
-    return binned_fock(spec, bins, n_vib).matrix.toarray()
+    return scipy_csr(binned_fock(spec, bins, n_vib).matrix).toarray()
 
 
 def preset_points():
@@ -166,7 +171,7 @@ class TestPropagate:
         psi0 = np.zeros(layout.dimension, dtype=complex)
         level = layout.index(0, 0, 2)
         psi0[level] = 1.0
-        energy = binned_fock(spec, bins, 5).matrix[level, level].real
+        energy = scipy_csr(binned_fock(spec, bins, 5).matrix)[level, level].real
         traj = pb.propagate(ham, psi0, 2.0, 200.0, 1e-10)
         expected = np.exp(-1j * energy * traj.times)
         np.testing.assert_allclose(traj.autocorr, expected, atol=1e-9)
@@ -467,7 +472,7 @@ class TestChebyshevStep:
     def test_non_finite_csr_entry_raises_before_any_matvec(self, value):
         spec = fig3_spec(sigma=0.02)
         fock = binned_fock(spec, pb.discretize_disorder(spec, 4), 6)
-        broken = fock.matrix.copy()
+        broken = CsrOperator(fock.matrix.data.copy(), fock.matrix.indices, fock.matrix.indptr)
         broken.data[7] = value
         matrix = CountingMatrix(broken, limit=0)
         with pytest.raises(pb.PropagationError, match="not finite"):
@@ -580,7 +585,7 @@ class TestBlockStep:
             return ham, dense_fock(spec, bins, 6), pb.polariton_state(ham.layout, bins, +1)
         ham = build_explicit_hamiltonian(spec, ExplicitEnsemble.from_bins(bins, 2, 3,
                                                                           spec.coupling))
-        return ham, ham.matrix.toarray(), pb.photonic_state(ham.layout)
+        return ham, scipy_csr(ham.matrix).toarray(), pb.photonic_state(ham.layout)
 
     def steps_of(self, ham, n_steps):
         stepper, _ = plan_of(ham, self.DT, n_steps, self.TOLERANCE)
@@ -723,71 +728,90 @@ class TestBlasThreadScope:
 
 
 class TestStartupBlasThreads:
-    """A process that imports polarbin before numpy loads both bundled
-    OpenBLAS copies at one thread, unless the caller chose a count."""
+    """A process that imports polarbin before numpy loads numpy's bundled
+    OpenBLAS at one thread, and scipy's only when a Krylov or an
+    equations-of-motion run first needs scipy.linalg, at one thread as
+    well, unless the caller chose a count."""
 
-    READ = (
+    # argv: the import order, then the run: none; the stiff kappa = 0.5
+    # system (D = 49), which the Chebyshev plan refuses to Krylov; or the
+    # equations-of-motion engine. Prints the thread counts of the loaded
+    # copies, whether scipy's copy (numpy's is libscipy_openblas64_) and
+    # scipy.linalg were loaded before and after the run, and the variable
+    SCRIPT = (
         "import json, os, sys\n"
         "if sys.argv[1] == 'numpy-first':\n"
         "    import numpy, scipy.linalg\n"
-        "import polarbin\n"
-        "from polarbin.propagator import _openblas_thread_controls\n"
-        "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()],\n"
+        "import polarbin as pb\n"
+        "from conftest import fig3_spec\n"
+        "from polarbin.blas import thread_controls\n"
+        "from polarbin.propagator import _ChebyshevStepper\n"
+        "def loaded():\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        return ['libscipy_openblas-' in maps.read(), 'scipy.linalg' in sys.modules]\n"
+        "before = loaded()\n"
+        "spec = fig3_spec(sigma=0.02, kappa=0.5)\n"
+        "bins = pb.discretize_disorder(spec, 4)\n"
+        "if sys.argv[2] == 'krylov':\n"
+        "    ham = pb.build_effective_hamiltonian(spec, bins, 6)\n"
+        "    assert _ChebyshevStepper.plan(ham, 1.0, 100, 1e-9, 1.0) is None\n"
+        "    pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 100.0, 1e-9)\n"
+        "elif sys.argv[2] == 'eom':\n"
+        "    pb.propagate_eom(spec, bins, 6, pb.photonic_state(pb.BasisLayout(4, 6)),\n"
+        "                     1.0, 10.0, 1e-9)\n"
+        "print(json.dumps([[getter() for getter, _ in thread_controls()], before, loaded(),\n"
         "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
 
     @pytest.fixture(autouse=True)
     def _needs_two_bundled_copies_and_cores(self):
-        if len(_openblas_thread_controls()) != 2:
-            pytest.skip("numpy and scipy do not both bundle OpenBLAS")
+        if len(bundled_openblas()) != 2 or not os.path.exists("/proc/self/maps"):
+            pytest.skip("numpy and scipy do not both bundle OpenBLAS, or no /proc")
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count())
         if (cores or 1) < 2:
             pytest.skip("one core: the default thread count is already 1")
 
-    # the stiff kappa = 0.5 system (D = 49) takes the Krylov stepper, which
-    # loads scipy.linalg only then; its OpenBLAS must still run at one thread
-    KRYLOV = (
-        "import json, sys\n"
-        "import polarbin as pb\n"
-        "from conftest import fig3_spec\n"
-        "from polarbin.propagator import _ChebyshevStepper, _openblas_thread_controls\n"
-        "loaded = ['scipy.linalg' in sys.modules]\n"
-        "spec = fig3_spec(sigma=0.02, kappa=0.5)\n"
-        "ham = pb.build_effective_hamiltonian(spec, pb.discretize_disorder(spec, 4), 6)\n"
-        "assert _ChebyshevStepper.plan(ham, 1.0, 100, 1e-9, 1.0) is None\n"
-        "pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 100.0, 1e-9)\n"
-        "loaded.append('scipy.linalg' in sys.modules)\n"
-        "print(json.dumps([[getter() for getter, _ in _openblas_thread_controls()], loaded]))\n"
-    )
-
-    def _start(self, order, script=READ, **variables):
+    def _start(self, order, run, **variables):
         src = os.path.dirname(os.path.dirname(pb.__file__))
         env = {key: value for key, value in os.environ.items()
                if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         env.update(variables, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
-        result = subprocess.run([sys.executable, "-c", script, order], env=env,
+        result = subprocess.run([sys.executable, "-c", self.SCRIPT, order, run], env=env,
                                 capture_output=True, text=True, check=True)
         return json.loads(result.stdout)
 
     def test_plain_import_starts_at_one_thread(self):
-        threads, variable = self._start("polarbin-first")
-        assert threads == [1, 1]
+        threads, before, after, variable = self._start("polarbin-first", "none")
+        assert threads == [1]
+        assert before == after == [False, False]
         assert variable is None
 
     @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
     def test_caller_setting_wins(self, name):
-        threads, variable = self._start("polarbin-first", **{name: "2"})
+        threads, before, after, variable = self._start("polarbin-first", "krylov",
+                                                       **{name: "2"})
+        assert before == [False, False] and after == [True, True]
         assert threads == [2, 2]
         assert variable == ("2" if name == "OPENBLAS_NUM_THREADS" else None)
 
     def test_lazy_scipy_linalg_runs_at_one_thread(self):
-        threads, loaded = self._start("polarbin-first", self.KRYLOV)
-        assert loaded == [False, True]
+        threads, before, after, variable = self._start("polarbin-first", "krylov")
+        assert before == [False, False] and after == [True, True]
         assert threads == [1, 1]
+        assert variable is None
+
+    @pytest.mark.parametrize("name", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_eom_engine_follows_the_same_rule(self, name):
+        variables = {name: "2"} if name else {}
+        threads, before, after, variable = self._start("polarbin-first", "eom", **variables)
+        assert before == [False, False] and after == [True, True]
+        assert threads == ([2, 2] if name else [1, 1])
+        assert variable == ("2" if name == "OPENBLAS_NUM_THREADS" else None)
 
     def test_numpy_imported_first_keeps_its_default(self):
-        threads, variable = self._start("numpy-first")
+        threads, before, _, variable = self._start("numpy-first", "none")
+        assert before == [True, True]
         assert threads[0] > 1 and threads[1] > 1
         assert variable is None
 
