@@ -1,12 +1,13 @@
 """Thread counts of the OpenBLAS copies bundled with numpy and scipy.
 
-The package imports numpy, and the Krylov stepper and the
-equations-of-motion engine import scipy.linalg (which loads scipy's copy),
-inside :func:`loading_at_one_thread`, so that each copy starts at one
-thread under the package's start-up rule (see its docstring). A
-Chebyshev run never loads scipy's copy. :func:`one_thread` limits the
-copies already loaded while a propagation runs, whoever imported numpy
-first. This module imports no numpy: the rule is taken before numpy loads.
+The package imports numpy inside :func:`loading_at_one_thread`, and the
+Krylov stepper and the equations-of-motion engine import scipy.linalg
+(which loads scipy's copy) through :func:`import_at_one_thread`, so that
+each copy starts at one thread under the package's start-up rule (see
+its docstring). A Chebyshev run never loads scipy's copy.
+:func:`one_thread` limits the copies already loaded while a propagation
+runs, whoever imported numpy first. This module imports no numpy: the
+rule is taken before numpy loads.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib
 import importlib.util
 import os
 import sys
+import threading
 
 # OpenBLAS reads its thread count from one of these once, when it loads
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -32,6 +35,12 @@ _OPENBLAS_THREAD_CONTROLS = (
     ("scipy", "libscipy_openblas-*.so",
      "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
+# held while the environment is changed, so that two threads loading at
+# once cannot both set, and then both delete, the variable
+_LOADING = threading.RLock()
+# path: (getter, setter) of each bundled copy found loaded; a loaded
+# library stays loaded, so it is not looked up again
+_LOADED = {}
 
 
 @contextlib.contextmanager
@@ -39,22 +48,33 @@ def loading_at_one_thread():
     """Run the body, which may load a bundled OpenBLAS copy, so that the
     copy starts at one thread if the start-up rule holds and the caller has
     set no thread variable since. The environment is left as it was found,
-    so subprocesses the caller starts later see it unchanged.
+    so subprocesses the caller starts later see it unchanged; one started
+    by another thread while the body runs sees the variable.
     """
-    if not _STARTS_AT_ONE_THREAD or any(name in os.environ for name in THREAD_VARIABLES):
-        yield
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+    with _LOADING:
+        if not _STARTS_AT_ONE_THREAD or any(name in os.environ for name in THREAD_VARIABLES):
+            yield
+            return
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            yield
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+def import_at_one_thread(name: str):
+    """The module name, imported inside :func:`loading_at_one_thread`
+    unless it is imported already, when the environment is left alone."""
+    if name in sys.modules:
+        return importlib.import_module(name)
+    with loading_at_one_thread():
+        return importlib.import_module(name)
 
 
 @functools.cache
 def bundled_openblas() -> tuple:
-    """(path, getter name, setter name) of each bundled OpenBLAS copy,
-    loaded or not; empty when numpy and scipy link another BLAS."""
+    """(package, path, getter name, setter name) of each bundled OpenBLAS
+    copy, loaded or not; empty when numpy and scipy link another BLAS."""
     copies = []
     for package, pattern, get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
         # find_spec locates a package without importing it: scipy stays unloaded
@@ -63,7 +83,7 @@ def bundled_openblas() -> tuple:
             continue
         libs_dir = os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
                                 f"{package}.libs")
-        copies += [(path, get_name, set_name)
+        copies += [(package, path, get_name, set_name)
                    for path in sorted(glob.glob(os.path.join(libs_dir, pattern)))]
     return tuple(copies)
 
@@ -71,20 +91,21 @@ def bundled_openblas() -> tuple:
 def thread_controls() -> tuple:
     """(getter, setter) pairs of the bundled OpenBLAS copies this process
     has loaded and that export them; looking them up loads none."""
-    controls = []
-    for path, get_name, set_name in bundled_openblas():
+    for package, path, get_name, set_name in bundled_openblas():
+        # only the package's own extension modules load its copy
+        if path in _LOADED or package not in sys.modules:
+            continue
         try:
             library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         except OSError:  # not loaded, so it runs no BLAS call here
             continue
         getter = getattr(library, get_name, None)
         setter = getattr(library, set_name, None)
-        if getter is None or setter is None:
-            continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        controls.append((getter, setter))
-    return tuple(controls)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+        _LOADED[path] = (getter, setter)
+    return tuple(pair for pair in _LOADED.values() if None not in pair)
 
 
 @contextlib.contextmanager

@@ -62,13 +62,16 @@ MAX_EXPLICIT_MOLECULES = 4
 
 
 class CsrOperator:
-    """A sparse matrix in compressed sparse row form.
+    """A sparse matrix in compressed sparse row form, read-only once made.
 
     Row r holds data[indptr[r]:indptr[r + 1]] in the columns of the same
-    slice of indices. Every row must store at least one entry, so that
-    dot's reduceat meets no empty row (it would copy the next row's first
-    product there instead of a zero). dot is all the steppers ask of a
-    matrix; shape and nnz (the stored entries) serve reports.
+    slice of indices. dot is all the steppers ask of a matrix; shape and
+    nnz (the stored entries) serve reports.
+
+    dot runs on a copy in fixed-width rows: slot k of row r holds the
+    row's k-th entry, or a zero in column r past its last, so one
+    product is a few whole-vector passes, each row summed in column
+    order. The explicit ensembles store at most N + 1 entries a row.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
@@ -77,23 +80,29 @@ class CsrOperator:
         self.indptr = indptr
         self.shape = (len(indptr) - 1,) * 2
         self.nnz = len(data)
+        lengths = np.diff(indptr)
+        rows = np.repeat(np.arange(self.shape[0]), lengths)
+        slots = np.arange(self.nnz) - indptr[rows]
+        self._slot_values = np.zeros((lengths.max(initial=1), self.shape[0]), dtype=data.dtype)
+        self._slot_values[slots, rows] = data
+        self._slot_columns = np.tile(np.arange(self.shape[0]), (len(self._slot_values), 1))
+        self._slot_columns[slots, rows] = indices
 
     @classmethod
     def from_triplets(cls, values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                       dimension: int) -> CsrOperator:
         """The dimension-square matrix with entry values[i] at (rows[i],
-        cols[i]), no two at the same place, sorted by row and then column.
-
-        Indices and row pointers are int32, as scipy stores them: the
-        dimension caps keep the entry count far below 2**31.
-        """
+        cols[i]), no two at the same place, sorted by row and then column."""
         order = np.lexsort((cols, rows))
-        indptr = np.zeros(dimension + 1, dtype=np.int32)
+        indptr = np.zeros(dimension + 1, dtype=int)
         np.cumsum(np.bincount(rows, minlength=dimension), out=indptr[1:])
-        return cls(values[order], cols[order].astype(np.int32), indptr)
+        return cls(values[order], cols[order], indptr)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+        out = self._slot_values[0] * x[self._slot_columns[0]]
+        for values, columns in zip(self._slot_values[1:], self._slot_columns[1:]):
+            out += values * x[columns]
+        return out
 
 
 @dataclass(frozen=True)
@@ -504,9 +513,7 @@ def propagate_eom(
     integrated with an adaptive high-order Runge-Kutta scheme. Every grid
     state is mapped back to the Fock basis and recorded like propagate's.
     """
-    with blas.loading_at_one_thread():
-        from scipy.integrate import solve_ivp  # only this engine needs it
-
+    solve_ivp = blas.import_at_one_thread("scipy.integrate").solve_ivp  # only this engine needs it
     check_tolerance(tolerance)
     model = _EigenbasisModel(spec, bins, n_vib)
     psi0 = np.asarray(psi0, dtype=complex)

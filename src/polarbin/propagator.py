@@ -484,10 +484,7 @@ class _KrylovStepper:
     """
 
     def __init__(self, matrix, dt: float, budget: float, m_max: int = MAX_KRYLOV):
-        with blas.loading_at_one_thread():
-            from scipy.linalg import expm  # only this stepper needs it
-
-        self.expm = expm
+        self.expm = blas.import_at_one_thread("scipy.linalg").expm  # only this stepper needs it
         self.matrix = matrix
         self.dt = dt
         self.budget = budget

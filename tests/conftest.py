@@ -42,8 +42,9 @@ def binned_fock(spec, bins, n_vib):
 
 
 def scipy_csr(matrix):
-    """A reference engine's CSR operator as scipy CSR, sharing its arrays,
-    for the tests' dense and sparse arithmetic."""
+    """A reference engine's CSR operator as scipy CSR, sharing its data
+    (scipy casts the index arrays to int32), for the tests' dense and
+    sparse arithmetic."""
     import scipy.sparse  # here, so that children importing conftest load no scipy
 
     return scipy.sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)

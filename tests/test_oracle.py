@@ -10,6 +10,7 @@ import polarbin as pb
 from polarbin import oracle
 from polarbin.errors import ConfigError, DimensionCapError
 from polarbin.oracle import (
+    CsrOperator,
     DeviationReport,
     ExplicitEnsemble,
     ExplicitLayout,
@@ -286,9 +287,10 @@ class TestCsrOperator:
         bins = pb.discretize_disorder(spec, 2)
         ham, values, rows, cols = built_with_triplets(monkeypatch, lambda: build(spec, bins))
         want = scipy.sparse.csr_matrix((values, (rows, cols)), shape=ham.matrix.shape)
-        # bit-equal, so no two triplets shared a place for scipy to sum
-        for name in ("data", "indices", "indptr"):
-            assert getattr(ham.matrix, name).tobytes() == getattr(want, name).tobytes(), name
+        # data bit-equal, so no two triplets shared a place for scipy to sum
+        assert ham.matrix.data.tobytes() == want.data.tobytes()
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(ham.matrix, name), getattr(want, name)), name
         assert ham.matrix.nnz == want.nnz == len(values)
         scale = abs(want).sum(axis=1).max()  # |H| in the infinity norm
         rng = np.random.default_rng(len(values))
@@ -296,6 +298,19 @@ class TestCsrOperator:
             x = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
             error = np.linalg.norm(ham.matrix.dot(x) - want.dot(x))
             assert error <= 1e-15 * scale * np.linalg.norm(x)
+
+    def test_dot_over_empty_and_long_rows(self):
+        # fixed-width rows: the widest sets the width, and an empty row is zero
+        rng = np.random.default_rng(5)
+        dense = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        dense[rng.random((7, 7)) < 0.5] = 0.0
+        dense[2] = 0.0
+        dense[4] = rng.normal(size=7)
+        rows, cols = np.nonzero(dense)
+        matrix = CsrOperator.from_triplets(dense[rows, cols], rows, cols, 7)
+        x = rng.normal(size=7) + 1j * rng.normal(size=7)
+        assert matrix.nnz == len(rows)
+        assert np.allclose(matrix.dot(x), dense @ x, rtol=0.0, atol=1e-14)
 
     def test_compare_to_cute_agrees_with_scipy_matvec(self, monkeypatch):
         spec = fig3_spec(sigma=0.02)

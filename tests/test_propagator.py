@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarbin as pb
+from polarbin import blas
 from polarbin.blas import bundled_openblas
 from polarbin.errors import ConfigError
 from polarbin.hamiltonian import ArrowheadOperator
@@ -472,9 +474,10 @@ class TestChebyshevStep:
     def test_non_finite_csr_entry_raises_before_any_matvec(self, value):
         spec = fig3_spec(sigma=0.02)
         fock = binned_fock(spec, pb.discretize_disorder(spec, 4), 6)
-        broken = CsrOperator(fock.matrix.data.copy(), fock.matrix.indices, fock.matrix.indptr)
-        broken.data[7] = value
-        matrix = CountingMatrix(broken, limit=0)
+        data = fock.matrix.data.copy()
+        data[7] = value
+        matrix = CountingMatrix(CsrOperator(data, fock.matrix.indices, fock.matrix.indptr),
+                                limit=0)
         with pytest.raises(pb.PropagationError, match="not finite"):
             pb.propagate(replace(fock, matrix=matrix), pb.photonic_state(fock.layout),
                          1.0, 10.0, 1e-9)
@@ -725,6 +728,46 @@ class TestBlasThreadScope:
         assert probe.calls == 10
         assert probe.seen == {(1, 1)}
         assert [getter() for getter in openblas_getters] == [2, 2]
+
+
+class TestLoadingAtOneThread:
+    def test_imported_module_leaves_the_environment_alone(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the environment was changed")
+
+        monkeypatch.setattr(blas, "loading_at_one_thread", refuse)
+        assert blas.import_at_one_thread("scipy.linalg") is scipy.linalg
+
+    def test_two_threads_loading_at_once(self, monkeypatch):
+        # the second waits for the first body; neither finds the variable
+        # gone that it set
+        monkeypatch.setattr(blas, "_STARTS_AT_ONE_THREAD", True)
+        for name in blas.THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        entered, release, seen, errors = threading.Event(), threading.Event(), [], []
+
+        def load(wait):
+            try:
+                with blas.loading_at_one_thread():
+                    entered.set()
+                    if wait:
+                        release.wait(5.0)
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        first = threading.Thread(target=load, args=(True,))
+        first.start()
+        assert entered.wait(5.0)
+        second = threading.Thread(target=load, args=(False,))
+        second.start()
+        second.join(0.05)
+        assert second.is_alive() and seen == []
+        release.set()
+        first.join()
+        second.join()
+        assert errors == [] and seen == ["1", "1"]
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestStartupBlasThreads:
