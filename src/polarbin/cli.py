@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: spectrum, dynamics, sweep, converge, oracle. Exit codes:
-0 on success, 1 for configuration problems, 2 for numerical failures.
+0 on success, 1 for configuration problems and results that cannot be
+written, 2 for numerical failures.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
     except PolarbinError as exc:
         print(f"polarbin: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"polarbin: cannot write results: {exc}", file=sys.stderr)
+        return 1
     print(f"polarbin: wrote results to {args.out}")
     return 0
 

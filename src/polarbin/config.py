@@ -17,7 +17,7 @@ from importlib import resources
 from .errors import ConfigError
 from .hamiltonian import DEFAULT_DIMENSION_CAP, check_dimension
 from .model import BasisLayout, ModelSpec, bin_count_rule, time_to_au
-from .propagator import DEFAULT_TOLERANCE, INITIAL_STATES, check_tolerance
+from .propagator import DEFAULT_TOLERANCE, INITIAL_STATES, check_record, check_tolerance
 
 # one key per ModelSpec field; None marks a required key. omega_c defaults
 # to "resonant", which means omega0 + omega_nu
@@ -124,8 +124,12 @@ class RunConfig:
         if n_bins is None:
             n_bins = bin_count_rule(spec.sigma, self.t_final)
         # refuse before binning: the rule grows without bound with sigma
-        check_dimension(BasisLayout(n_bins, self.n_vib).dimension, DEFAULT_DIMENSION_CAP)
-        n_steps = max(1, round(self.t_final / self.dt_record))
+        layout = BasisLayout(n_bins, self.n_vib)
+        check_dimension(layout.dimension, DEFAULT_DIMENSION_CAP)
+        steps = self.t_final / self.dt_record
+        # refuse before rounding: a grid too long to record may not be finite
+        check_record(steps + 1, n_bins)
+        n_steps = max(1, round(steps))
         return replace(self, spec=spec, n_bins=n_bins,
                        dt_record=self.t_final / n_steps, sweep={})
 

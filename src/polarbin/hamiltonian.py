@@ -99,10 +99,6 @@ class EffectiveHamiltonian:
     layout: BasisLayout
     basis: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.layout.dimension
-
     def enclosure(self) -> tuple[float, float, float, float]:
         """The rectangle of :meth:`ArrowheadOperator.enclosure`. It holds the
         Fock-basis matrix's numerical range too, which no change of basis moves."""

@@ -104,17 +104,19 @@ class BinSet:
         return len(self.weights)
 
     def validate(self) -> None:
+        """Raise ConfigError unless the arrays fit together as stated above."""
+        if not len(self.centers) == self.n_bins == len(self.edges) - 1:
+            raise ConfigError("a bin set needs as many centers as weights, and one more edge")
         if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ValueError("bin weights do not sum to 1")
+            raise ConfigError("bin weights do not sum to 1")
         if np.any(np.diff(self.centers) <= 0) and self.n_bins > 1:
-            raise ValueError("bin centers must strictly increase")
+            raise ConfigError("bin centers must strictly increase")
+        # a center strictly inside its bin also makes the edges strictly increase
         degenerate = self.edges[0] == self.edges[-1]
         if not degenerate:
             inside = (self.edges[:-1] < self.centers) & (self.centers < self.edges[1:])
             if not inside.all():
-                raise ValueError("each center must lie strictly inside its bin")
-            if np.any(np.diff(self.edges) <= 0):
-                raise ValueError("bin edges must strictly increase")
+                raise ConfigError("each center must lie strictly inside its bin")
 
 
 def _standard_normal_cdf(z):
@@ -158,7 +160,7 @@ def discretize_disorder(spec: ModelSpec, n_bins: int) -> BinSet:
                     edges=spec.omega0 + spec.sigma * z_edges)
     try:
         binset.validate()
-    except ValueError as exc:
+    except ConfigError as exc:
         raise DegenerateDistributionError(
             f"sigma = {spec.sigma!r} around omega0 = {spec.omega0!r} cannot be split "
             f"into {n_bins} distinct bins in double precision: {exc}"

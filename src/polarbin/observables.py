@@ -72,7 +72,7 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     A(w) = kappa*Re[C~(w)] - kappa^2/2 |C~(w)|^2 with C~ the finite-time
     Fourier transform of <psi(0)|psi(t)>, evaluated by trapezoidal
     quadrature on the recorded grid with plain truncation (no window).
-    The recorded t = 0 state must be the photonic state up to a phase:
+    The initial state traj.psi0 must be the photonic state up to a phase:
     its photon population and its squared norm both one to within
     PHOTONIC_START_TOLERANCE, or InitialStateError is raised. The grid
     must be 1d, non-empty, finite, strictly increasing and uniform to
@@ -89,7 +89,7 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     lo + j*step is corrected to first order by the transform of t_k w_k C_k,
     the frequency derivative, which leaves an error of its square.
     """
-    photon0, norm0 = abs(traj.photon_amp[0]) ** 2, traj.norms2[0]
+    photon0, norm0 = abs(traj.psi0[BasisLayout.PHOTON]) ** 2, traj.norms2[0]
     if not (abs(photon0 - 1.0) <= PHOTONIC_START_TOLERANCE
             and abs(norm0 - 1.0) <= PHOTONIC_START_TOLERANCE):
         raise InitialStateError(

@@ -49,13 +49,7 @@ from .hamiltonian import (
 )
 from .model import BasisLayout, BinSet, ModelSpec
 from .observables import populations
-from .propagator import (
-    DEFAULT_TOLERANCE,
-    Trajectory,
-    check_tolerance,
-    make_initial_state,
-    propagate,
-)
+from .propagator import DEFAULT_TOLERANCE, Trajectory, make_initial_state, propagate
 
 EXPLICIT_DIMENSION_CAP = 50_000
 MAX_EXPLICIT_MOLECULES = 4
@@ -121,11 +115,7 @@ class FockHamiltonian:
     def __post_init__(self):
         # taken here, while the memory the assembly just freed can hold its
         # temporaries, and again whenever dataclasses.replace changes matrix
-        object.__setattr__(self, "gershgorin", _gershgorin(self.matrix, self.dimension))
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.dimension
+        object.__setattr__(self, "gershgorin", _gershgorin(self.matrix, self.matrix.shape[0]))
 
     def to_working(self, psi: np.ndarray) -> np.ndarray:
         return psi
@@ -510,24 +500,20 @@ def propagate_eom(
 
     Independent cross-validation path for :func:`propagate`: same
     truncated model, but expressed in the displaced eigenbasis and
-    integrated with an adaptive high-order Runge-Kutta scheme. Every grid
-    state is mapped back to the Fock basis and recorded like propagate's.
+    integrated with an adaptive high-order Runge-Kutta scheme. The
+    Trajectory checks the inputs as propagate's does; every grid state is
+    mapped back to the Fock basis and recorded like propagate's.
     """
     solve_ivp = blas.import_at_one_thread("scipy.integrate").solve_ivp  # only this engine needs it
-    check_tolerance(tolerance)
     model = _EigenbasisModel(spec, bins, n_vib)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (model.layout.dimension,):
-        raise ConfigError("initial state dimension does not match model")
-    traj = Trajectory(psi0, model.layout, dt_record, t_final, state_times, tolerance,
-                      model.to_fock)
+    traj = Trajectory(psi0, model, dt_record, t_final, state_times, tolerance)
     if len(traj.times) == 1:
         return traj
     rtol = max(1e-13, 0.01 * tolerance)
     sol = solve_ivp(
         model.rhs,
         (0.0, t_final),
-        model.to_eigen(psi0),
+        model.to_eigen(traj.psi0),
         method="DOP853",
         t_eval=traj.times,
         rtol=rtol,

@@ -16,11 +16,11 @@ arrowhead, or Gershgorin's on a reference engine's CSR. A plan refused
 for stiff loss or overflow leaves the run to adaptive Arnoldi (Krylov)
 steps with a per-step error estimate, gathered into blocks as well.
 Either way the total 2-norm error stays within the requested tolerance.
-A :class:`Trajectory` records each block while the state is propagated:
-it maps a few states at a time to the Fock basis, reduces their
-autocorrelation, norm, photon amplitude and per-bin populations, and
-checks every norm; full states are kept only at the times a caller asks
-for and at the end. The independent cross-validation engine,
+A :class:`Trajectory` checks the inputs and records each block while the
+state is propagated: it maps a few states at a time to the Fock basis,
+reduces their autocorrelation, norm and per-bin populations, and checks
+every norm; full states are kept only at the times a caller asks for and
+at the end. The independent cross-validation engine,
 :func:`polarbin.oracle.propagate_eom`, records into the same
 :class:`Trajectory`.
 """
@@ -63,6 +63,11 @@ CHEBYSHEV_BUDGET_SHARE = 0.1
 # and the squared moduli with their temporary)
 BLOCK_BYTES = 1 << 20
 RECORD_ROW_BYTES = 48
+# Bytes a Trajectory's arrays on the time grid may take: 5 floats a time
+# (times, norms2, photon and the complex autocorr) and 2 a bin (p_e1,
+# p_e2). The largest preset grid, figS1's finest bin count (1,655 times,
+# 64 bins), takes 1.76 MB, about 600 times less
+MAX_RECORD_BYTES = 1 << 30
 # Estimated cost of a Chebyshev block in nanoseconds (see _work_per_step),
 # as measured with numpy's bundled OpenBLAS at one thread on a 2-core
 # x86-64 box: CALL_NS for each recurrence step and each chunk's matrix
@@ -141,29 +146,47 @@ def check_tolerance(tolerance: float) -> None:
         raise ConfigError(f"tolerance must lie in [{lo}, {hi}], got {tolerance!r}")
 
 
+def check_record(n_times: float, n_bins: int) -> None:
+    """Refuse a record grid of n_times times (a float, maybe not finite)
+    and n_bins bins whose arrays would take more than MAX_RECORD_BYTES."""
+    size = 8.0 * n_times * (5 + 2 * n_bins)
+    if not size <= MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"recording {n_times:.6g} times of {n_bins} bins needs {size / 2**30:.3g} GiB, "
+            f"more than the {MAX_RECORD_BYTES / 2**30:g} GiB allowed; "
+            "raise dt_record or shorten t_final")
+
+
 class Trajectory:
     """Observables recorded on a uniform time grid while a state is propagated.
 
-    autocorr holds <psi(0)|psi(t_k)>, norms2 the squared norm (decaying
-    when the cavity is lossy), photon_amp the bare photon amplitude;
-    p_e1/p_e2 (n_times, n_bins) and photon are the populations of
-    state_populations at every grid time. states holds one full state per
-    requested time, taken at the grid time state_times nearest to it (the
-    first on a tie); final_state is the last state recorded. The
-    constructor allocates every array and records psi0 at t = 0. record
-    fills a block of later grid steps from working-basis states, which
-    to_fock maps to the Fock basis a few rows at a time, and checks every
-    recorded norm against psi0's.
+    psi0 is the Fock-basis initial state; autocorr holds <psi0|psi(t_k)>,
+    norms2 the squared norm (decaying when the cavity is lossy); p_e1/p_e2
+    (n_times, n_bins) and photon are the populations of state_populations
+    at every grid time. states holds one full state per requested time,
+    taken at the grid time state_times nearest to it (the first on a tie);
+    final_state is the last state recorded. The constructor checks the
+    tolerance, psi0 against engine.layout and the grid against
+    MAX_RECORD_BYTES (ConfigError), allocates every array and records psi0
+    at t = 0. record fills a block of later grid steps from working-basis
+    states, which engine.to_fock maps to the Fock basis a few rows at a
+    time, and checks every recorded norm against psi0's.
     """
 
-    def __init__(self, psi0, layout: BasisLayout, dt_record: float, t_final: float,
-                 state_times, tolerance: float, to_fock):
+    def __init__(self, psi0, engine, dt_record: float, t_final: float, state_times,
+                 tolerance: float):
+        check_tolerance(tolerance)
+        layout = engine.layout
+        psi0 = np.asarray(psi0, dtype=complex)
+        if psi0.shape != (layout.dimension,):
+            raise ConfigError(f"the initial state must be a vector of {layout.dimension} "
+                              f"amplitudes, got shape {psi0.shape}")
         n_t = _resolve_grid(dt_record, t_final) + 1
+        check_record(n_t, layout.n_bins)
         self.times = np.arange(n_t) * dt_record
         self.dt_record = dt_record
         self.autocorr = np.empty(n_t, dtype=complex)
         self.norms2 = np.empty(n_t)
-        self.photon_amp = np.empty(n_t, dtype=complex)
         self.p_e1 = np.empty((n_t, layout.n_bins))
         self.p_e2 = np.empty((n_t, layout.n_bins))
         self.photon = np.empty(n_t)
@@ -176,10 +199,10 @@ class Trajectory:
         self.state_times = self.times[self._state_steps]
         self.states = np.empty((len(self._state_steps), layout.dimension), dtype=complex)
         self.final_state = None
-        self._psi0 = psi0
+        self.psi0 = psi0
         self._layout = layout
         self._tolerance = tolerance
-        self._to_fock = to_fock
+        self._to_fock = engine.to_fock
         # a row's Fock state and the temporaries of its reductions take
         # about RECORD_ROW_BYTES per entry; a sub-block stays within BLOCK_BYTES
         self._rows = max(1, BLOCK_BYTES // (RECORD_ROW_BYTES * layout.dimension))
@@ -197,9 +220,8 @@ class Trajectory:
 
     def _record(self, start: int, fock: np.ndarray) -> None:
         span = slice(start, start + len(fock))
-        self.autocorr[span] = [np.vdot(self._psi0, psi) for psi in fock]
+        self.autocorr[span] = [np.vdot(self.psi0, psi) for psi in fock]
         self.norms2[span] = [np.vdot(psi, psi).real for psi in fock]
-        self.photon_amp[span] = fock[:, self._layout.PHOTON]
         self.p_e1[span], self.p_e2[span], self.photon[span] = state_populations(
             fock, self._layout)
         kept = (span.start <= self._state_steps) & (self._state_steps < span.stop)
@@ -362,8 +384,9 @@ class _ChebyshevStepper:
     chunked, one partial sum: 16 bytes per entry each.
     """
 
-    def __init__(self, matrix, dimension: int, center: float, radius: float, dt: float,
+    def __init__(self, matrix, center: float, radius: float, dt: float,
                  coefficients: np.ndarray, chunk: int):
+        dimension = matrix.shape[0]
         self.matrix = matrix
         self.center = center
         self.radius = radius
@@ -377,12 +400,12 @@ class _ChebyshevStepper:
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the corners
-    def plan(cls, ham, dt: float, n_steps: int, tolerance: float, norm: float):
-        """The stepper of ham.matrix for n_steps steps of dt whose blocks of
+    def plan(cls, matrix, rectangle, dt: float, n_steps: int, tolerance: float, norm: float):
+        """The stepper of matrix for n_steps steps of dt whose blocks of
         states of psi, |psi| <= norm, err by at most
         CHEBYSHEV_BUDGET_SHARE * tolerance / (the number of blocks) each.
 
-        The rectangle is ham.enclosure(). Of the block lengths m whose series
+        rectangle is ham.enclosure(). Of the block lengths m whose series
         is allowed, the least estimated work per recorded step
         (_work_per_step) wins. A series is allowed when it is finite, has
         at most MAX_CHEBYSHEV terms and its rounding cannot grow past
@@ -390,11 +413,10 @@ class _ChebyshevStepper:
         system takes long blocks as well. A longer block of m > 1 must also
         fit its buffers in BLOCK_BYTES. None when m = 1 is not allowed, for
         stiff loss or overflow: Krylov is the safer stepper. A tolerance
-        that is not positive and finite, or an entry of ham.matrix that is
-        not finite, raises PropagationError.
+        that is not positive and finite raises PropagationError.
         """
         _check_budget(tolerance)
-        lo, hi, slo, shi = ham.enclosure()
+        lo, hi, slo, shi = rectangle
         radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
         x = radius * dt
         if not (math.isfinite(x) and math.isfinite(norm)):
@@ -406,7 +428,7 @@ class _ChebyshevStepper:
         rho = float(np.maximum(np.abs(corners + root), np.abs(corners - root)).max())
         if not (0.0 < 0.5 * x * rho < math.inf):
             return None
-        dimension = ham.dimension
+        dimension = matrix.shape[0]
         log_norm = math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else -math.inf
         best = None
         for steps in range(1, n_steps + 1):
@@ -426,7 +448,7 @@ class _ChebyshevStepper:
         _, steps, n_terms, chunk = best
         coefficients = _bessel_j(n_terms, x * np.arange(1, steps + 1))
         coefficients[:, 1:] *= 2.0
-        return cls(ham.matrix, dimension, center, radius, dt, coefficients, chunk)
+        return cls(matrix, center, radius, dt, coefficients, chunk)
 
     def block(self, psi: np.ndarray, n: int) -> np.ndarray:
         """The states after steps 1..n <= m from psi, as rows of a view of
@@ -564,31 +586,26 @@ def propagate(
     or a reference engine's :class:`~polarbin.oracle.FockHamiltonian`.
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the
-    Chebyshev blocks, or over the Krylov steps). psi0 is mapped into ham's
-    working basis once; the steps are Chebyshev blocks planned once from
-    the Hamiltonian, dt_record, the number of steps and the tolerance, or
-    blocks of Krylov steps where that plan is refused (see
-    _ChebyshevStepper.plan). Every block is recorded, and its norms
-    checked, by Trajectory.record. Full states are kept at the grid times
-    nearest to `state_times` and at the end. A norm that is not finite, or
-    grows beyond the tolerance and rounding, which the lossy generator
-    cannot do, raises PropagationError and discards the trajectory. So
-    does a matrix entry that is not finite.
+    Chebyshev blocks, or over the Krylov steps). The Trajectory checks
+    the inputs, and psi0 is mapped into ham's working basis once; the
+    steps are Chebyshev blocks planned once from ham.matrix, ham.enclosure(),
+    dt_record, the number of steps and the tolerance, or blocks of Krylov
+    steps where that plan is refused (see _ChebyshevStepper.plan). Every
+    block is recorded, and its norms checked, by Trajectory.record. Full
+    states are kept at the grid times nearest to `state_times` and at the
+    end. A norm that is not finite, or grows beyond the tolerance and
+    rounding, which the lossy generator cannot do, raises PropagationError
+    and discards the trajectory. So does a matrix entry that is not finite.
     """
-    check_tolerance(tolerance)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (ham.dimension,):
-        raise ConfigError("initial state dimension does not match Hamiltonian")
-    traj = Trajectory(psi0, ham.layout, dt_record, t_final, state_times, tolerance,
-                      ham.to_fock)
+    traj = Trajectory(psi0, ham, dt_record, t_final, state_times, tolerance)
     n_steps = len(traj.times) - 1
     if n_steps == 0:
         return traj
     # norms never grow, so a plan for the initial norm bounds every block
-    stepper = (_ChebyshevStepper.plan(ham, dt_record, n_steps, tolerance,
-                                      math.sqrt(traj.norms2[0]))
+    stepper = (_ChebyshevStepper.plan(ham.matrix, ham.enclosure(), dt_record, n_steps,
+                                      tolerance, math.sqrt(traj.norms2[0]))
                or _KrylovStepper(ham.matrix, dt_record, tolerance / n_steps))
-    psi = ham.to_working(psi0)
+    psi = ham.to_working(traj.psi0)
     # an out-of-range model overflows inside a step; the norm checks and
     # the steppers' own report it, not numpy warnings
     with blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):

@@ -82,6 +82,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not a number"):
             load_config(MINIMAL.replace("0.006", "six"))
 
+    def test_malformed_ini(self):
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config("[model\nomega0 = 0.1\n")
+
     def test_resonant_cavity_default(self):
         text = MINIMAL.replace("omega_c = 0.11\n", "")
         cfg = load_config(text)
@@ -309,6 +313,12 @@ class TestRunCommands:
         with pytest.raises(ConfigError):
             run_converge(load_config(MINIMAL), str(tmp_path / "c"))
 
+    def test_converge_refuses_a_sweep(self, tmp_path):
+        text = MINIMAL.replace("sigma = 0.0", "sigma = 0.02") + "\n[sweep]\ncoupling = 0, 0.03\n"
+        with pytest.raises(ConfigError, match="single-point config"):
+            run_converge(load_config(text), str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()
+
     def test_converge_outputs(self, tmp_path):
         text = MINIMAL.replace("sigma = 0.0", "sigma = 0.01").replace(
             "t_final = 60 au", "t_final = 400 au"
@@ -467,6 +477,15 @@ class TestCliEntry:
         code = main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, out):
+        # an existing file where the output directory, or its parent, goes
+        (tmp_path / "taken").write_text("")
+        code = main(["dynamics", "--preset", "figS4", "--out", str(tmp_path / out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("polarbin: cannot write results: ") and err.count("\n") == 1
 
     def test_bad_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -654,12 +673,29 @@ class TestLoadTimeRejection:
         ("run.n_bins=100000",),
         ("model.sigma=1e5",),
         ("run.t_final=0 fs", "run.vib_energy_times="),
-    ], ids=["n_bins", "sigma", "t_final"])
+        ("run.t_final=1e9 fs", "run.n_bins=4"),
+        ("run.dt_record=1e-7",),
+    ], ids=["n_bins", "sigma", "t_final", "record grid", "record step"])
     def test_refused_at_resolution_leaves_no_output(self, tmp_path, overrides):
         # an empty manifest.cfg used to be left behind: the file was opened
         # before the configuration was resolved
         code, out = self._figs4(tmp_path, *overrides)
         assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.omega_nu=0", "omega_nu must be > 0"),
+        ("model.omega0=-0.1", "omega0 and omega_c must be > 0"),
+        ("model.omega_c=0", "omega0 and omega_c must be > 0"),
+        ("model.v12=-0.001", "v12 must be >= 0"),
+        ("run.n_vib=x", "[run] n_vib = 'x' is not an integer"),
+        ("laser.power=1", "override targets unknown section [laser]"),
+        ("run.t_final=1 fs later", "cannot parse time '1 fs later'"),
+    ])
+    def test_out_of_range_or_malformed_value(self, tmp_path, capsys, override, message):
+        code, out = self._figs4(tmp_path, override)
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_snapshot_stride_is_an_unknown_key(self, tmp_path, capsys):

@@ -189,7 +189,7 @@ class TestArrowhead:
         scale = abs(fock).sum(axis=1).max()  # |H| in the infinity norm
         rng = np.random.default_rng(n_bins)
         for _ in range(3):
-            x = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            x = rng.normal(size=ham.layout.dimension) + 1j * rng.normal(size=ham.layout.dimension)
             x /= np.linalg.norm(x)
             have = ham.to_fock(ham.matrix.dot(ham.to_working(x)))
             assert np.linalg.norm(have - fock @ x) <= 1e-14 * scale

@@ -123,6 +123,35 @@ class TestDiscretizeDisorder:
                       & (bins.centers < bins.edges[1:]))
 
 
+class TestBinSetValidate:
+    """A hand-built BinSet that breaks its invariants is a ConfigError for
+    either builder that takes one."""
+
+    GOOD = dict(weights=np.array([0.5, 0.5]), centers=np.array([0.09, 0.11]),
+                edges=np.array([0.08, 0.10, 0.12]))
+
+    def test_good_bin_set_builds(self):
+        bins = pb.BinSet(**self.GOOD)
+        for build in (pb.build_effective_hamiltonian, pb.build_multibin_hamiltonian):
+            assert build(fig3_spec(), bins, 3).layout.n_bins == 2
+
+    @pytest.mark.parametrize("change, message", [
+        ({"weights": np.array([0.5, 0.4])}, "do not sum to 1"),
+        ({"centers": np.array([0.11, 0.09])}, "centers must strictly increase"),
+        ({"centers": np.array([0.09, 0.125])}, "strictly inside its bin"),
+        ({"edges": np.array([0.12, 0.10, 0.08])}, "strictly inside its bin"),
+        ({"edges": np.array([0.08, 0.12])}, "one more edge"),
+        ({"centers": np.array([0.09])}, "as many centers as weights"),
+    ], ids=["weight sum", "center order", "center outside", "decreasing edges",
+            "edge count", "center count"])
+    @pytest.mark.parametrize("build", [pb.build_effective_hamiltonian,
+                                       pb.build_multibin_hamiltonian])
+    def test_malformed_bin_set_is_a_config_error(self, change, message, build):
+        bins = pb.BinSet(**{**self.GOOD, **change})
+        with pytest.raises(ConfigError, match=message):
+            build(fig3_spec(), bins, 3)
+
+
 class TestBinCountRule:
     def test_no_disorder_needs_one_bin(self):
         assert pb.bin_count_rule(0.0, 1000.0) == 1

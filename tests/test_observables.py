@@ -70,7 +70,7 @@ def synthetic_run(n_t, dt):
     c = 0.5 * (np.exp(-0.07j * t) + np.exp(-0.13j * t)) * np.exp(-decay * t)
     c[1:] += 1e-3 * np.random.default_rng(n_t).standard_normal(n_t - 1)
     return SimpleNamespace(times=t, dt_record=dt, autocorr=c, norms2=np.ones(n_t),
-                           photon_amp=c)
+                           psi0=c[:1])
 
 
 def widest_default_grid():

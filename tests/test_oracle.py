@@ -295,7 +295,7 @@ class TestCsrOperator:
         scale = abs(want).sum(axis=1).max()  # |H| in the infinity norm
         rng = np.random.default_rng(len(values))
         for _ in range(3):
-            x = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            x = rng.normal(size=ham.matrix.shape[0]) + 1j * rng.normal(size=ham.matrix.shape[0])
             error = np.linalg.norm(ham.matrix.dot(x) - want.dot(x))
             assert error <= 1e-15 * scale * np.linalg.norm(x)
 

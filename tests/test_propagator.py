@@ -163,6 +163,11 @@ class TestInitialStates:
         with pytest.raises(ConfigError):
             pb.make_initial_state("squeezed", ham.layout, bins)
 
+    def test_polariton_sign_must_be_one(self):
+        bins, ham = small_system(fig3_spec(sigma=0.02), 2, 4)
+        with pytest.raises(ConfigError, match="sign must be"):
+            pb.polariton_state(ham.layout, bins, 0)
+
 
 class TestPropagate:
     def test_stationary_state_pure_phase(self):
@@ -197,7 +202,7 @@ class TestPropagate:
         traj = pb.propagate(ham, psi0, 1.0, 1240.0, 1e-9)
         target = np.cos(spec.coupling * traj.times) ** 2
         np.testing.assert_allclose(
-            np.abs(traj.photon_amp) ** 2, target, atol=1e-8
+            traj.photon, target, atol=1e-8
         )
         # full population oscillation period 2 pi / (2 G) ~ 2.5 fs
         period = 2 * math.pi / (2 * spec.coupling)
@@ -208,7 +213,7 @@ class TestPropagate:
         rng = np.random.default_rng(7)
         spec = random_small_spec(rng)
         bins, ham = small_system(spec, 3, 6)
-        dim = ham.dimension
+        dim = ham.layout.dimension
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
         traj = pb.propagate(ham, psi0, 5.0, 50.0, 1e-10)
@@ -237,7 +242,7 @@ class TestPropagate:
         np.testing.assert_array_equal(traj.states, every.states[[3, 0, 7, 10, 4, 0]])
         np.testing.assert_array_equal(traj.final_state, every.states[-1])
         none = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9)
-        assert none.states.shape == (0, ham.dimension)
+        assert none.states.shape == (0, ham.layout.dimension)
         assert len(none.state_times) == 0
         np.testing.assert_array_equal(none.final_state, every.final_state)
 
@@ -256,6 +261,9 @@ class TestPropagate:
             pb.propagate(ham, psi0, 1.0, 10.0, 1e-5)
         with pytest.raises(ConfigError):
             pb.propagate(ham, psi0[:-1], 1.0, 10.0, 1e-9)
+        # 1e12 times: refused before the arrays are allocated
+        with pytest.raises(ConfigError, match="recording 1e\\+12 times of 2 bins"):
+            pb.propagate(ham, psi0, 1e-3, 1e9, 1e-9)
 
     def test_unmeetable_step_budget_raises(self):
         from polarbin.propagator import _KrylovStepper
@@ -286,7 +294,7 @@ class TestPropagate:
         from polarbin.propagator import MAX_KRYLOV, _KrylovStepper
 
         bins, ham = small_system(fig3_spec(sigma=0.01), n_bins, n_vib)
-        assert ham.dimension == dim and 17 < MAX_KRYLOV < 37
+        assert ham.layout.dimension == dim and 17 < MAX_KRYLOV < 37
         matrix = CountingMatrix(ham.matrix, limit=0)
         stepper = _KrylovStepper(matrix, 1.0, budget)
         psi0 = pb.photonic_state(ham.layout)
@@ -306,7 +314,7 @@ class TestPropagate:
                                                                  1e-12))
         if dt == 50.0:
             # no estimate fits below m = D: the invariant-subspace return
-            assert matrix.calls == ham.dimension
+            assert matrix.calls == ham.matrix.shape[0]
         exact = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 4)) @ psi0
         assert np.linalg.norm(psi - exact) <= 1e-12
 
@@ -318,7 +326,7 @@ class TestPropagate:
 
         spec = fig3_spec(sigma=0.02)
         bins, ham = small_system(spec, 4, 6)
-        assert ham.dimension == 49 > MAX_KRYLOV
+        assert ham.layout.dimension == 49 > MAX_KRYLOV
         exact_step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 6))
         stepper = _KrylovStepper(ham.matrix, dt, budget)
         y = ham.to_working(pb.polariton_state(ham.layout, bins, +1))
@@ -383,7 +391,7 @@ def plan_of(ham, dt, n_steps, tolerance, norm=1.0):
     from polarbin.propagator import _ChebyshevStepper
 
     matrix = CountingMatrix(ham.matrix, limit=0)
-    stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, n_steps, tolerance, norm)
+    stepper = _ChebyshevStepper.plan(matrix, ham.enclosure(), dt, n_steps, tolerance, norm)
     return stepper, matrix.calls
 
 
@@ -430,14 +438,14 @@ class TestChebyshevStep:
 
         spec = fig3_spec(sigma=0.02)
         bins, ham = small_system(spec, 4, 6)
-        assert ham.dimension == 49
+        assert ham.layout.dimension == 49
         exact_step = scipy.linalg.expm(-1j * dt * dense_fock(spec, bins, 6))
         rng = np.random.default_rng(round(1e3 * dt))
         psi = rng.normal(size=49) + 1j * rng.normal(size=49)
         psi *= norm / np.linalg.norm(psi)
         n_steps = 60
         matrix = CountingMatrix(ham.matrix)
-        stepper = _ChebyshevStepper.plan(replace(ham, matrix=matrix), dt, n_steps, tolerance,
+        stepper = _ChebyshevStepper.plan(matrix, ham.enclosure(), dt, n_steps, tolerance,
                                          norm)
         assert stepper is not None and matrix.calls == 0
         steps, n_terms = block_shape(stepper)
@@ -504,7 +512,7 @@ class TestChebyshevStep:
         # a long block of a small system
         spec = fig3_spec(coupling=0.0, omega_c=0.105, sigma=0.0)
         _, ham = small_system(spec, 1, 2)
-        assert ham.dimension == 5
+        assert ham.layout.dimension == 5
         stepper, calls = plan_of(ham, *CRITERION_2_GRID, 1e-9)
         assert calls == 0 and block_shape(stepper) == CRITERION_2_PLAN
         # the oracle-n4 benchmark point: the binned model and N = 1
@@ -517,7 +525,7 @@ class TestChebyshevStep:
         for ham in (pb.build_effective_hamiltonian(spec, bins, 6), explicit):
             stepper, calls = plan_of(ham, dt, n_steps, 1e-9)
             assert calls == 0
-            plans[ham.dimension] = block_shape(stepper)
+            plans[ham.layout.dimension] = block_shape(stepper)
         assert plans == {25: (12, 52), 18: (12, 53)}
 
     @pytest.mark.parametrize("case", ["criterion 2 photonic", "criterion 2 random",
@@ -537,7 +545,8 @@ class TestChebyshevStep:
         if case == "criterion 2 photonic":
             psi0 = pb.photonic_state(ham.layout)
         else:
-            psi0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+            dim = ham.layout.dimension
+            psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi0 /= np.linalg.norm(psi0)
         traj = pb.propagate(ham, psi0, dt, n_steps * dt, 1e-9,
                             state_times=np.arange(n_steps + 1) * dt)
@@ -549,7 +558,7 @@ class TestChebyshevStep:
 
     def test_fig6_shape_takes_chebyshev(self):
         bins, ham = small_system(fig3_spec(sigma=0.02), 24, 60)
-        assert ham.dimension == 2881
+        assert ham.layout.dimension == 2881
         psi0 = pb.polariton_state(ham.layout, bins, +1)
         stepper, calls = plan_of(ham, 1.0, 1240, 1e-9, np.linalg.norm(psi0))
         assert stepper is not None and calls == 0
@@ -623,13 +632,14 @@ class TestBlockStep:
 
         ham, dense, psi0 = self.engine(engine)
         n_steps = 400
-        stepper = _ChebyshevStepper.plan(ham, self.DT, n_steps, self.TOLERANCE, 1.0)
+        stepper = _ChebyshevStepper.plan(ham.matrix, ham.enclosure(), self.DT, n_steps,
+                                         self.TOLERANCE, 1.0)
         budget = self.TOLERANCE / -(-n_steps // stepper.steps)
         step = scipy.linalg.expm(-1j * self.DT * dense)
         for n in (1, stepper.steps - 1, stepper.steps):
             exact = psi0
             block = stepper.block(ham.to_working(psi0), n)
-            assert block.shape == (n, ham.dimension)
+            assert block.shape == (n, ham.matrix.shape[0])
             for row in block:
                 exact = step @ exact
                 assert np.linalg.norm(ham.to_fock(row) - exact) <= budget
@@ -669,7 +679,7 @@ def test_random_lossy_models_stay_within_tolerance(seed, n_bins, n_vib, dt, n_st
     rng = np.random.default_rng(seed)
     spec = replace(random_small_spec(rng), kappa=kappa)
     bins, ham = small_system(spec, n_bins if spec.sigma > 0 else 1, n_vib)
-    psi0 = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+    psi0 = rng.normal(size=ham.layout.dimension) + 1j * rng.normal(size=ham.layout.dimension)
     psi0 /= np.linalg.norm(psi0)
     traj = pb.propagate(ham, psi0, dt, n_steps * dt, tolerance,
                         state_times=np.arange(n_steps + 1) * dt)
@@ -797,7 +807,8 @@ class TestStartupBlasThreads:
         "bins = pb.discretize_disorder(spec, 4)\n"
         "if sys.argv[2] == 'krylov':\n"
         "    ham = pb.build_effective_hamiltonian(spec, bins, 6)\n"
-        "    assert _ChebyshevStepper.plan(ham, 1.0, 100, 1e-9, 1.0) is None\n"
+        "    assert _ChebyshevStepper.plan(ham.matrix, ham.enclosure(), 1.0, 100, 1e-9,\n"
+        "                                  1.0) is None\n"
         "    pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 100.0, 1e-9)\n"
         "elif sys.argv[2] == 'eom':\n"
         "    pb.propagate_eom(spec, bins, 6, pb.photonic_state(pb.BasisLayout(4, 6)),\n"
@@ -874,7 +885,7 @@ class TestRecorder:
             assert isinstance(ham.layout, ExplicitLayout)
         else:
             ham = pb.build_effective_hamiltonian(spec, bins, 6)
-            assert ham.dimension == 49
+            assert ham.layout.dimension == 49
         psi0 = pb.photonic_state(ham.layout)
         if engine == "eom":
             traj = pb.propagate_eom(spec, bins, 6, psi0, dt, t_final, 1e-9,
@@ -892,7 +903,6 @@ class TestRecorder:
             assert traj.photon[k] == photon
             assert traj.norms2[k] == np.vdot(psi, psi).real
             assert traj.autocorr[k] == np.vdot(psi0, psi)
-            assert traj.photon_amp[k] == psi[0]
         record = populations(traj)
         np.testing.assert_array_equal(record.times, traj.times)
         np.testing.assert_array_equal(record.gamma, 1.0 - traj.norms2)
@@ -941,6 +951,35 @@ class TestPropagateEom:
         with pytest.raises(pb.PropagationError, match="at step 3 "):
             pb.propagate_eom(spec, bins, 4, psi0, 1.0, 10.0, 1e-9)
 
+    def test_wrong_sized_initial_state(self):
+        # the Trajectory checks psi0 for both engines, with one message
+        spec = fig3_spec(sigma=0.0)
+        bins = pb.discretize_disorder(spec, 1)
+        psi0 = pb.photonic_state(pb.BasisLayout(1, 4))
+        with pytest.raises(ConfigError, match="must be a vector of 11 amplitudes"):
+            pb.propagate_eom(spec, bins, 5, psi0, 1.0, 10.0, 1e-9)
+        with pytest.raises(ConfigError, match="must be a vector of 11 amplitudes"):
+            pb.propagate(pb.build_effective_hamiltonian(spec, bins, 5), psi0, 1.0, 10.0,
+                         1e-9)
+
+    def test_integrator_failure_is_a_propagation_error(self, monkeypatch):
+        import scipy.integrate
+
+        solve_ivp = scipy.integrate.solve_ivp
+
+        def failing(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            sol.success, sol.message = False, "Required step size is less than spacing"
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+        spec = fig3_spec(sigma=0.0)
+        bins = pb.discretize_disorder(spec, 1)
+        psi0 = pb.photonic_state(pb.BasisLayout(1, 4))
+        with pytest.raises(pb.PropagationError,
+                           match="EoM integration failed: Required step size"):
+            pb.propagate_eom(spec, bins, 4, psi0, 1.0, 10.0, 1e-9)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_method_independence_random_models(self, seed):
         rng = np.random.default_rng(seed)
@@ -964,7 +1003,7 @@ class TestPropagationInvariants:
         rng = np.random.default_rng(11)
         spec = fig3_spec(sigma=0.015)
         bins, ham = small_system(spec, 3, 8)
-        dim = ham.dimension
+        dim = ham.layout.dimension
         psi1 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi1 /= np.linalg.norm(psi1)
@@ -1000,7 +1039,7 @@ class TestPropagationInvariants:
         psi0 = pb.photonic_state(ham.layout)
         traj = pb.propagate(ham, psi0, 0.25, 50.0, 1e-10)
         dndt = np.gradient(traj.norms2, traj.times)
-        target = -spec.kappa * np.abs(traj.photon_amp) ** 2
+        target = -spec.kappa * traj.photon
         assert np.abs(dndt - target)[1:-1].max() < 1e-6
 
     def test_norm_constant_without_loss(self):
