@@ -45,12 +45,10 @@ from .model import (
 from .observables import (
     PopulationRecord,
     Spectrum,
-    YieldReport,
     absorption,
     default_omega_grid,
     populations,
     rabi_splitting,
-    reaction_yield,
     state_populations,
     vibrational_energy,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "PropagationError",
     "Spectrum",
     "Trajectory",
-    "YieldReport",
     "ZeroPopulationError",
     "absorption",
     "bin_count_rule",
@@ -99,7 +96,6 @@ __all__ = [
     "propagate",
     "propagate_eom",
     "rabi_splitting",
-    "reaction_yield",
     "state_populations",
     "time_to_au",
     "vibrational_energy",

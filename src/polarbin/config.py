@@ -143,7 +143,8 @@ class RunConfig:
             f"t_final = {self.t_final!r} au",
             f"n_bins = {'auto' if self.n_bins is None else self.n_bins}",
             f"n_vib = {self.n_vib}",
-            f"dt_record = {self.resolve_point().dt_record!r}",
+            # a grid point, not the unswept base a sweep may never run
+            f"dt_record = {self.resolve_point(self.sweep_points()[0]).dt_record!r}",
             f"tolerance = {self.tolerance!r}",
             f"initial_state = {self.initial_state}",
             f"vib_energy_times = {', '.join(f'{t!r} au' for t in self.vib_energy_times)}",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -175,10 +174,10 @@ class BasisLayout:
     (surface 0, 'e1') block per vibrational coordinate, then one product
     (surface 1, 'e2') block per coordinate; each excited block holds the
     vib_dim = n_vib**n_modes configurations of n_modes vibrational modes,
-    contiguous and in row-major order, and block_bins names the bin of
-    each coordinate. The binned model has one photon state (carrying the
-    shared ground vibrational wavefunction) and one coordinate of one mode
-    per bin; the reference engines' ExplicitLayout sets other sizes.
+    contiguous and in row-major order. The binned model has one photon
+    state (carrying the shared ground vibrational wavefunction) and one
+    coordinate of one mode per bin; the reference engines' ExplicitLayout
+    sets other sizes, and maps its coordinates to bins.
     """
 
     PHOTON = 0
@@ -191,10 +190,6 @@ class BasisLayout:
         self.photon_dim = 1
         self.n_coords = n_bins
         self.n_modes = 1
-
-    @cached_property  # built on first use: a layout too large to run has a dimension
-    def block_bins(self) -> np.ndarray:
-        return np.arange(self.n_bins)
 
     @property
     def vib_dim(self) -> int:

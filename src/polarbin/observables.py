@@ -1,4 +1,4 @@
-"""Derived quantities: absorption spectra, populations, yields, energies.
+"""Derived quantities: absorption spectra, populations, energies.
 
 All functions are pure maps from recorded trajectories (or single
 states) to numbers and arrays; nothing here mutates its inputs. The
@@ -145,21 +145,17 @@ def _uniform_step(omega_grid: np.ndarray) -> float:
 
 
 def state_populations(psi: np.ndarray, layout: BasisLayout):
-    """Per-bin reactant/product populations and photon population of one
-    state, or of every row of a block of states.
+    """Per-coordinate reactant/product populations and photon population of
+    one state, or of every row of a block of states.
 
     Works for every basis layout: the photon block and the excited blocks
-    of layout.blocks. Block sums go to the bins named by layout.block_bins,
-    added in coordinate order: the identity for the binned layout, the
-    molecule-to-bin map for an explicit ensemble. A row of a block gives
-    the same bits as that state alone.
+    of layout.blocks, reduced to one population per coordinate, which is
+    one per bin on the binned layout. A row of a block gives the same bits
+    as that state alone.
     """
     photon, excited = layout.blocks(np.abs(psi) ** 2)
-    sums = excited.sum(axis=-1).T  # (coordinate, surface, ...)
-    per_bin = np.zeros((layout.n_bins, *sums.shape[1:]))
-    np.add.at(per_bin, layout.block_bins, sums)
-    p_e1, p_e2 = per_bin.T[..., 0, :], per_bin.T[..., 1, :]
-    return p_e1, p_e2, photon.sum(axis=-1)
+    sums = excited.sum(axis=-1)  # (..., surface, coordinate)
+    return sums[..., 0, :], sums[..., 1, :], photon.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,7 @@ class PopulationRecord:
     """
 
     times: np.ndarray
-    p_e1: np.ndarray           # (n_times, n_bins)
+    p_e1: np.ndarray           # (n_times, n_coords)
     p_e2: np.ndarray
     photon: np.ndarray
     norms2: np.ndarray
@@ -251,26 +247,3 @@ def rabi_splitting(spectrum: Spectrum) -> float:
     v2, v1 = np.sort(amps)[-2:]
     top, pair = omega[amps == v1], omega[amps >= v2]
     return float(max(pair[-1] - top[0], top[-1] - pair[0]))
-
-
-@dataclass(frozen=True)
-class YieldReport:
-    """Final-time product populations, per bin and in total, and the normalized total."""
-
-    t_final: float
-    per_bin: np.ndarray
-    total: float
-    total_normalized: float
-    gamma: float
-
-
-def reaction_yield(record: PopulationRecord) -> YieldReport:
-    """Product-state yield at the final recorded time."""
-    p = record.p_e2[-1]
-    return YieldReport(
-        t_final=float(record.times[-1]),
-        per_bin=p.copy(),
-        total=float(p.sum()),
-        total_normalized=float(record.normalized(record.p_e2_total)[-1]),
-        gamma=float(record.gamma[-1]),
-    )

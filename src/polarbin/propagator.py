@@ -18,9 +18,9 @@ steps with a per-step error estimate, gathered into blocks as well.
 Either way the total 2-norm error stays within the requested tolerance.
 A :class:`Trajectory` checks the inputs and records each block while the
 state is propagated: it maps a few states at a time to the Fock basis,
-reduces their autocorrelation, norm and per-bin populations, and checks
-every norm; full states are kept only at the times a caller asks for and
-at the end. The independent cross-validation engine,
+reduces their autocorrelation, norm and per-coordinate populations, and
+checks every norm; full states are kept only at the times a caller asks
+for. The independent cross-validation engine,
 :func:`polarbin.oracle.propagate_eom`, records into the same
 :class:`Trajectory`.
 """
@@ -125,14 +125,20 @@ def make_initial_state(name: str, layout: BasisLayout, bins: BinSet) -> np.ndarr
     return INITIAL_STATES[name](layout, bins)
 
 
-def _resolve_grid(dt_record: float, t_final: float) -> int:
-    if dt_record <= 0:
-        raise ConfigError("dt_record must be > 0")
-    if t_final < 0:
-        raise ConfigError("t_final must be >= 0")
+def _resolve_grid(dt_record: float, t_final: float, n_columns: int) -> int:
+    """The number of dt_record steps to t_final; ConfigError unless both
+    are finite, the step divides the time and check_record allows the
+    record of n_columns populations a time."""
+    if not (math.isfinite(dt_record) and dt_record > 0):
+        raise ConfigError(f"dt_record must be positive and finite, got {dt_record!r}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ConfigError(f"t_final must be non-negative and finite, got {t_final!r}")
+    steps = t_final / dt_record
+    # refuse before rounding: a grid too long to record may not be finite
+    check_record(steps + 1, n_columns)
     if t_final == 0:
         return 0
-    n_steps = round(t_final / dt_record)
+    n_steps = round(steps)
     if n_steps < 1 or abs(n_steps * dt_record - t_final) > 1e-9 * t_final:
         raise ConfigError(
             f"dt_record={dt_record} must divide t_final={t_final}"
@@ -162,12 +168,12 @@ class Trajectory:
 
     psi0 is the Fock-basis initial state; autocorr holds <psi0|psi(t_k)>,
     norms2 the squared norm (decaying when the cavity is lossy); p_e1/p_e2
-    (n_times, n_bins) and photon are the populations of state_populations
-    at every grid time. states holds one full state per requested time,
-    taken at the grid time state_times nearest to it (the first on a tie);
-    final_state is the last state recorded. The constructor checks the
-    tolerance, psi0 against engine.layout and the grid against
-    MAX_RECORD_BYTES (ConfigError), allocates every array and records psi0
+    (n_times, n_coords) and photon are the populations of state_populations
+    at every grid time, one column per bin on the binned layout. states
+    holds one full state per requested time, taken at the grid time
+    state_times nearest to it (the first on a tie). The constructor checks
+    the tolerance, psi0 against engine.layout and the grid (_resolve_grid)
+    (ConfigError), allocates every array and records psi0
     at t = 0. record fills a block of later grid steps from working-basis
     states, which engine.to_fock maps to the Fock basis a few rows at a
     time, and checks every recorded norm against psi0's.
@@ -181,14 +187,13 @@ class Trajectory:
         if psi0.shape != (layout.dimension,):
             raise ConfigError(f"the initial state must be a vector of {layout.dimension} "
                               f"amplitudes, got shape {psi0.shape}")
-        n_t = _resolve_grid(dt_record, t_final) + 1
-        check_record(n_t, layout.n_bins)
+        n_t = _resolve_grid(dt_record, t_final, layout.n_coords) + 1
         self.times = np.arange(n_t) * dt_record
         self.dt_record = dt_record
         self.autocorr = np.empty(n_t, dtype=complex)
         self.norms2 = np.empty(n_t)
-        self.p_e1 = np.empty((n_t, layout.n_bins))
-        self.p_e2 = np.empty((n_t, layout.n_bins))
+        self.p_e1 = np.empty((n_t, layout.n_coords))
+        self.p_e2 = np.empty((n_t, layout.n_coords))
         self.photon = np.empty(n_t)
         state_times = np.asarray(state_times, dtype=float)
         if not np.isfinite(state_times).all():
@@ -198,7 +203,6 @@ class Trajectory:
         )
         self.state_times = self.times[self._state_steps]
         self.states = np.empty((len(self._state_steps), layout.dimension), dtype=complex)
-        self.final_state = None
         self.psi0 = psi0
         self._layout = layout
         self._tolerance = tolerance
@@ -226,7 +230,6 @@ class Trajectory:
             fock, self._layout)
         kept = (span.start <= self._state_steps) & (self._state_steps < span.stop)
         self.states[kept] = fock[self._state_steps[kept] - start]
-        self.final_state = fock[-1].copy()
 
     def _check_norms(self, start: int, working: np.ndarray) -> None:
         """The generator is dissipative, so the exact norm never grows:
@@ -505,13 +508,12 @@ class _KrylovStepper:
     left to propagate's norm check.
     """
 
-    def __init__(self, matrix, dt: float, budget: float, m_max: int = MAX_KRYLOV):
+    def __init__(self, matrix, dt: float, budget: float):
         self.expm = blas.import_at_one_thread("scipy.linalg").expm  # only this stepper needs it
         self.matrix = matrix
         self.dt = dt
         self.budget = budget
         self.steps = max(1, BLOCK_BYTES // (16 * matrix.shape[0]))
-        self.m_max = m_max
         self.m_previous = 0
 
     def block(self, psi: np.ndarray, n: int) -> np.ndarray:
@@ -529,7 +531,7 @@ class _KrylovStepper:
         if beta == 0.0:
             return psi.copy()
         dim = len(psi)
-        m_cap = min(self.m_max, dim)
+        m_cap = min(MAX_KRYLOV, dim)
         m_first = max(2, self.m_previous - 1)
         V = np.empty((m_cap + 1, dim), dtype=complex)
         H = np.zeros((m_cap + 1, m_cap), dtype=complex)
@@ -592,10 +594,10 @@ def propagate(
     dt_record, the number of steps and the tolerance, or blocks of Krylov
     steps where that plan is refused (see _ChebyshevStepper.plan). Every
     block is recorded, and its norms checked, by Trajectory.record. Full
-    states are kept at the grid times nearest to `state_times` and at the
-    end. A norm that is not finite, or grows beyond the tolerance and
-    rounding, which the lossy generator cannot do, raises PropagationError
-    and discards the trajectory. So does a matrix entry that is not finite.
+    states are kept at the grid times nearest to `state_times`. A norm
+    that is not finite, or grows beyond the tolerance and rounding, which
+    the lossy generator cannot do, raises PropagationError and discards
+    the trajectory. So does a matrix entry that is not finite.
     """
     traj = Trajectory(psi0, ham, dt_record, t_final, state_times, tolerance)
     n_steps = len(traj.times) - 1

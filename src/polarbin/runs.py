@@ -25,7 +25,6 @@ from .observables import (
     absorption,
     default_omega_grid,
     populations,
-    reaction_yield,
     state_populations,
     vibrational_energy,
 )
@@ -179,13 +178,13 @@ def _sweep_worker(cfg: RunConfig, point: dict) -> dict:
     try:
         resolved = cfg.resolve_point(point)
         _, _, traj = _propagate_point(resolved)
-        result = reaction_yield(populations(traj))
+        record = populations(traj)
+        return {"n_bins": resolved.n_bins, "p_e2_final": float(record.p_e2[-1].sum()),
+                "p_e2_final_normalized": float(record.normalized(record.p_e2_total)[-1]),
+                "gamma_final": float(record.gamma[-1]), "status": "ok"}
     except PolarbinError as exc:  # recorded per row; the sweep continues
         return {**dict.fromkeys(SWEEP_RESULTS, ""),
                 "status": f"error: {type(exc).__name__}: {exc}"}
-    return {"n_bins": resolved.n_bins, "p_e2_final": result.total,
-            "p_e2_final_normalized": result.total_normalized,
-            "gamma_final": result.gamma, "status": "ok"}
 
 
 def _parallel_map(fn, items, threads):
@@ -220,13 +219,12 @@ class ConvergenceStep:
     ratio_dev: float
 
 
-def _converge_worker(cfg: RunConfig, n_bins: int):
-    point = replace(cfg.resolve_point(), n_bins=n_bins)
+def _converge_worker(point: RunConfig):
     _, _, traj = _propagate_point(point)
     spectrum = absorption(traj, point.spec.kappa, default_omega_grid(point.spec))
     record = populations(traj)
     return {
-        "n_bins": n_bins,
+        "n_bins": point.n_bins,
         "spectrum": spectrum.values,
         "gamma": record.gamma,
         "p_e1_final": float(record.p_e1_total[-1]),
@@ -248,9 +246,11 @@ def run_converge(cfg: RunConfig, out_dir, threads: int = 1) -> list[ConvergenceS
         raise ConfigError("convergence study takes a single-point config")
     if cfg.initial_state != "photonic":
         raise ConfigError("convergence studies require initial_state = photonic")
-    write_manifest(cfg, out_dir)
     counts = converge_bin_counts(cfg.spec.sigma, cfg.t_final)
-    results = _parallel_map(partial(_converge_worker, cfg), counts, threads)
+    # every rung is refused or resolved before anything is written
+    points = [replace(cfg, n_bins=n).resolve_point() for n in counts]
+    write_manifest(cfg, out_dir)
+    results = _parallel_map(_converge_worker, points, threads)
     if any(r["p_e1_final"] == 0.0 for r in results):
         raise ZeroPopulationError(
             "no reactant population at t_final; the product/reactant ratio is undefined"

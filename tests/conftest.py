@@ -68,6 +68,12 @@ def hermiticity_defect(fock):
     return float(np.abs(defect.data[mask]).max())
 
 
+def final_state(ham, psi0, dt_record, t_final, tolerance):
+    """The state of propagate at t_final, kept through state_times."""
+    return pb.propagate(ham, psi0, dt_record, t_final, tolerance,
+                        state_times=[t_final]).states[-1]
+
+
 def negated(ham):
     """-H, the time-reversed Hamiltonian, as an arrowhead in the same basis."""
     return replace(ham, matrix=ArrowheadOperator(-ham.matrix.diagonal, -ham.matrix.arm))

@@ -20,7 +20,14 @@ from polarbin.observables import populations
 from polarbin.oracle import compare_multibin_to_effective, compare_to_cute
 from polarbin.runs import run_dynamics
 
-from conftest import binned_fock, fig3_spec, hermiticity_defect, negated, random_small_spec
+from conftest import (
+    binned_fock,
+    fig3_spec,
+    final_state,
+    hermiticity_defect,
+    negated,
+    random_small_spec,
+)
 
 FS = pb.FS_TO_AU
 
@@ -162,7 +169,7 @@ def test_criterion_06_bin_count_rule():
         ham = pb.build_effective_hamiltonian(spec, bins, 60)
         traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
                             1e-9)
-        e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
+        e1, e2 = traj.p_e1[-1], traj.p_e2[-1]
         ratios[n_bins] = e2.sum() / e1.sum()
     rel_double = abs(ratios[2 * rule] - ratios[rule]) / ratios[rule]
     halving = abs(ratios[rule // 2] - ratios[rule])
@@ -216,8 +223,7 @@ def _bright_yield(sigma, coupling):
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), dt, t_final,
                         1e-9)
-    _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
-    return e2.sum()
+    return traj.p_e2[-1].sum()
 
 
 def test_criterion_08_polaron_decoupling_and_its_loss():
@@ -244,8 +250,7 @@ def test_criterion_09_narrowband_asymmetry():
     for name in ("upper_polariton", "lower_polariton"):
         psi0 = pb.make_initial_state(name, ham.layout, bins)
         traj = pb.propagate(ham, psi0, dt, t_final, 1e-9)
-        e1, e2, _ = pb.state_populations(traj.final_state, ham.layout)
-        yields[name] = (e1, e2)
+        yields[name] = (traj.p_e1[-1], traj.p_e2[-1])
     e1_up, e2_up = yields["upper_polariton"]
     _, e2_lp = yields["lower_polariton"]
     asymmetric = e2_up.sum() > e2_lp.sum()
@@ -267,9 +272,8 @@ def test_criterion_10_vibrational_energy_gradient():
     bins = pb.discretize_disorder(spec, n_bins)
     ham = pb.build_effective_hamiltonian(spec, bins, 60)
     dt, t_final = grid(5, 207)
-    traj = pb.propagate(ham, pb.photonic_state(ham.layout), dt, t_final,
-                        1e-9)
-    energies = pb.vibrational_energy(traj.final_state, ham.layout, spec)
+    psi = final_state(ham, pb.photonic_state(ham.layout), dt, t_final, 1e-9)
+    energies = pb.vibrational_energy(psi, ham.layout, spec)
     window = energies[central_half(n_bins)]
     trending, rho = increasing_trend(window)
     elapsed = time.time() - start
@@ -313,21 +317,18 @@ def _case_invariants(rng):
     psi1 /= np.linalg.norm(psi1)
     psi2 /= np.linalg.norm(psi2)
     alpha, beta = math.cos(0.7), math.sin(0.7)
-    combo = pb.propagate(ham, alpha * psi1 + beta * psi2, 1.0, 20.0, tol)
-    parts = [pb.propagate(ham, p, 1.0, 20.0, tol) for p in (psi1, psi2)]
-    drift = np.linalg.norm(
-        combo.final_state
-        - alpha * parts[0].final_state - beta * parts[1].final_state
-    )
+    combo = final_state(ham, alpha * psi1 + beta * psi2, 1.0, 20.0, tol)
+    parts = [final_state(ham, p, 1.0, 20.0, tol) for p in (psi1, psi2)]
+    drift = np.linalg.norm(combo - alpha * parts[0] - beta * parts[1])
     assert drift < 10 * tol
 
     # reversibility without loss
     lossless = pb.build_effective_hamiltonian(
         replace(spec, kappa=0.0), bins, n_vib
     )
-    forward = pb.propagate(lossless, psi0, 1.0, 100.0, tol)
-    backward = pb.propagate(negated(lossless), forward.final_state, 1.0, 100.0, tol)
-    assert np.linalg.norm(backward.final_state - psi0) < 100 * tol
+    forward = final_state(lossless, psi0, 1.0, 100.0, tol)
+    backward = final_state(negated(lossless), forward, 1.0, 100.0, tol)
+    assert np.linalg.norm(backward - psi0) < 100 * tol
 
 
 CSV_CASE_CONFIG = """

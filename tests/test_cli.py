@@ -528,6 +528,16 @@ class TestCliEntry:
         assert code == 0
         assert (out / "populations.csv").exists()
 
+    def test_sweep_ignores_an_unswept_base_value(self, tmp_path):
+        # the base sigma = 200 would take 947,521 states, but every point sets sigma
+        out = tmp_path / "fig3c"
+        code = main(["sweep", "--preset", "fig3c", "--out", str(out),
+                     "--override", "run.t_final=1 fs", "--override", "model.sigma=200",
+                     "--override", "sweep.sigma=0, 0.02", "--override", "sweep.coupling=0.03"])
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [row[-1] for row in rows[1:]] == ["ok", "ok"]
+
     def test_converge_command(self, tmp_path):
         cfg = self._write(
             tmp_path,
@@ -744,6 +754,23 @@ class TestLoadTimeRejection:
         monkeypatch.setattr(runs_mod, "propagate", never)
         code, _ = self._figs4(tmp_path, "model.kappa=inf")
         assert code == 1
+
+    def test_converge_ladder_refused_before_output(self, tmp_path, capsys, monkeypatch):
+        # the rule's 4 bins (dimension 81) fit the cap; the finest rung's 8 (161) do not
+        import polarbin.config as config_mod
+        import polarbin.runs as runs_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(config_mod, "DEFAULT_DIMENSION_CAP", 100)
+        monkeypatch.setattr(runs_mod, "propagate", never)
+        out = tmp_path / "conv"
+        code = main(["converge", "--preset", "figS1", "--out", str(out),
+                     "--override", "run.t_final=5 fs", "--override", "run.n_vib=10"])
+        assert code == 1
+        assert "dimension 161 exceeds cap 100" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_collapsed_bin_edges(self, tmp_path, capsys):
         code, _ = self._figs4(tmp_path, "model.sigma=1e-300", "run.n_bins=3")

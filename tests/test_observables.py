@@ -371,8 +371,7 @@ class TestReactionYield:
         spec = fig3_spec(coupling=0.0, sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 8, 200.0)
         record = pb.populations(traj)
-        result = pb.reaction_yield(record)
-        assert result.total == pytest.approx(0.0, abs=1e-12)
+        assert record.p_e2[-1].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_no_diabatic_coupling_no_product(self):
         spec = fig3_spec(v12=0.0, sigma=0.01)
@@ -381,20 +380,18 @@ class TestReactionYield:
         traj = pb.propagate(ham, pb.bright_state(ham.layout, bins), 1.0, 200.0,
                             1e-9)
         record = pb.populations(traj)
-        result = pb.reaction_yield(record)
-        assert result.total == pytest.approx(0.0, abs=1e-12)
-        assert result.per_bin == pytest.approx(np.zeros(2), abs=1e-12)
+        assert record.p_e2[-1].sum() == pytest.approx(0.0, abs=1e-12)
+        assert record.p_e2[-1] == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_normalized_variant_divides_by_norm(self):
         spec = fig3_spec(sigma=0.01)
         bins, ham, traj = photonic_run(spec, 2, 10, 300.0)
         record = pb.populations(traj)
-        result = pb.reaction_yield(record)
-        assert result.total_normalized == pytest.approx(
-            result.total / record.norms2[-1]
-        )
-        assert result.total_normalized > result.total  # lossy cavity
-        assert result.gamma == pytest.approx(1.0 - record.norms2[-1])
+        total = record.p_e2[-1].sum()
+        total_normalized = record.normalized(record.p_e2_total)[-1]
+        assert total_normalized == pytest.approx(total / record.norms2[-1])
+        assert total_normalized > total  # lossy cavity
+        assert record.gamma[-1] == pytest.approx(1.0 - record.norms2[-1])
 
 
 class TestLeakage:
@@ -406,7 +403,7 @@ class TestLeakage:
         with pytest.raises(ZeroPopulationError, match=f"by t = {traj.times[3]:.6g} au"):
             record.normalized(record.p_e1_total)
         with pytest.raises(ZeroPopulationError, match="leaked completely"):
-            pb.reaction_yield(record)
+            record.normalized(record.p_e2_total)
 
     def test_matches_norm_deficit(self):
         spec = fig3_spec(sigma=0.01)
@@ -430,9 +427,7 @@ class TestProductionDiagnostics:
                 ham, pb.bright_state(ham.layout, bins),
                 t_final / 1240, t_final, 1e-9,
             )
-            _, e2, _ = pb.state_populations(traj.final_state, ham.layout)
-            norm2 = np.vdot(traj.final_state, traj.final_state).real
-            return e2.sum() / norm2
+            return traj.p_e2[-1].sum() / traj.norms2[-1]
 
         lossless = normalized_yield(0.0)
         lossy = normalized_yield(0.006)

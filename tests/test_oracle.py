@@ -14,6 +14,7 @@ from polarbin.oracle import (
     DeviationReport,
     ExplicitEnsemble,
     ExplicitLayout,
+    _per_bin_record,
     apportion_molecules,
     build_explicit_hamiltonian,
     build_multibin_hamiltonian,
@@ -128,12 +129,32 @@ class TestCompareToCute:
             traj = pb.propagate(
                 ham, pb.photonic_state(ham.layout), 1.0, 40.0, 1e-10,
             )
-            e1, e2, ph = pb.state_populations(traj.final_state, ham.layout)
-            results.append((ph, e1, e2))
+            record = _per_bin_record(pb.populations(traj), ham.layout)
+            results.append((record.photon[-1], record.p_e1[-1], record.p_e2[-1]))
         (ph_a, e1_a, e2_a), (ph_b, e1_b, e2_b) = results
         assert ph_a == pytest.approx(ph_b, abs=1e-12)
         np.testing.assert_allclose(e1_a, e1_b, atol=1e-12)
         np.testing.assert_allclose(e2_a, e2_b, atol=1e-12)
+
+    def test_molecule_columns_summed_per_bin(self):
+        # four molecules, two a bin, listed out of bin order
+        spec = fig3_spec(sigma=0.02, coupling=0.01)
+        bins = pb.discretize_disorder(spec, 2)
+        ensemble = ExplicitEnsemble(bins=bins, molecule_bins=np.array([1, 0, 1, 0]),
+                                    n_vib=3, coupling=spec.coupling)
+        ham = build_explicit_hamiltonian(spec, ensemble)
+        traj = pb.propagate(ham, pb.photonic_state(ham.layout), 1.0, 40.0, 1e-10)
+        assert traj.p_e1.shape == traj.p_e2.shape == (41, 4)
+        record = pb.populations(traj)
+        assert (record.p_e1[-1] > 0.0).all() and (record.p_e2[-1] > 0.0).all()
+        binned = _per_bin_record(record, ham.layout)
+        for name in ("p_e1", "p_e2"):
+            molecules, per_bin = getattr(record, name), getattr(binned, name)
+            assert per_bin.shape == (41, 2)
+            np.testing.assert_array_equal(per_bin[:, 0], molecules[:, 1] + molecules[:, 3])
+            np.testing.assert_array_equal(per_bin[:, 1], molecules[:, 0] + molecules[:, 2])
+        for name in ("times", "photon", "norms2", "gamma"):
+            assert getattr(binned, name) is getattr(record, name)
 
 
 class TestMultibinEquivalence:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarbin as pb
-from polarbin import blas
+from polarbin import blas, propagator
 from polarbin.blas import bundled_openblas
 from polarbin.errors import ConfigError
 from polarbin.hamiltonian import ArrowheadOperator
@@ -24,10 +24,18 @@ from polarbin.oracle import (
     CsrOperator,
     ExplicitEnsemble,
     ExplicitLayout,
+    _per_bin_record,
     build_explicit_hamiltonian,
 )
 
-from conftest import binned_fock, fig3_spec, negated, random_small_spec, scipy_csr
+from conftest import (
+    binned_fock,
+    fig3_spec,
+    final_state,
+    negated,
+    random_small_spec,
+    scipy_csr,
+)
 
 
 def small_system(spec, n_bins, n_vib):
@@ -240,11 +248,10 @@ class TestPropagate:
                             state_times=[3.4, 0.0, 7.5, 12.0, 3.6, -1.0])
         np.testing.assert_array_equal(traj.state_times, [3.0, 0.0, 7.0, 10.0, 4.0, 0.0])
         np.testing.assert_array_equal(traj.states, every.states[[3, 0, 7, 10, 4, 0]])
-        np.testing.assert_array_equal(traj.final_state, every.states[-1])
         none = pb.propagate(ham, psi0, 1.0, 10.0, 1e-9)
         assert none.states.shape == (0, ham.layout.dimension)
         assert len(none.state_times) == 0
-        np.testing.assert_array_equal(none.final_state, every.final_state)
+        np.testing.assert_array_equal(none.autocorr, every.autocorr)
 
     def test_non_finite_state_time_rejected(self):
         bins, ham = small_system(fig3_spec(sigma=0.01), 2, 4)
@@ -264,6 +271,13 @@ class TestPropagate:
         # 1e12 times: refused before the arrays are allocated
         with pytest.raises(ConfigError, match="recording 1e\\+12 times of 2 bins"):
             pb.propagate(ham, psi0, 1e-3, 1e9, 1e-9)
+        # a grid whose step count is not finite: refused before rounding
+        nan, inf = float("nan"), float("inf")
+        for dt_record, t_final, message in [(1e-320, 1.0, "recording inf times"),
+                                            (1.0, inf, "t_final"), (1.0, nan, "t_final"),
+                                            (nan, 10.0, "dt_record")]:
+            with pytest.raises(ConfigError, match=message):
+                pb.propagate(ham, psi0, dt_record, t_final, 1e-9)
 
     def test_unmeetable_step_budget_raises(self):
         from polarbin.propagator import _KrylovStepper
@@ -335,7 +349,7 @@ class TestPropagate:
             y = stepper.step(y, dt, budget)
             assert np.linalg.norm(ham.to_fock(y) - exact) <= budget
 
-    def test_subdivided_step_within_budget(self):
+    def test_subdivided_step_within_budget(self, monkeypatch):
         from polarbin.propagator import _KrylovStepper
 
         # four basis vectors cannot carry a 30 au step: it must be split
@@ -343,7 +357,8 @@ class TestPropagate:
         bins, ham = small_system(spec, 4, 6)
         matrix = CountingMatrix(ham.matrix)
         psi0 = pb.photonic_state(ham.layout)
-        stepper = _KrylovStepper(matrix, 30.0, 1e-10, m_max=4)
+        monkeypatch.setattr(propagator, "MAX_KRYLOV", 4)
+        stepper = _KrylovStepper(matrix, 30.0, 1e-10)
         psi = ham.to_fock(stepper.step(ham.to_working(psi0), 30.0, 1e-10))
         assert matrix.calls > 4
         exact = scipy.linalg.expm(-1j * 30.0 * dense_fock(spec, bins, 6)) @ psi0
@@ -573,7 +588,7 @@ class TestChebyshevStep:
         for name, point, resolved in preset_points():
             bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
             psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
-            n_steps = _resolve_grid(resolved.dt_record, resolved.t_final)
+            n_steps = _resolve_grid(resolved.dt_record, resolved.t_final, resolved.n_bins)
             stepper, calls = plan_of(ham, resolved.dt_record, n_steps, resolved.tolerance,
                                      np.linalg.norm(psi0))
             assert stepper is not None and calls == 0, (name, point)
@@ -894,8 +909,7 @@ class TestRecorder:
             traj = pb.propagate(ham, psi0, dt, t_final, 1e-9,
                                 state_times=every_step)
         np.testing.assert_array_equal(traj.state_times, traj.times)
-        np.testing.assert_array_equal(traj.states[-1], traj.final_state)
-        assert traj.p_e1.shape == traj.p_e2.shape == (21, bins.n_bins)
+        assert traj.p_e1.shape == traj.p_e2.shape == (21, ham.layout.n_coords)
         for k, psi in enumerate(traj.states):
             e1, e2, photon = pb.state_populations(psi, ham.layout)
             assert np.array_equal(traj.p_e1[k], e1)
@@ -904,6 +918,10 @@ class TestRecorder:
             assert traj.norms2[k] == np.vdot(psi, psi).real
             assert traj.autocorr[k] == np.vdot(psi0, psi)
         record = populations(traj)
+        if engine == "explicit":  # one column a molecule, summed per bin
+            assert ham.layout.n_coords == 2
+            record = _per_bin_record(record, ham.layout)
+        assert record.p_e1.shape == record.p_e2.shape == (21, bins.n_bins)
         np.testing.assert_array_equal(record.times, traj.times)
         np.testing.assert_array_equal(record.gamma, 1.0 - traj.norms2)
         assert record.photon[-1] > 0.0 and record.p_e2[-1].sum() > 0.0
@@ -1010,10 +1028,10 @@ class TestPropagationInvariants:
         psi2 /= np.linalg.norm(psi2)
         alpha, beta = 0.6, 0.8
         tol = 1e-9
-        combo = pb.propagate(ham, alpha * psi1 + beta * psi2, 1.0, 50.0, tol)
-        t1 = pb.propagate(ham, psi1, 1.0, 50.0, tol)
-        t2 = pb.propagate(ham, psi2, 1.0, 50.0, tol)
-        diff = combo.final_state - (alpha * t1.final_state + beta * t2.final_state)
+        combo = final_state(ham, alpha * psi1 + beta * psi2, 1.0, 50.0, tol)
+        t1 = final_state(ham, psi1, 1.0, 50.0, tol)
+        t2 = final_state(ham, psi2, 1.0, 50.0, tol)
+        diff = combo - (alpha * t1 + beta * t2)
         assert np.linalg.norm(diff) < 10 * tol
 
     def test_reversibility_without_loss(self):
@@ -1021,9 +1039,9 @@ class TestPropagationInvariants:
         bins, ham = small_system(spec, 2, 8)
         psi0 = pb.photonic_state(ham.layout)
         tol = 1e-9
-        forward = pb.propagate(ham, psi0, 1.0, 100.0, tol)
-        back = pb.propagate(negated(ham), forward.final_state, 1.0, 100.0, tol)
-        assert np.linalg.norm(back.final_state - psi0) < 100 * tol
+        forward = final_state(ham, psi0, 1.0, 100.0, tol)
+        back = final_state(negated(ham), forward, 1.0, 100.0, tol)
+        assert np.linalg.norm(back - psi0) < 100 * tol
 
     def test_norm_growth_rejected(self):
         # time-reversed loss is gain, which no dissipative model allows
