@@ -12,18 +12,33 @@ numerical range from that diagonal and arm alone, so this module needs
 numpy only. The Fock-basis matrices of the same model, which the
 reference engines step and the tests compare against, are assembled in
 :mod:`polarbin.oracle`.
+
+A photonic run's autocorrelation and norm depend on the photon amplitude
+a0(t) alone. :func:`photon_chain` maps the photon's star onto a real
+tridiagonal chain by Lanczos (:class:`PhotonChain`), whose first site is
+the photon and whose length is set by the Chebyshev tail of
+:func:`series_terms` over the arrowhead's enclosure (see
+:func:`chebyshev_frame`), not by the dimension.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, DimensionCapError, PropagationError
 from .model import BasisLayout, BinSet, ModelSpec
 
 DEFAULT_DIMENSION_CAP = 500_000
+# Share of a run's tolerance a photon chain's truncation may spend; the
+# steps get the rest. The chain's bound falls faster than exponentially
+# with its length, so a smaller share costs a site or two
+CHAIN_BUDGET_SHARE = 0.5
+# Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
+CROUZEIX = 1.0 + math.sqrt(2.0)
 
 
 def displaced_number_operator(s: float, n_vib: int) -> np.ndarray:
@@ -84,6 +99,43 @@ class ArrowheadOperator:
         return tuple(bounds)
 
 
+class TridiagonalOperator:
+    """A symmetric tridiagonal matrix: diagonal, and off on the diagonals
+    above and below it. dot, enclosure and shape serve as those of
+    :class:`ArrowheadOperator` do.
+    """
+
+    def __init__(self, diagonal: np.ndarray, off: np.ndarray):
+        self.diagonal = diagonal
+        self.off = off
+        self.shape = (len(diagonal),) * 2
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        out = self.diagonal * x
+        out[:-1] += self.off * x[1:]
+        out[1:] += self.off * x[:-1]
+        return out
+
+    # a huge finite entry overflows the rectangle; the step plan then takes Krylov
+    @np.errstate(over="ignore", invalid="ignore")
+    def enclosure(self) -> tuple[float, float, float, float]:
+        """(lo, hi, slo, shi) as :meth:`ArrowheadOperator.enclosure` gives
+        them, by Gershgorin's theorem on each part: the real or imaginary
+        part of the diagonal, widened in each row by that part of its two
+        off entries. O(L); an entry that is not finite raises PropagationError.
+        """
+        check_finite(self.diagonal, self.off)
+        bounds = []
+        for part in (np.real, np.imag):
+            reach = np.abs(part(self.off))
+            radius = np.zeros(len(self.diagonal))
+            radius[:-1] += reach
+            radius[1:] += reach
+            centre = part(self.diagonal)
+            bounds += [float((centre - radius).min()), float((centre + radius).max())]
+        return tuple(bounds)
+
+
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     """The binned Hamiltonian as the arrowhead propagate steps, with its basis.
@@ -98,6 +150,8 @@ class EffectiveHamiltonian:
     matrix: object
     layout: BasisLayout
     basis: np.ndarray
+    # the part of a run's tolerance spent before any step: none, the arrowhead is exact
+    spent = 0.0
 
     def enclosure(self) -> tuple[float, float, float, float]:
         """The rectangle of :meth:`ArrowheadOperator.enclosure`. It holds the
@@ -124,6 +178,64 @@ class EffectiveHamiltonian:
         photon[:] = y[..., : self.layout.photon_dim]
         excited[:] = np.swapaxes(fock, -1, -2)
         return psi
+
+
+class ChainLayout:
+    """The layout a :class:`PhotonChain` gives the Trajectory: site 0 is
+    the photon, and the later sites mix every bin, so the chain has no
+    coordinate. A chain run records the photon amplitude (the
+    autocorrelation of the photon), the norm and the photon population,
+    and no matter population.
+    """
+
+    PHOTON = 0
+    photon_dim = 1
+    n_coords = 0
+
+    def __init__(self, sites: int):
+        self.dimension = sites
+
+    def blocks(self, vector: np.ndarray):
+        """(photon block, an empty (2, 0, 1) block of excited levels),
+        as :meth:`polarbin.model.BasisLayout.blocks` gives them."""
+        return vector[..., :1], np.empty((*vector.shape[:-1], 2, 0, 1))
+
+
+@dataclass(frozen=True)
+class PhotonChain:
+    """The photon amplitude of a photonic run, from a chain of L + 1 sites
+    that :func:`photon_chain` maps the arrowhead's photon star onto.
+
+    matrix is the :class:`TridiagonalOperator` J of the Lanczos
+    coefficients, with the photon's omega_c - i*kappa/2 on site 0: since
+    the photon is the first Lanczos vector, the loss sits there alone. A
+    chain state y is its own working and Fock state, y[0] is the photon
+    amplitude a0, and |y|^2 decays as 1 - kappa*int |y[0]|^2, as the norm
+    of the arrowhead's state does with a0. bound is the a-priori bound on
+    |a0 - a0 of the arrowhead| up to the t_final the chain was built for,
+    in exact arithmetic; spent is the part of the run's tolerance that
+    bound takes, and propagate steps the chain on the rest.
+    """
+
+    matrix: object
+    layout: ChainLayout
+    bound: float
+    spent: float
+
+    @property
+    def length(self) -> int:
+        """L, the sites past the photon."""
+        return self.layout.dimension - 1
+
+    def enclosure(self) -> tuple[float, float, float, float]:
+        """The Gershgorin rectangle of :meth:`TridiagonalOperator.enclosure`."""
+        return self.matrix.enclosure()
+
+    def to_working(self, psi: np.ndarray) -> np.ndarray:
+        return psi
+
+    def to_fock(self, y: np.ndarray) -> np.ndarray:
+        return y
 
 
 def check_finite(*arrays) -> None:
@@ -198,3 +310,127 @@ def _shared_eigenbasis(spec: ModelSpec, n_vib: int):
     if not np.isfinite(block).all():
         return np.full(2 * n_vib, np.nan), np.eye(2 * n_vib)
     return np.linalg.eigh(block)
+
+
+# a huge finite entry overflows the corners; the callers then refuse the frame
+@np.errstate(over="ignore", invalid="ignore")
+def chebyshev_frame(rectangle) -> tuple[float, float, float]:
+    """(c, R, rho) of an enclosure (lo, hi, slo, shi) of a numerical range:
+    the centre and half-width of the interval that Chebyshev polynomials
+    T_k((z - c)/R) are scaled to, and the largest Bernstein-ellipse
+    parameter of the rectangle's corners, so that |T_k| <= rho^k on the
+    rectangle. A rectangle that overflows gives an R or rho that is not
+    finite.
+    """
+    lo, hi, slo, shi = rectangle
+    radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
+    half = 0.5 * (hi - lo) / radius
+    corners = np.array([complex(re, im / radius) for re in (-half, half) for im in (slo, shi)])
+    root = np.sqrt(corners * corners - 1.0)
+    rho = float(np.maximum(np.abs(corners + root), np.abs(corners - root)).max())
+    return 0.5 * (lo + hi), radius, rho
+
+
+def series_tail(y: float, n_terms: int) -> float:
+    """The log of a bound on sum_{k>K} y^k/k! for K = n_terms > y - 2:
+    y^(K+1)/(K+1)! / (1 - y/(K+2))."""
+    return ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
+            - math.log1p(-y / (n_terms + 2)))
+
+
+def series_terms(y: float, log_limit: float, max_terms: int) -> int | None:
+    """The least K <= max_terms with sum_{k>K} y^k/k! <= exp(log_limit), or None."""
+    for n_terms in range(1, max_terms + 1):
+        if n_terms + 2 > y and series_tail(y, n_terms) <= log_limit:
+            return n_terms
+    return None
+
+
+def photon_chain(ham: EffectiveHamiltonian, t_final: float,
+                 tolerance: float) -> PhotonChain | None:
+    """The :class:`PhotonChain` that gives the arrowhead's photon amplitude
+    a0 up to t_final within its share of tolerance, or None when the chain
+    would not be shorter than the arrowhead, which is then stepped itself.
+
+    The chain is the Lanczos tridiagonalization J of the Hermitian (kappa
+    = 0) arrowhead H started at the photon, the star-to-chain map of Chin,
+    Rivas, Huelga and Plenio (J. Math. Phys. 51, 092109 (2010)), run by
+    :func:`_lanczos` on one BLAS thread. Its length L is the least whose
+    bound 2 (1 + sqrt 2) sum_{k>2L+1} 2 (x rho/2)^k/k!, with x = R*t_final
+    and rho from :func:`chebyshev_frame` of H's enclosure, meets the share
+    CHAIN_BUDGET_SHARE * tolerance / max(1, 2*kappa*t_final). The moments
+    e0'H^k e0 and e0'J^k e0 agree through k = 2L + 1 (Gauss quadrature;
+    the loss sits on the first Lanczos vector), so the Chebyshev series
+    of exp(-iHt) cut there errs on H and on J alike, and J, a compression
+    of H, has its numerical range inside H's: the Crouzeix-Palencia bound
+    of the step plan holds on each. That is exact arithmetic; without
+    reorthogonalization the quadrature stays accurate (Greenbaum, Linear
+    Algebra Appl. 113, 7 (1989)), which the tests check against dense
+    exponentials. The chain ends sooner at a beta_j with beta_j * t_final
+    <= share, a zero one included: dropping it moves the state by at most
+    beta_j * t (Duhamel). The norm moves by at most 2*kappa*t times a0's
+    error, hence the division of the share: with the steps on the
+    tolerance less spent, a0 stays within tolerance and the norm within
+    2 * tolerance, as on the arrowhead.
+    """
+    arrowhead = ham.matrix
+    dimension = arrowhead.shape[0]
+    kappa = -2.0 * float(arrowhead.diagonal[0].imag)
+    loss = max(1.0, 2.0 * kappa * t_final)
+    share = CHAIN_BUDGET_SHARE * tolerance / loss
+    _, radius, rho = chebyshev_frame(ham.enclosure())
+    y = 0.5 * radius * t_final * rho
+    if not 0.0 < y < math.inf:  # nothing to step, or a frame that overflows
+        return None
+    # the longest chain shorter than the arrowhead, L = dimension - 2, cuts at 2L + 1
+    log_limit = math.log(share / (2.0 * 2.0 * CROUZEIX))
+    n_terms = series_terms(y, log_limit, 2 * dimension - 3)
+    if n_terms is None:
+        return None
+    length = n_terms // 2  # the least L with 2L + 1 >= n_terms
+    with blas.one_thread():
+        alpha, beta, dropped = _lanczos(arrowhead.diagonal, arrowhead.arm, length,
+                                        share / t_final)
+    bound = dropped * t_final
+    if len(beta) == length:
+        bound = min(bound, 4.0 * CROUZEIX * math.exp(series_tail(y, 2 * length + 1)))
+    diagonal = alpha.astype(complex)
+    diagonal[0] = arrowhead.diagonal[0]
+    # complex, so that dot converts neither at every step
+    matrix = TridiagonalOperator(diagonal, beta.astype(complex))
+    return PhotonChain(matrix=matrix, layout=ChainLayout(len(alpha)), bound=bound,
+                       spent=bound * loss)
+
+
+def _lanczos(diagonal: np.ndarray, arm: np.ndarray, length: int, cut: float):
+    """(alpha, beta, dropped) of the Lanczos chain of the real part of an
+    arrowhead started at its first entry: alpha_0..alpha_n on the chain's
+    diagonal, beta_0..beta_(n-1) beside it and beta_n, the coupling the
+    chain drops. n is length, or less at the first beta_n <= cut.
+
+    The first Lanczos vector e0 gives alpha_0 = Re diagonal[0] and the
+    residual (0, Re arm). Every later vector is zero on the first entry,
+    where only the previous vector's arm product lands, and the
+    recurrence removes it, so the later sites are the Lanczos chain of
+    the rest of the real diagonal alone, started at Re arm / |Re arm|:
+    elementwise products, one dot and one norm a site, and no division
+    by a zero beta.
+    """
+    energies = np.ascontiguousarray(diagonal[1:].real)
+    residual = np.ascontiguousarray(arm.real)
+    previous = np.zeros_like(residual)
+    alpha, beta = np.empty(length + 1), np.empty(length)
+    alpha[0] = diagonal[0].real
+    b = math.sqrt(residual @ residual)
+    n = 0
+    while n < length and b > cut:
+        beta[n] = b
+        n += 1
+        vector = residual / b
+        residual = energies * vector
+        alpha[n] = a = vector @ residual
+        residual -= a * vector
+        residual -= b * previous
+        previous = vector
+        b = math.sqrt(residual @ residual)
+    return alpha[: n + 1], beta[:n], b

@@ -74,7 +74,11 @@ def absorption(traj: Trajectory, kappa: float, omega_grid: np.ndarray) -> Spectr
     quadrature on the recorded grid with plain truncation (no window).
     The initial state traj.psi0 must be the photonic state up to a phase:
     its photon population and its squared norm both one to within
-    PHOTONIC_START_TOLERANCE, or InitialStateError is raised. The grid
+    PHOTONIC_START_TOLERANCE, or InitialStateError is raised. Only
+    traj.autocorr, the photon amplitude a0(t), enters, so a trajectory of
+    the arrowhead and one of its photon chain
+    (:class:`~polarbin.hamiltonian.PhotonChain`, whose site 0 is the
+    photon) give the same spectrum to within the tolerance. The grid
     must be 1d, non-empty, finite, strictly increasing and uniform to
     rounding, or ConfigError is raised.
 

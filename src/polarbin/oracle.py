@@ -111,6 +111,8 @@ class FockHamiltonian:
     matrix: object
     layout: BasisLayout
     gershgorin: tuple = field(init=False, repr=False, compare=False)
+    # the part of a run's tolerance spent before any step: none, the matrix is exact
+    spent = 0.0
 
     def __post_init__(self):
         # taken here, while the memory the assembly just freed can hold its

@@ -2,20 +2,25 @@
 
 :func:`propagate` steps the assembled Hamiltonian H = A - i*Gamma on the
 recording grid, in its working basis (the arrowhead of the binned model,
-or the Fock-basis CSR of a reference engine), a block of grid steps at a
-time, by one of two steppers with the same block interface, chosen once
-per run. A Chebyshev series, cut where a rigorous bound over an enclosure
-of H's numerical range meets the block's share of the tolerance, gives
-every state of a block from one three-term recurrence: its vectors do not
-depend on time, so one coefficient matrix, planned once, combines them
-into the block's states by real matrix products. It serves at any
-dimension whenever that plan is finite, short and well-conditioned, with
-the block length of least estimated work whose buffers fit BLOCK_BYTES.
-The enclosure comes from ham.enclosure(): Weyl's inequality on the
-arrowhead, or Gershgorin's on a reference engine's CSR. A plan refused
-for stiff loss or overflow leaves the run to adaptive Arnoldi (Krylov)
-steps with a per-step error estimate, gathered into blocks as well.
-Either way the total 2-norm error stays within the requested tolerance.
+the tridiagonal photon chain of a spectrum point, or the Fock-basis CSR
+of a reference engine), a block of grid steps at a time, by one of two
+steppers with the same block interface, chosen once per run. A Chebyshev
+series, cut where a rigorous bound over an enclosure of H's numerical
+range meets the block's share of the tolerance, gives every state of a
+block from one three-term recurrence: its vectors do not depend on time,
+so one coefficient matrix, planned once, combines them into the block's
+states by real matrix products. It serves at any dimension whenever that
+plan is finite, short and well-conditioned, with the block length of
+least estimated work whose buffers fit BLOCK_BYTES. The enclosure comes
+from ham.enclosure(): Weyl's inequality on the arrowhead, or
+Gershgorin's on the chain or a reference engine's CSR; its Chebyshev
+frame and the series tail come from :mod:`polarbin.hamiltonian`, whose
+photon chains are cut by the same tail. A plan refused for stiff loss or
+overflow leaves the run to adaptive Arnoldi (Krylov) steps with a
+per-step error estimate, gathered into blocks as well. Either way the steps'
+total 2-norm error stays within the requested tolerance less ham.spent,
+the part a photon chain's truncation has taken (none on the other
+engines).
 A :class:`Trajectory` checks the inputs and records each block while the
 state is propagated: it maps a few states at a time to the Fock basis,
 reduces their autocorrelation, norm and per-coordinate populations, and
@@ -34,6 +39,7 @@ import numpy as np
 
 from . import blas
 from .errors import ConfigError, PropagationError
+from .hamiltonian import CROUZEIX, chebyshev_frame, series_terms
 from .model import BasisLayout, BinSet
 from .observables import state_populations
 
@@ -84,8 +90,6 @@ _EPS = float(np.finfo(float).eps)
 # above it Miller's recurrence runs, rescaled past _BESSEL_RESCALE
 _BESSEL_SERIES_BELOW = 1e-2
 _BESSEL_RESCALE = 1e250
-# Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
-_CROUZEIX = 1.0 + math.sqrt(2.0)
 
 
 def photonic_state(layout: BasisLayout) -> np.ndarray:
@@ -314,21 +318,6 @@ def _bessel_j(n_max: int, x) -> np.ndarray:
     return values
 
 
-def _series_terms(y: float, log_limit: float, max_terms: int) -> int | None:
-    """The least K <= max_terms with sum_{k>K} y^k/k! <= exp(log_limit), or None.
-
-    Once K + 2 > y the sum is at most y^(K+1)/(K+1)! / (1 - y/(K+2)).
-    """
-    for n_terms in range(1, max_terms + 1):
-        if n_terms + 2 <= y:
-            continue
-        log_tail = ((n_terms + 1) * math.log(y) - math.lgamma(n_terms + 2)
-                    - math.log1p(-y / (n_terms + 2)))
-        if log_tail <= log_limit:
-            return n_terms
-    return None
-
-
 def _work_per_step(steps: int, n_terms: int, chunk: int, dimension: int) -> float:
     """Estimated nanoseconds per recorded step of a block of steps states,
     cut after n_terms, whose series vectors are combined chunk at a time."""
@@ -402,7 +391,6 @@ class _ChebyshevStepper:
                          else None)
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # huge entries overflow the corners
     def plan(cls, matrix, rectangle, dt: float, n_steps: int, tolerance: float, norm: float):
         """The stepper of matrix for n_steps steps of dt whose blocks of
         states of psi, |psi| <= norm, err by at most
@@ -419,25 +407,19 @@ class _ChebyshevStepper:
         that is not positive and finite raises PropagationError.
         """
         _check_budget(tolerance)
-        lo, hi, slo, shi = rectangle
-        radius = max(0.5 * (hi - lo), 0.5 * (shi - slo), np.finfo(float).tiny)
+        center, radius, rho = chebyshev_frame(rectangle)
         x = radius * dt
         if not (math.isfinite(x) and math.isfinite(norm)):
             return None
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) / radius
-        corners = np.array([complex(re, im / radius) for re in (-half, half) for im in (slo, shi)])
-        root = np.sqrt(corners * corners - 1.0)
-        rho = float(np.maximum(np.abs(corners + root), np.abs(corners - root)).max())
         if not (0.0 < 0.5 * x * rho < math.inf):
             return None
         dimension = matrix.shape[0]
-        log_norm = math.log(2.0 * _CROUZEIX * norm) if norm > 0.0 else -math.inf
+        log_norm = math.log(2.0 * CROUZEIX * norm) if norm > 0.0 else -math.inf
         best = None
         for steps in range(1, n_steps + 1):
             n_blocks = -(-n_steps // steps)
             log_limit = math.log(CHEBYSHEV_BUDGET_SHARE * tolerance / n_blocks) - log_norm
-            n_terms = _series_terms(0.5 * x * rho * steps, log_limit, MAX_CHEBYSHEV)
+            n_terms = series_terms(0.5 * x * rho * steps, log_limit, MAX_CHEBYSHEV)
             if n_terms is None or n_terms * math.log(rho) > math.log(MAX_CHEBYSHEV_GROWTH):
                 break
             rows, chunk = _block_rows(steps, n_terms, dimension)
@@ -584,11 +566,14 @@ def propagate(
 ) -> Trajectory:
     """Evolve psi0 under the assembled Hamiltonian, recording every dt_record.
 
-    ham is the binned :class:`~polarbin.hamiltonian.EffectiveHamiltonian`
-    or a reference engine's :class:`~polarbin.oracle.FockHamiltonian`.
+    ham is the binned :class:`~polarbin.hamiltonian.EffectiveHamiltonian`,
+    a photonic run's :class:`~polarbin.hamiltonian.PhotonChain` or a
+    reference engine's :class:`~polarbin.oracle.FockHamiltonian`.
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the
-    Chebyshev blocks, or over the Krylov steps). The Trajectory checks
+    Chebyshev blocks, or over the Krylov steps). A chain's truncation has
+    spent ham.spent of it already, so the steps get the rest; the other
+    engines spend none. The Trajectory checks
     the inputs, and psi0 is mapped into ham's working basis once; the
     steps are Chebyshev blocks planned once from ham.matrix, ham.enclosure(),
     dt_record, the number of steps and the tolerance, or blocks of Krylov
@@ -603,10 +588,11 @@ def propagate(
     n_steps = len(traj.times) - 1
     if n_steps == 0:
         return traj
+    budget = tolerance - ham.spent
     # norms never grow, so a plan for the initial norm bounds every block
     stepper = (_ChebyshevStepper.plan(ham.matrix, ham.enclosure(), dt_record, n_steps,
-                                      tolerance, math.sqrt(traj.norms2[0]))
-               or _KrylovStepper(ham.matrix, dt_record, tolerance / n_steps))
+                                      budget, math.sqrt(traj.norms2[0]))
+               or _KrylovStepper(ham.matrix, dt_record, budget / n_steps))
     psi = ham.to_working(traj.psi0)
     # an out-of-range model overflows inside a step; the norm checks and
     # the steppers' own report it, not numpy warnings

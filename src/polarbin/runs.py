@@ -5,6 +5,14 @@ re-running from the manifest reproduces the run byte for byte. CSV bodies
 carry a single header row and 17-significant-digit scientific notation,
 and contain nothing run-dependent besides the numbers, so identical
 configurations give identical files.
+
+`spectrum` writes functions of the photon amplitude only, so each of its
+points steps the :class:`~polarbin.hamiltonian.PhotonChain` of
+:func:`~polarbin.hamiltonian.photon_chain`, whose length its bound sets,
+and the arrowhead only where that chain would not be shorter. The other
+commands need the whole state and step the arrowhead. `spectrum` and
+`dynamics` resolve every grid point before they write anything, as
+`converge` does its ladder; `sweep` records a refused point in its row.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, SWEEP_KEYS
 from .errors import ConfigError, PolarbinError, ZeroPopulationError
-from .hamiltonian import build_effective_hamiltonian
+from .hamiltonian import build_effective_hamiltonian, photon_chain
 from .model import bin_count_rule, discretize_disorder
 from .observables import (
     absorption,
@@ -75,24 +83,32 @@ def write_manifest(cfg: RunConfig, out_dir) -> str:
     return path
 
 
-def _propagate_point(point: RunConfig, state_times=()):
+def _propagate_point(point: RunConfig, state_times=(), chain: bool = False):
+    """(bins, the engine stepped, trajectory) of a resolved point; with
+    chain, a photonic point steps its photon chain where that is shorter."""
     bins = discretize_disorder(point.spec, point.n_bins)
     ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
+    if chain:
+        ham = photon_chain(ham, point.t_final, point.tolerance) or ham
     psi0 = make_initial_state(point.initial_state, ham.layout, bins)
     traj = propagate(ham, psi0, point.dt_record, point.t_final, point.tolerance,
                      state_times=state_times)
     return bins, ham, traj
 
 
-def _point_dirs(cfg: RunConfig, out_dir):
-    """(point, directory) pairs; sweeps get indexed subdirectories."""
+def _write_points(cfg: RunConfig, out_dir):
+    """(resolved point, directory) pairs, after manifest.cfg and, for a
+    sweep, index.csv are written; sweeps get indexed subdirectories.
+    Every point is refused or resolved before anything is written."""
     points = cfg.sweep_points()
+    resolved = [cfg.resolve_point(point) for point in points]
+    write_manifest(cfg, out_dir)
     if len(points) == 1:
-        return [(points[0], out_dir)]
+        return [(resolved[0], out_dir)]
     dirs = [f"point_{i:03d}" for i in range(len(points))]
     write_csv(os.path.join(out_dir, "index.csv"),
               {**_sweep_columns(cfg, points), "directory": dirs})
-    return [(point, os.path.join(out_dir, d)) for point, d in zip(points, dirs)]
+    return [(point, os.path.join(out_dir, d)) for point, d in zip(resolved, dirs)]
 
 
 def _sweep_columns(cfg: RunConfig, points: list[dict]) -> dict:
@@ -102,18 +118,17 @@ def _sweep_columns(cfg: RunConfig, points: list[dict]) -> dict:
 
 
 def run_spectrum(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
-    """Absorption spectrum (plus autocorrelation and norm) per grid point."""
+    """Absorption spectrum (plus autocorrelation and norm) per grid point,
+    each from its photon chain, or its arrowhead where the chain is no shorter."""
     if cfg.initial_state != "photonic":
         raise ConfigError("spectrum runs require initial_state = photonic")
-    write_manifest(cfg, out_dir)
-    return _parallel_map(partial(_spectrum_point, cfg), _point_dirs(cfg, out_dir), threads)
+    return _parallel_map(_spectrum_point, _write_points(cfg, out_dir), threads)
 
 
-def _spectrum_point(cfg: RunConfig, pair) -> str:
-    point, directory = pair
-    resolved = cfg.resolve_point(point)
+def _spectrum_point(pair) -> str:
+    resolved, directory = pair
     grid = default_omega_grid(resolved.spec)
-    _, _, traj = _propagate_point(resolved)
+    _, _, traj = _propagate_point(resolved, chain=True)
     spectrum = absorption(traj, resolved.spec.kappa, grid)
     write_csv(os.path.join(directory, "spectrum.csv"),
               {"omega_au": spectrum.omega, "absorption": spectrum.values})
@@ -125,13 +140,11 @@ def _spectrum_point(cfg: RunConfig, pair) -> str:
 
 def run_dynamics(cfg: RunConfig, out_dir, threads: int = 1) -> list[str]:
     """Population dynamics per grid point, plus optional vibrational energies."""
-    write_manifest(cfg, out_dir)
-    return _parallel_map(partial(_dynamics_point, cfg), _point_dirs(cfg, out_dir), threads)
+    return _parallel_map(_dynamics_point, _write_points(cfg, out_dir), threads)
 
 
-def _dynamics_point(cfg: RunConfig, pair) -> str:
-    point, directory = pair
-    resolved = cfg.resolve_point(point)
+def _dynamics_point(pair) -> str:
+    resolved, directory = pair
     # the one command that writes vibrational energies keeps their states
     bins, ham, traj = _propagate_point(resolved, resolved.vib_energy_times)
     record = populations(traj)

@@ -429,6 +429,26 @@ class TestCliEntry:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-2:] == ["mapped: False", "loaded:"]
 
+    def test_chained_spectrum_loads_no_scipy(self, tmp_path):
+        # a disordered point steps its photon chain: a Lanczos pass in numpy
+        # and Chebyshev steps of a tridiagonal operator
+        cfg = self._write(tmp_path, MINIMAL.replace("sigma = 0.0", "sigma = 0.02"))
+        out = str(tmp_path / "out")
+        code = ("import sys\n"
+                "from polarbin import runs\n"
+                "from polarbin.config import load_config_file\n"
+                "build, chains = runs.photon_chain, []\n"
+                "runs.photon_chain = lambda *args: chains.append(build(*args)) or chains[-1]\n"
+                f"runs.run_spectrum(load_config_file({cfg!r}), {out!r})\n"
+                "print('chained:', type(chains[0]).__name__)\n"
+                "print('loaded:', *(name for name in sys.modules\n"
+                "                   if name == 'scipy' or name.startswith('scipy.')))\n")
+        src = os.path.dirname(os.path.dirname(pb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-2:] == ["chained: PhotonChain", "loaded:"]
+
     @pytest.mark.parametrize("command", ["dynamics", "spectrum"])
     def test_production_run_builds_no_fock_matrix(self, tmp_path, monkeypatch, command):
         # the reference module's placement is the only Fock assembly; a
@@ -772,6 +792,33 @@ class TestLoadTimeRejection:
         assert "dimension 161 exceeds cap 100" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+    def test_sweep_point_refused_before_output(self, tmp_path, capsys, monkeypatch, command):
+        # sigma = 0 fits; sigma = 200 needs 947,521 dimensions at 1 fs. Every
+        # point is resolved before manifest.cfg, index.csv or point_000 is written
+        import polarbin.runs as runs_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(runs_mod, "propagate", never)
+        out = tmp_path / "sw"
+        code = main([command, "--preset", "fig3a", "--out", str(out),
+                     "--override", "run.t_final=1 fs", "--override", "sweep.sigma=0, 200"])
+        assert code == 1
+        assert "dimension 947521 exceeds cap 500000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_keeps_a_refused_point_as_a_row(self, tmp_path):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--preset", "fig3a", "--out", str(out),
+                     "--override", "run.t_final=1 fs", "--override", "sweep.sigma=0, 200"])
+        assert code == 0
+        statuses = [row[-1] for row in read_csv(out / "sweep.csv")[1:]]
+        assert statuses[0] == "ok"
+        assert statuses[1] == ("error: DimensionCapError: "
+                               "dimension 947521 exceeds cap 500000")
+
     def test_collapsed_bin_edges(self, tmp_path, capsys):
         code, _ = self._figs4(tmp_path, "model.sigma=1e-300", "run.n_bins=3")
         assert code == 1
@@ -1060,8 +1107,9 @@ class TestBenchmarkTrace:
         ("dynamics", "vib_energy_times = 50 au\n"),
         ("sweep", "\n[sweep]\nkappa = 0.006, 0.01\n"),
         ("spectrum", ""),
+        ("spectrum", "\n[sweep]\nsigma = 0.02\n"),
         ("oracle", ""),
-    ], ids=["dynamics", "sweep", "spectrum", "oracle"])
+    ], ids=["dynamics", "sweep", "spectrum", "spectrum-chain", "oracle"])
     def test_every_expected_span_fires(self, tmp_path, command, extra):
         common, per_command = _benchmark_spans()
         cfg = tmp_path / "run.cfg"

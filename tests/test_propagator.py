@@ -755,6 +755,22 @@ class TestBlasThreadScope:
         assert [getter() for getter in openblas_getters] == [2, 2]
 
 
+    def test_lanczos_runs_at_one_thread(self, openblas_getters, monkeypatch):
+        from polarbin import hamiltonian
+
+        lanczos, seen = hamiltonian._lanczos, []
+
+        def probe(*args):
+            seen.append(tuple(getter() for getter in openblas_getters))
+            return lanczos(*args)
+
+        monkeypatch.setattr(hamiltonian, "_lanczos", probe)
+        bins, ham = small_system(fig3_spec(sigma=0.02), 6, 8)
+        assert hamiltonian.photon_chain(ham, 100.0, 1e-9) is not None
+        assert seen == [(1, 1)]
+        assert [getter() for getter in openblas_getters] == [2, 2]
+
+
 class TestLoadingAtOneThread:
     def test_imported_module_leaves_the_environment_alone(self, monkeypatch):
         def refuse():
