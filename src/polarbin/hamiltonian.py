@@ -13,6 +13,9 @@ numpy only. The Fock-basis matrices of the same model, which the
 reference engines step and the tests compare against, are assembled in
 :mod:`polarbin.oracle`.
 
+:func:`deflate` drops the eigenvectors of K' that the photon barely
+reaches and bounds the error that this costs.
+
 A photonic run's autocorrelation and norm depend on the photon amplitude
 a0(t) alone. :func:`photon_chain` maps the photon's star onto a real
 tridiagonal chain by Lanczos (:class:`PhotonChain`), whose first site is
@@ -37,6 +40,9 @@ DEFAULT_DIMENSION_CAP = 500_000
 # steps get the rest. The chain's bound falls faster than exponentially
 # with its length, so a smaller share costs a site or two
 CHAIN_BUDGET_SHARE = 0.5
+# Share of a run's tolerance that deflate may spend on the eigenvectors it
+# drops; a photon chain and the steps get the rest
+DEFLATION_BUDGET_SHARE = 0.1
 # Crouzeix-Palencia: |f(H)| <= (1 + sqrt 2) * max |f| over the numerical range
 CROUZEIX = 1.0 + math.sqrt(2.0)
 
@@ -141,17 +147,20 @@ class EffectiveHamiltonian:
     """The binned Hamiltonian as the arrowhead propagate steps, with its basis.
 
     matrix is the :class:`ArrowheadOperator` in the working basis; basis
-    holds the eigenvectors U of the shared block K' as columns. A working
-    vector is the photon amplitude followed by the (2*n_vib, n_bins) array
-    whose column i is U' x_i, x_i being bin i's reactant levels followed
-    by its product levels.
+    holds the eigenvectors U of the shared block K' as columns, all of
+    them or those :func:`deflate` keeps. A working vector is the photon
+    amplitude followed by the (columns, n_bins) array whose column i is
+    U' x_i, x_i being bin i's reactant levels followed by its product
+    levels. spent is the part of a run's tolerance taken before any step:
+    0 on the exact arrowhead, the bound of :func:`deflate` on a deflated
+    one, which steps only unit states of the photon and the reactant
+    ground levels.
     """
 
     matrix: object
     layout: BasisLayout
     basis: np.ndarray
-    # the part of a run's tolerance spent before any step: none, the arrowhead is exact
-    spent = 0.0
+    spent: float = 0.0
 
     def enclosure(self) -> tuple[float, float, float, float]:
         """The rectangle of :meth:`ArrowheadOperator.enclosure`. It holds the
@@ -159,8 +168,15 @@ class EffectiveHamiltonian:
         return self.matrix.enclosure()
 
     def to_working(self, psi: np.ndarray) -> np.ndarray:
-        """A Fock-basis state in the working basis."""
+        """A Fock-basis state in the working basis. On a deflated arrowhead,
+        a state its bound does not cover raises ConfigError."""
         photon, excited = self.layout.blocks(psi)
+        # the named initial states have unit norm up to rounding
+        if self.basis.shape[1] < len(self.basis) and (
+                excited[0, :, 1:].any() or excited[1].any()
+                or np.vdot(psi, psi).real > 1.0 + 1e-12):
+            raise ConfigError("a deflated Hamiltonian steps only unit states of the "
+                              "photon and the reactant ground levels")
         bins_last = excited.transpose(0, 2, 1).reshape(len(self.basis), -1)
         # U is real: a real product on the interleaved float view, as in to_fock
         working = (self.basis.T @ bins_last.view(float)).view(complex)
@@ -171,9 +187,10 @@ class EffectiveHamiltonian:
         Fock basis: one real matrix product per state, in one call."""
         n_vib, lead = self.layout.n_vib, y.shape[:-1]
         # U is real, so it multiplies the interleaved float view of y
-        working = y[..., self.layout.photon_dim :].reshape(*lead, 2 * n_vib, -1).view(float)
+        working = y[..., self.layout.photon_dim :].reshape(
+            *lead, self.basis.shape[1], -1).view(float)
         fock = (self.basis @ working).view(complex).reshape(*lead, 2, n_vib, -1)
-        psi = np.empty_like(y)
+        psi = np.empty((*lead, self.layout.dimension), dtype=complex)
         photon, excited = self.layout.blocks(psi)
         photon[:] = y[..., : self.layout.photon_dim]
         excited[:] = np.swapaxes(fock, -1, -2)
@@ -214,7 +231,8 @@ class PhotonChain:
     of the arrowhead's state does with a0. bound is the a-priori bound on
     |a0 - a0 of the arrowhead| up to the t_final the chain was built for,
     in exact arithmetic; spent is the part of the run's tolerance that
-    bound takes, and propagate steps the chain on the rest.
+    bound takes, plus the arrowhead's own spent, and propagate steps the
+    chain on the rest.
     """
 
     matrix: object
@@ -299,17 +317,70 @@ def build_effective_hamiltonian(
 
 # a huge finite parameter overflows to inf here; the step plan refuses it
 @np.errstate(over="ignore", invalid="ignore")
+def _shared_block(spec: ModelSpec, n_vib: int) -> np.ndarray:
+    """K' = K + delta2 on the product levels."""
+    block = vibronic_block(spec, n_vib)
+    block[n_vib:, n_vib:] += spec.delta2 * np.eye(n_vib)
+    return block
+
+
 def _shared_eigenbasis(spec: ModelSpec, n_vib: int):
-    """Eigenvalues and eigenvectors (columns) of K' = K + delta2 on the product levels.
+    """Eigenvalues and eigenvectors (columns) of K' of :func:`_shared_block`.
 
     A K' that is not finite has none: nan eigenvalues and the identity,
     which the step plan refuses before any step is taken.
     """
-    block = vibronic_block(spec, n_vib)
-    block[n_vib:, n_vib:] += spec.delta2 * np.eye(n_vib)
+    block = _shared_block(spec, n_vib)
     if not np.isfinite(block).all():
         return np.full(2 * n_vib, np.nan), np.eye(2 * n_vib)
     return np.linalg.eigh(block)
+
+
+def deflate(ham: EffectiveHamiltonian, spec: ModelSpec, t_final: float,
+            tolerance: float) -> EffectiveHamiltonian:
+    """ham on the eigenvectors of K' that the photon reaches: every bin
+    loses the rows of a set Q of columns of U.
+
+    The photon couples to bin i's column k with coupling*sqrt(P_i)*U_0k,
+    the P_i summing to 1. A unit psi0 in the span of the photon and the
+    reactant ground levels has a Q part of norm at most w_Q >= |U_0Q|, so
+    by Duhamel's formula and the contraction of exp(-iHt) the state stays
+    within spent = (1 + coupling*t_final) * w_Q of ham's. A column's
+    weight is |U_0k| plus eigh's rounding: its residual |K'u_k - theta_k
+    u_k|, theta_k its Rayleigh quotient, over the gap to the nearest other
+    eigenvalue. With b = DEFLATION_BUDGET_SHARE * tolerance / (1 +
+    coupling*t_final) and c columns of |U_0k| <= b, those of weight at most
+    b / sqrt(c) go, so spent <= b * (1 + coupling*t_final). A weight not
+    bounded (a zero gap) keeps its column, and a K', U or arrowhead with an
+    entry that is not finite gives ham back.
+    """
+    basis, arrowhead = ham.basis, ham.matrix
+    growth = 1.0 + spec.coupling * t_final
+    budget = DEFLATION_BUDGET_SHARE * tolerance / growth
+    block = _shared_block(spec, ham.layout.n_vib)
+    if not (budget > 0.0 and all(np.isfinite(a).all() for a in (
+            block, basis, arrowhead.diagonal, arrowhead.arm))):
+        return ham
+    candidates = np.flatnonzero(np.abs(basis[0]) <= budget)
+    # the first bin's diagonal holds lambda_k + omega_0, in ascending order
+    levels = arrowhead.diagonal[1 :: ham.layout.n_coords].real
+    with np.errstate(all="ignore"):
+        steps = np.diff(levels, prepend=-np.inf, append=np.inf)
+        vectors = basis[:, candidates]
+        product = block @ vectors
+        product -= vectors * (vectors * product).sum(axis=0)
+        weights = (np.abs(vectors[0]) + np.linalg.norm(product, axis=0)
+                   / np.minimum(steps[:-1], steps[1:])[candidates])
+    dropped = weights <= budget / math.sqrt(max(1, len(candidates)))
+    if not dropped.any():
+        return ham
+    kept = np.ones(len(levels), dtype=bool)
+    kept[candidates[dropped]] = False
+    rows = arrowhead.diagonal[1:].reshape(len(levels), -1)[kept].ravel()
+    matrix = ArrowheadOperator(np.concatenate((arrowhead.diagonal[:1], rows)),
+                               arrowhead.arm.reshape(len(levels), -1)[kept].ravel())
+    return EffectiveHamiltonian(matrix=matrix, layout=ham.layout, basis=basis[:, kept],
+                                spent=growth * float(np.linalg.norm(weights[dropped])))
 
 
 # a huge finite entry overflows the corners; the callers then refuse the frame
@@ -371,7 +442,8 @@ def photon_chain(ham: EffectiveHamiltonian, t_final: float,
     beta_j * t (Duhamel). The norm moves by at most 2*kappa*t times a0's
     error, hence the division of the share: with the steps on the
     tolerance less spent, a0 stays within tolerance and the norm within
-    2 * tolerance, as on the arrowhead.
+    2 * tolerance, as on the arrowhead. A deflated arrowhead's spent bounds
+    its whole state, norm included, and adds to the chain's.
     """
     arrowhead = ham.matrix
     dimension = arrowhead.shape[0]
@@ -399,7 +471,7 @@ def photon_chain(ham: EffectiveHamiltonian, t_final: float,
     # complex, so that dot converts neither at every step
     matrix = TridiagonalOperator(diagonal, beta.astype(complex))
     return PhotonChain(matrix=matrix, layout=ChainLayout(len(alpha)), bound=bound,
-                       spent=bound * loss)
+                       spent=bound * loss + ham.spent)
 
 
 def _lanczos(diagonal: np.ndarray, arm: np.ndarray, length: int, cut: float):

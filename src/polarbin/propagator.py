@@ -19,8 +19,9 @@ photon chains are cut by the same tail. A plan refused for stiff loss or
 overflow leaves the run to adaptive Arnoldi (Krylov) steps with a
 per-step error estimate, gathered into blocks as well. Either way the steps'
 total 2-norm error stays within the requested tolerance less ham.spent,
-the part a photon chain's truncation has taken (none on the other
-engines).
+the part that a deflated arrowhead's dropped eigenvectors or a photon
+chain's truncation has taken (none on the exact arrowhead and the
+reference engines).
 A :class:`Trajectory` checks the inputs and records each block while the
 state is propagated: it maps a few states at a time to the Fock basis,
 reduces their autocorrelation, norm and per-coordinate populations, and
@@ -571,12 +572,13 @@ def propagate(
     reference engine's :class:`~polarbin.oracle.FockHamiltonian`.
     The state at each grid time matches exp(-i H t) psi0 to within
     `tolerance` in the vector 2-norm (budgeted uniformly over the
-    Chebyshev blocks, or over the Krylov steps). A chain's truncation has
-    spent ham.spent of it already, so the steps get the rest; the other
-    engines spend none. The Trajectory checks
-    the inputs, and psi0 is mapped into ham's working basis once; the
-    steps are Chebyshev blocks planned once from ham.matrix, ham.enclosure(),
-    dt_record, the number of steps and the tolerance, or blocks of Krylov
+    Chebyshev blocks, or over the Krylov steps). A deflated arrowhead or a
+    chain has spent ham.spent of it already, so the steps get the rest;
+    the exact arrowhead and the reference engines spend none. The
+    Trajectory checks the inputs, and psi0 is mapped into ham's working
+    basis once; the steps are Chebyshev blocks planned once from
+    ham.matrix, ham.enclosure(), dt_record, the number of steps and the
+    tolerance, or blocks of Krylov
     steps where that plan is refused (see _ChebyshevStepper.plan). Every
     block is recorded, and its norms checked, by Trajectory.record. Full
     states are kept at the grid times nearest to `state_times`. A norm

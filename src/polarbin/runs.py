@@ -6,13 +6,16 @@ carry a single header row and 17-significant-digit scientific notation,
 and contain nothing run-dependent besides the numbers, so identical
 configurations give identical files.
 
+Every point steps the arrowhead that :func:`~polarbin.hamiltonian.deflate`
+keeps: the eigenvectors of the vibronic block that the photon reaches.
 `spectrum` writes functions of the photon amplitude only, so each of its
 points steps the :class:`~polarbin.hamiltonian.PhotonChain` of
-:func:`~polarbin.hamiltonian.photon_chain`, whose length its bound sets,
-and the arrowhead only where that chain would not be shorter. The other
-commands need the whole state and step the arrowhead. `spectrum` and
-`dynamics` resolve every grid point before they write anything, as
-`converge` does its ladder; `sweep` records a refused point in its row.
+:func:`~polarbin.hamiltonian.photon_chain` built on it, whose length its
+bound sets, and the arrowhead only where that chain would not be shorter.
+The other commands need the whole state and step the arrowhead.
+`spectrum` and `dynamics` resolve every grid point before they write
+anything, as `converge` does its ladder; `sweep` records a refused point
+in its row.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, SWEEP_KEYS
 from .errors import ConfigError, PolarbinError, ZeroPopulationError
-from .hamiltonian import build_effective_hamiltonian, photon_chain
+from .hamiltonian import build_effective_hamiltonian, deflate, photon_chain
 from .model import bin_count_rule, discretize_disorder
 from .observables import (
     absorption,
@@ -84,10 +87,12 @@ def write_manifest(cfg: RunConfig, out_dir) -> str:
 
 
 def _propagate_point(point: RunConfig, state_times=(), chain: bool = False):
-    """(bins, the engine stepped, trajectory) of a resolved point; with
-    chain, a photonic point steps its photon chain where that is shorter."""
+    """(bins, the engine stepped, trajectory) of a resolved point: its
+    deflated arrowhead, or with chain, a photonic point's photon chain
+    where that is shorter."""
     bins = discretize_disorder(point.spec, point.n_bins)
-    ham = build_effective_hamiltonian(point.spec, bins, point.n_vib)
+    ham = deflate(build_effective_hamiltonian(point.spec, bins, point.n_vib), point.spec,
+                  point.t_final, point.tolerance)
     if chain:
         ham = photon_chain(ham, point.t_final, point.tolerance) or ham
     psi0 = make_initial_state(point.initial_state, ham.layout, bins)

@@ -157,6 +157,23 @@ class TestCompareToCute:
             assert getattr(binned, name) is getattr(record, name)
 
 
+    def test_binned_engine_is_the_exact_arrowhead(self, monkeypatch):
+        # the oracle checks the model as assembled, never a deflated one
+        from polarbin.hamiltonian import EffectiveHamiltonian, deflate
+
+        engines, propagate = [], oracle.propagate
+        monkeypatch.setattr(oracle, "propagate",
+                            lambda ham, *args: engines.append(ham) or propagate(ham, *args))
+        spec = fig3_spec(sigma=0.02)
+        bins = pb.discretize_disorder(spec, 2)
+        compare_to_cute(spec, bins, 30, 1, 10.0, 100.0, tolerance=1e-8)
+        binned = engines[1]
+        assert isinstance(binned, EffectiveHamiltonian)
+        assert binned.matrix.shape[0] == binned.layout.dimension and binned.spent == 0.0
+        # where the production runs would have dropped columns
+        assert deflate(binned, spec, 100.0, 1e-8).basis.shape[1] < 60
+
+
 class TestMultibinEquivalence:
     def test_single_bin_engines_agree(self):
         spec = fig3_spec(sigma=0.0)

@@ -430,6 +430,38 @@ _FIG3C_PLANS = (
     + [(13, 30)] * 4 + [(13, 31)] + [(11, 28)] * 5
     + [(7, 23)] * 5 + [(6, 21)] + [(7, 23)] * 4 + [(5, 20)] * 5 + [(4, 19)] * 5
 )
+# (D, columns kept of 2*n_vib, (m, K)) of every preset point's deflated
+# arrowhead, in sweep order, planned on the tolerance less its spent.
+# PRESET_PLANS pins the exact arrowhead, which the oracle steps
+_FIG3C_DEFLATED = [
+    (1 + kept * n_bins, kept, plan) for (n_bins, kept), plan in zip(
+        [(n_bins, kept) for n_bins in (1, 6, 12, 18, 24, 30, 36, 48)
+         for kept in (94, 96, 98, 98, 98)],
+        [(108, 68), (107, 71), (105, 73), (105, 74), (103, 74),
+         (65, 49), (54, 45), (58, 49), (55, 48), (59, 51),
+         (27, 30), (24, 29), (24, 30), (24, 30), (23, 30),
+         (14, 22), (13, 22), (13, 23), (13, 23), (13, 23),
+         (9, 19), (8, 18), (11, 21), (8, 19), (8, 19),
+         (8, 18), (8, 19), (8, 19), (8, 19), (8, 19),
+         (7, 18), (6, 17), (6, 17), (6, 17), (7, 19),
+         (5, 16), (5, 16), (5, 17), (5, 17), (5, 17)])
+]
+DEFLATED_PLANS = {
+    "fig3a": [(99, 98, (103, 74)), (1177, 98, (23, 30)), (2353, 98, (8, 19)),
+              (3529, 98, (7, 19))],
+    "fig3c": _FIG3C_DEFLATED,
+    "fig4a": [(95, 94, (108, 68)), (99, 98, (103, 74)), (2257, 94, (9, 19)),
+              (2353, 98, (8, 19)), (4513, 94, (5, 16)), (4705, 98, (5, 17))],
+    "fig4c": [(96, 95, (106, 69)), (102, 101, (100, 78)), (2281, 95, (8, 18)),
+              (2425, 101, (9, 21)), (4561, 95, (5, 16)), (4849, 101, (5, 17))],
+    "fig6": [(2353, 98, (8, 19))],
+    "figS1": [(3137, 98, (8, 19))],
+    "figS2": _FIG3C_DEFLATED,
+    "figS3": [(2257, 94, (9, 19)), (2281, 95, (8, 18)), (2353, 98, (8, 19)),
+              (2377, 99, (8, 19)), (2401, 100, (8, 19)), (2401, 100, (11, 22)),
+              (2425, 101, (8, 19)), (2425, 101, (9, 21))],
+    "figS4": [(385, 96, (71, 58))],
+}
 PRESET_PLANS = {
     "fig3a": [(84, 103), (13, 31), (7, 23), (5, 20)],
     "fig3c": _FIG3C_PLANS,
@@ -594,6 +626,24 @@ class TestChebyshevStep:
             assert stepper is not None and calls == 0, (name, point)
             plans[name].append(block_shape(stepper))
         assert plans == PRESET_PLANS
+
+    def test_every_preset_point_deflates(self):
+        # the arrowhead every command but oracle steps, or builds its chain on
+        from polarbin.hamiltonian import deflate
+        from polarbin.propagator import _resolve_grid
+
+        plans = {name: [] for name in DEFLATED_PLANS}
+        for name, point, resolved in preset_points():
+            bins, ham = small_system(resolved.spec, resolved.n_bins, resolved.n_vib)
+            ham = deflate(ham, resolved.spec, resolved.t_final, resolved.tolerance)
+            psi0 = pb.make_initial_state(resolved.initial_state, ham.layout, bins)
+            n_steps = _resolve_grid(resolved.dt_record, resolved.t_final, resolved.n_bins)
+            stepper, calls = plan_of(ham, resolved.dt_record, n_steps,
+                                     resolved.tolerance - ham.spent, np.linalg.norm(psi0))
+            assert stepper is not None and calls == 0, (name, point)
+            plans[name].append((ham.matrix.shape[0], ham.basis.shape[1],
+                                block_shape(stepper)))
+        assert plans == DEFLATED_PLANS
 
 
 class TestBlockStep:
